@@ -21,6 +21,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -130,12 +131,30 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         profiles=profiles,
         frame_rate=float(doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE)),
         sigma=float(doc.get("sigma", conditioning.DEFAULT_SIGMA)),
-        max_window_sec=float(doc.get("max_window_sec", planner.MAX_WINDOW_SEC)),
+        max_window_sec=_max_window_sec(doc.get("max_window_sec", planner.MAX_WINDOW_SEC)),
         intro_bars=int(doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS)),
         sample_rate=int(doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE)),
         seed=int(doc.get("seed", 0)),
         section_keys=tuple(section_keys) if section_keys else None,
     )
+
+
+def _max_window_sec(value) -> float:
+    """A window-length limit in seconds; must lie in (0, planner.MAX_WINDOW_SEC]."""
+    seconds = float(value)
+    if not 0.0 < seconds <= planner.MAX_WINDOW_SEC:
+        raise ValueError(
+            f"max_window_sec must be > 0 and at most {planner.MAX_WINDOW_SEC} s, "
+            f"got {value}"
+        )
+    return seconds
+
+
+def _max_window_arg(text: str) -> float:
+    try:
+        return _max_window_sec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +363,39 @@ def _stage_plan(config: PipelineConfig, outdir: str) -> None:
         fh.write(planner.plan_to_json(windows))
 
 
+#: Window WAVs written by render, ``window_NNN.wav`` by plan order.
+_WINDOW_FILE = re.compile(r"window_\d{3,}\.wav")
+
+
+def _window_name(order: int) -> str:
+    return f"window_{order:03d}.wav"
+
+
+def _read_plan_artifact(outdir: str, stage: str) -> list[planner.GenerationWindow]:
+    with open(_need(outdir, "plan", stage), "r", encoding="utf-8") as fh:
+        try:
+            return planner.plan_from_json(fh.read())
+        except ValueError as exc:
+            raise StageError(stage, f"cannot parse plan: {exc}") from exc
+
+
 def _stage_render(config: PipelineConfig, outdir: str) -> None:
     with open(_need(outdir, "conditions", "render"), "r", encoding="utf-8") as fh:
         try:
             bundle = conditioning.bundle_from_json(fh.read())
         except ValueError as exc:
             raise StageError("render", f"cannot parse conditions: {exc}") from exc
-    with open(_need(outdir, "plan", "render"), "r", encoding="utf-8") as fh:
-        try:
-            windows = planner.plan_from_json(fh.read())
-        except ValueError as exc:
-            raise StageError("render", f"cannot parse plan: {exc}") from exc
+    windows = _read_plan_artifact(outdir, "render")
+    owned = {_window_name(w.order) for w in windows}
+    for name in os.listdir(outdir):
+        if _WINDOW_FILE.fullmatch(name) and name not in owned:
+            os.remove(os.path.join(outdir, name))
     pieces: list[tuple[planner.GenerationWindow, render.AudioBuffer]] = []
     events: list[render.RenderEvent] = []
     try:
         for window in sorted(windows, key=lambda w: w.order):
             buffer, window_events = render.render_stub(bundle, window, config.sample_rate)
-            render.write_wav(
-                buffer, os.path.join(outdir, f"window_{window.order:03d}.wav")
-            )
+            render.write_wav(buffer, os.path.join(outdir, _window_name(window.order)))
             pieces.append((window, buffer))
             events.extend(window_events)
     except ValueError as exc:
@@ -444,9 +477,16 @@ def self_report(
 
 def _stage_report(config: PipelineConfig, outdir: str) -> None:
     with open(_need(outdir, "conditions", "report"), "r", encoding="utf-8") as fh:
-        bundle = conditioning.bundle_from_json(fh.read())
+        try:
+            bundle = conditioning.bundle_from_json(fh.read())
+        except ValueError as exc:
+            raise StageError("report", f"cannot parse conditions: {exc}") from exc
     with open(_need(outdir, "events", "report"), "r", encoding="utf-8") as fh:
-        events = render.parse_events(fh.read())
+        try:
+            events = render.parse_events(fh.read())
+        except ValueError as exc:
+            raise StageError("report", f"cannot parse events: {exc}") from exc
+    windows = _read_plan_artifact(outdir, "report")
     accomp = _read_wav_artifact(outdir, "accompaniment", "report")
     report = self_report(bundle, events, accomp)
     _write_json(_art(outdir, "report"), report)
@@ -455,10 +495,6 @@ def _stage_report(config: PipelineConfig, outdir: str) -> None:
         key: name for key, name in ART.items()
         if key != "manifest" and os.path.exists(_art(outdir, key))
     }
-    windows = sorted(
-        n for n in os.listdir(outdir)
-        if n.startswith("window_") and n.endswith(".wav")
-    )
     _write_json(
         _art(outdir, "manifest"),
         {
@@ -466,7 +502,7 @@ def _stage_report(config: PipelineConfig, outdir: str) -> None:
             "version": MANIFEST_VERSION,
             "config": config.to_manifest_dict(),
             "artifacts": artifacts,
-            "window_files": windows,
+            "window_files": sorted(_window_name(w.order) for w in windows),
             "report": report,
         },
     )
@@ -604,9 +640,7 @@ def _cmd_render(args) -> int:
     events: list[render.RenderEvent] = []
     for window in sorted(windows, key=lambda w: w.order):
         buffer, window_events = render.render_stub(bundle, window, args.sample_rate)
-        render.write_wav(
-            buffer, os.path.join(args.output_dir, f"window_{window.order:03d}.wav")
-        )
+        render.write_wav(buffer, os.path.join(args.output_dir, _window_name(window.order)))
         pieces.append((window, buffer))
         events.extend(window_events)
     pieces.sort(key=lambda p: p[0].start_sec)
@@ -793,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="tile a score into ordered generation windows")
     p.add_argument("score")
     p.add_argument("-o", "--output", help="also write the plan as JSON")
-    p.add_argument("--max-window", type=float, default=planner.MAX_WINDOW_SEC)
+    p.add_argument("--max-window", type=_max_window_arg, default=planner.MAX_WINDOW_SEC)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("render", help="render conditions to audio with the stub generator")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conditioning import KeyLabel
 
@@ -195,6 +196,9 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Audio-side chroma estimation (closed-loop oracle for the stub renderer)
 
+#: Frames per matrix product in :func:`chroma_from_audio`.
+_CHROMA_CHUNK = 256
+
 
 def chroma_from_audio(
     samples: np.ndarray,
@@ -208,12 +212,15 @@ def chroma_from_audio(
 ) -> np.ndarray:
     """Estimate a binary (T, 12) chromagram from audio by DFT peak picking.
 
-    Each frame takes a Hann-windowed slice centred on the frame time, reads
-    the zero-padded spectrum at every equal-tempered note frequency between
-    ``low_midi`` and ``high_midi``, folds the magnitudes into pitch classes
-    and marks the three strongest classes — or none when the slice is
-    essentially silent.  Designed as an independent check of the stub
-    renderer's triad pad, not a general transcription tool.
+    Each frame takes a Hann-windowed slice centred on the frame time and
+    evaluates the DFT directly at the bin nearest every equal-tempered note
+    frequency between ``low_midi`` and ``high_midi``, on a grid of
+    ``4 * window_size`` bins: these are exactly the bins a zero-padded
+    ``4 * window_size``-point FFT of the slice would give, without computing
+    the rest.  The magnitudes fold into pitch classes (the strongest note of
+    each class) and the three strongest classes are marked — or none when the
+    slice is essentially silent.  Designed as an independent check of the
+    stub renderer's triad pad, not a general transcription tool.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 2:
@@ -223,27 +230,72 @@ def chroma_from_audio(
     if num_frames is None:
         num_frames = int(np.ceil(len(samples) / sample_rate * frame_rate))
     n_fft = 4 * window_size
-    hann = np.hanning(window_size)
     note_freqs = 440.0 * 2.0 ** ((np.arange(low_midi, high_midi) - 69) / 12.0)
     note_bins = np.round(note_freqs * n_fft / sample_rate).astype(int)
     note_pcs = np.arange(low_midi, high_midi) % 12
+    # Notes that share a bin share one basis column, so they tie exactly.
+    bins, note_cols = np.unique(note_bins, return_inverse=True)
+    basis = _note_bin_basis(window_size, n_fft, bins)
+
+    half = window_size // 2
+    span = 2 * half  # samples read per frame; an odd window ends in a zero
+    centres = np.rint(np.arange(num_frames) / frame_rate * sample_rate)
+    starts = centres.astype(np.int64) - half
+    slices = sliding_window_view(samples, span) if len(samples) >= span else None
 
     out = np.zeros((num_frames, 12))
-    half = window_size // 2
-    for f in range(num_frames):
-        centre = int(round(f / frame_rate * sample_rate))
-        lo = centre - half
-        hi = centre + half
-        slice_ = np.zeros(window_size)
-        src_lo, src_hi = max(lo, 0), min(hi, len(samples))
-        if src_hi > src_lo:
-            slice_[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-        if np.sqrt((slice_**2).mean()) < silence_threshold:
+    for first in range(0, num_frames, _CHROMA_CHUNK):
+        frames = _frame_rows(
+            samples, slices, starts[first : first + _CHROMA_CHUNK], span, window_size
+        )
+        live = np.flatnonzero(~(np.sqrt((frames**2).mean(axis=1)) < silence_threshold))
+        if not live.size:
             continue
-        spectrum = np.abs(np.fft.rfft(slice_ * hann, n=n_fft))
-        energy = np.zeros(12)
-        np.maximum.at(energy, note_pcs, spectrum[note_bins])
-        top = np.argsort(energy, kind="stable")[-3:]
-        active = top[energy[top] > 0.05 * energy.max()]
-        out[f, active] = 1.0
+        if live.size < len(frames):
+            frames = frames[live]
+        proj = frames @ basis
+        magnitude = np.hypot(proj[:, : len(bins)], proj[:, len(bins) :])
+        energy = np.zeros((len(live), 12))
+        np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
+        top = np.argsort(energy, axis=1, kind="stable")[:, -3:]
+        strong = np.take_along_axis(energy, top, axis=1) > 0.05 * energy.max(
+            axis=1, keepdims=True
+        )
+        row, rank = np.nonzero(strong)
+        out[first + live[row], top[row, rank]] = 1.0
     return out
+
+
+def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:
+    """Hann-weighted cos columns then sin columns of the given n_fft-point DFT bins."""
+    # Reduce k*n modulo n_fft in integers so the phase stays exact for large n.
+    phase = (np.outer(np.arange(window_size), bins) % n_fft) * (2.0 * np.pi / n_fft)
+    hann = np.hanning(window_size)[:, None]
+    return np.hstack([hann * np.cos(phase), hann * np.sin(phase)])
+
+
+def _frame_rows(
+    samples: np.ndarray,
+    slices: np.ndarray | None,
+    starts: np.ndarray,
+    span: int,
+    width: int,
+) -> np.ndarray:
+    """One row ``samples[s : s + span]`` per start, zero-extended to ``width``.
+
+    Rows that run past either end of the signal are zero there; only those
+    rows are built one by one, so no padded copy of the signal is made.
+    ``slices`` is the length-``span`` sliding-window view of ``samples``.
+    """
+    inside = (starts >= 0) & (starts + span <= len(samples))
+    if span == width and inside.all():
+        return slices[starts]
+    rows = np.zeros((len(starts), width))
+    if inside.any():
+        rows[inside, :span] = slices[starts[inside]]
+    for i in np.flatnonzero(~inside):
+        lo = starts[i]
+        src_lo, src_hi = max(lo, 0), min(lo + span, len(samples))
+        if src_hi > src_lo:
+            rows[i, src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+    return rows

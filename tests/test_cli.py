@@ -283,3 +283,50 @@ def test_section_key_estimates_cover_empty_sections():
     silent = VocalScore(sections=(Section("verse", 0, 1920),))
     with pytest.raises(ValueError):
         section_key_estimates(silent)
+
+
+@pytest.mark.parametrize(
+    "name, garbage",
+    [("conditions.json", '{"format": "conditions", "num_frames": "many"}'),
+     ("events.txt", "0.5\tbeat\nnot-a-time\tdownbeat\n")],
+    ids=["conditions", "events"],
+)
+def test_malformed_input_at_report_names_the_stage(score_file, tmp_path, name, garbage):
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"))
+    _run(config)
+    (tmp_path / "out" / name).write_text(garbage)
+    with pytest.raises(StageError) as err:
+        run_pipeline(config, from_stage="report")
+    assert err.value.stage == "report"
+
+
+def test_rerun_into_a_used_directory_drops_stale_windows(score_file, tmp_path):
+    out = tmp_path / "out"
+    _run(PipelineConfig(str(score_file), str(out), max_window_sec=4.0))
+    many = sorted(n for n in os.listdir(out) if n.startswith("window_"))
+    manifest = _run(PipelineConfig(str(score_file), str(out)))
+    planned = sorted(
+        f"window_{w.order:03d}.wav"
+        for w in planner.plan_from_json((out / "plan.json").read_text())
+    )
+    assert len(planned) < len(many)
+    assert manifest["window_files"] == planned
+    assert sorted(n for n in os.listdir(out) if n.startswith("window_")) == planned
+
+
+@pytest.mark.parametrize("bad", [60.0, 47.5, 0.0, -3.0])
+def test_config_rejects_out_of_range_max_window(bad):
+    with pytest.raises(ValueError, match="47"):
+        config_from_json(json.dumps({"score_path": "x", "max_window_sec": bad}))
+    assert config_from_json(
+        json.dumps({"score_path": "x", "max_window_sec": 47})
+    ).max_window_sec == 47.0
+
+
+@pytest.mark.parametrize("bad", ["60", "0", "-1"])
+def test_plan_command_rejects_out_of_range_max_window(score_file, capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", str(score_file), "--max-window", bad])
+    assert exc.value.code == 2
+    assert "47" in capsys.readouterr().err
+    assert main(["plan", str(score_file), "--max-window", "30"]) == 0

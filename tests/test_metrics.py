@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from songpipe import conditioning, metrics, render, score_io
+from songpipe.cli import PipelineConfig, run_pipeline
 from songpipe.conditioning import KeyLabel
 from songpipe.metrics import (
     RHYTHM_TOLERANCE_SEC,
@@ -21,6 +25,8 @@ from songpipe.metrics import (
     per,
     rhythm_f1,
 )
+
+from helpers import simple_score
 
 
 def _max_matching_size(ref, est, tol):
@@ -210,6 +216,17 @@ def test_chroma_from_audio_follows_chord_changes():
     assert set(np.flatnonzero(chroma[160])) == {7, 11, 2}
 
 
+def test_chroma_from_audio_drops_classes_below_five_percent_of_the_strongest():
+    sr = 44100
+    c, e, g = (440.0 * 2 ** ((m - 69) / 12) for m in (60, 64, 67))
+    audio = _sines([c], 1.0, sr) + _sines([e], 1.0, sr, 0.2 * 0.055) + _sines(
+        [g], 1.0, sr, 0.2 * 0.03
+    )
+    chroma = chroma_from_audio(audio, sr, frame_rate=50)
+    assert np.all(chroma[10:40, [0, 4]] == 1.0)
+    assert not chroma[10:40, 7].any()
+
+
 def test_chroma_from_audio_accepts_stereo_and_num_frames():
     sr = 44100
     freqs = [261.6256]
@@ -218,3 +235,130 @@ def test_chroma_from_audio_accepts_stereo_and_num_frames():
     chroma = chroma_from_audio(stereo, sr, frame_rate=50, num_frames=30)
     assert chroma.shape == (30, 12)
     assert np.all(chroma[10:20, 0] == 1.0)
+
+
+def _chroma_fft_oracle(
+    samples,
+    sample_rate,
+    frame_rate,
+    num_frames=None,
+    low_midi=48,
+    high_midi=84,
+    window_size=8192,
+    silence_threshold=1e-4,
+):
+    """Reference chromagram: one zero-padded FFT per frame, note bins read off it."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=0)
+    if samples.ndim != 1:
+        raise ValueError("samples must be 1-D or (channels, n)")
+    if num_frames is None:
+        num_frames = int(np.ceil(len(samples) / sample_rate * frame_rate))
+    n_fft = 4 * window_size
+    hann = np.hanning(window_size)
+    note_freqs = 440.0 * 2.0 ** ((np.arange(low_midi, high_midi) - 69) / 12.0)
+    note_bins = np.round(note_freqs * n_fft / sample_rate).astype(int)
+    note_pcs = np.arange(low_midi, high_midi) % 12
+
+    out = np.zeros((num_frames, 12))
+    half = window_size // 2
+    for f in range(num_frames):
+        centre = int(round(f / frame_rate * sample_rate))
+        lo = centre - half
+        hi = centre + half
+        slice_ = np.zeros(window_size)
+        src_lo, src_hi = max(lo, 0), min(hi, len(samples))
+        if src_hi > src_lo:
+            slice_[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+        if np.sqrt((slice_**2).mean()) < silence_threshold:
+            continue
+        spectrum = np.abs(np.fft.rfft(slice_ * hann, n=n_fft))
+        energy = np.zeros(12)
+        np.maximum.at(energy, note_pcs, spectrum[note_bins])
+        top = np.argsort(energy, kind="stable")[-3:]
+        active = top[energy[top] > 0.05 * energy.max()]
+        out[f, active] = 1.0
+    return out
+
+
+_TRIAD = st.tuples(
+    st.integers(45, 80),  # root, MIDI
+    st.sampled_from((4, 3)),  # major or minor third
+    st.floats(0.005, 0.4),  # amplitude
+)
+
+
+@st.composite
+def _chroma_cases(draw):
+    sample_rate = draw(st.sampled_from((44100, 22050, 16000)))
+    frame_rate = draw(st.sampled_from((50.0, 43, 37.5)))
+    window_size = draw(st.sampled_from((8192, 2048, 1023, 256)))  # 256: notes share bins
+    n = draw(st.integers(0, int(1.2 * sample_rate)))
+    t = np.arange(n) / sample_rate
+    audio = np.zeros((2, n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        for channel in (0, 1):
+            root, third, amp = draw(_TRIAD)
+            for midi in (root, root + third, root + 7):
+                freq = 440.0 * 2.0 ** ((midi - 69) / 12.0)
+                audio[channel, lo:hi] += amp * np.sin(2 * np.pi * freq * t[lo:hi])
+    if draw(st.booleans()):  # a silent stretch
+        lo = draw(st.integers(0, n))
+        audio[:, lo : lo + draw(st.integers(0, n))] = 0.0
+    samples = audio if draw(st.booleans()) else audio[0]
+    natural = int(np.ceil(n / sample_rate * frame_rate))
+    num_frames = draw(st.one_of(st.none(), st.integers(0, natural + 20)))
+    return samples, sample_rate, frame_rate, num_frames, window_size
+
+
+def _weighted_slice(samples, sample_rate, frame_rate, window_size, frame):
+    """The Hann-weighted slice the oracle transforms for one frame."""
+    mono = np.asarray(samples, dtype=float)
+    if mono.ndim == 2:
+        mono = mono.mean(axis=0)
+    half = window_size // 2
+    lo = int(round(frame / frame_rate * sample_rate)) - half
+    slice_ = np.zeros(window_size)
+    src_lo, src_hi = max(lo, 0), min(lo + 2 * half, len(mono))
+    if src_hi > src_lo:
+        slice_[src_lo - lo : src_hi - lo] = mono[src_lo:src_hi]
+    return slice_ * np.hanning(window_size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chroma_cases(), st.sampled_from((3, 16, 256)))
+@example((np.array([0.0, 0.0147]), 44100, 50.0, None, 8192), 3)  # one-sample slice
+def test_chroma_from_audio_equals_the_fft_oracle(case, chunk):
+    samples, sample_rate, frame_rate, num_frames, window_size = case
+    kwargs = dict(num_frames=num_frames, window_size=window_size)
+    # Small chunks put chunk edges, and chunks wholly inside the signal,
+    # within reach of these short inputs.
+    with mock.patch.object(metrics, "_CHROMA_CHUNK", chunk):
+        fast = chroma_from_audio(samples, sample_rate, frame_rate, **kwargs)
+    slow = _chroma_fft_oracle(samples, sample_rate, frame_rate, **kwargs)
+    assert fast.shape == slow.shape
+    # A weighted slice with one nonzero sample has the same magnitude at
+    # every bin: all twelve classes tie exactly, and rounding alone picks
+    # the three marked, differently for an FFT and a dot product.  Such a
+    # frame (a window that overlaps the signal by a sample or two) must
+    # still mark as many classes; every other frame must match exactly.
+    for frame in np.flatnonzero((fast != slow).any(axis=1)):
+        weighted = _weighted_slice(samples, sample_rate, frame_rate, window_size, frame)
+        assert np.count_nonzero(weighted) == 1, f"frame {frame} differs"
+        assert fast[frame].sum() == slow[frame].sum()
+
+
+def test_chroma_from_audio_equals_the_fft_oracle_on_a_rendered_song(tmp_path):
+    score = simple_score([60, 62, 64, 65, 67, 65, 64, 62] * 2, labels=["verse", "chorus"])
+    path = tmp_path / "song.mid"
+    path.write_bytes(score_io.write_smf(score))
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(str(path), str(out)))
+    bundle = conditioning.bundle_from_json((out / "conditions.json").read_text())
+    accomp = render.read_wav(out / "accompaniment.wav")
+    args = (accomp.samples, accomp.sample_rate, bundle.frame_rate, bundle.num_frames)
+    fast = chroma_from_audio(*args)
+    assert fast.any()
+    assert np.array_equal(fast, _chroma_fft_oracle(*args))
