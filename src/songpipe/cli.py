@@ -132,7 +132,7 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         frame_rate=float(doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE)),
         sigma=float(doc.get("sigma", conditioning.DEFAULT_SIGMA)),
         max_window_sec=_max_window_sec(doc.get("max_window_sec", planner.MAX_WINDOW_SEC)),
-        intro_bars=int(doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS)),
+        intro_bars=_intro_bars(doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS)),
         sample_rate=int(doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE)),
         seed=int(doc.get("seed", 0)),
         section_keys=tuple(section_keys) if section_keys else None,
@@ -150,11 +150,22 @@ def _max_window_sec(value) -> float:
     return seconds
 
 
-def _max_window_arg(text: str) -> float:
-    try:
-        return _max_window_sec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _intro_bars(value) -> int:
+    """A count of instrumental intro bars; must not be negative."""
+    bars = int(value)
+    if bars < 0:
+        raise ValueError(f"intro_bars must be >= 0, got {value}")
+    return bars
+
+
+def _argument(parse):
+    """Wrap a config value parser as an argparse ``type`` that reports its error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("harmonize", help="choose one chord per bar for a melody")
     p.add_argument("score")
     p.add_argument("-o", "--output", help="write chords here instead of stdout")
-    p.add_argument("--intro-bars", type=int, default=0,
+    p.add_argument("--intro-bars", type=_argument(_intro_bars), default=0,
                    help="prepend this many bars of duplicated opening chords")
     p.add_argument("--emission-weight", type=float, default=1.0)
     p.add_argument("--transition-weight", type=float, default=0.1)
@@ -827,7 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="tile a score into ordered generation windows")
     p.add_argument("score")
     p.add_argument("-o", "--output", help="also write the plan as JSON")
-    p.add_argument("--max-window", type=_max_window_arg, default=planner.MAX_WINDOW_SEC)
+    p.add_argument("--max-window", type=_argument(_max_window_sec),
+                   default=planner.MAX_WINDOW_SEC)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("render", help="render conditions to audio with the stub generator")

@@ -123,16 +123,28 @@ def chord_f1(reference: np.ndarray, estimate: np.ndarray) -> float:
 
 
 def edit_distance(reference: list, hypothesis: list) -> int:
-    """Levenshtein distance (substitutions, deletions, insertions all cost 1)."""
+    """Levenshtein distance (substitutions, deletions, insertions all cost 1).
+
+    Tokens must be hashable; they are interned to int64 ids, so two tokens
+    match when they are equal as dict keys.  Each DP row is whole-array: the
+    insertion chain ``cur[j] = min(a[j], cur[j - 1] + 1)`` is
+    ``minimum.accumulate(a - j) + j``, exact in int64.
+    """
     m, n = len(reference), len(hypothesis)
-    prev = np.arange(n + 1)
+    ids: dict = {}
+    ref = np.array([ids.setdefault(tok, len(ids)) for tok in reference], dtype=np.int64)
+    hyp = np.array([ids.setdefault(tok, len(ids)) for tok in hypothesis], dtype=np.int64)
+    j = np.arange(n + 1, dtype=np.int64)
+    prev = j.copy()
+    cur = np.empty(n + 1, dtype=np.int64)
     for i in range(1, m + 1):
-        cur = np.empty(n + 1, dtype=np.int64)
         cur[0] = i
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + (reference[i - 1] != hypothesis[j - 1])
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
+        np.add(prev[:-1], hyp != ref[i - 1], out=cur[1:])
+        np.minimum(cur[1:], prev[1:] + 1, out=cur[1:])
+        cur -= j
+        np.minimum.accumulate(cur, out=cur)
+        cur += j
+        prev, cur = cur, prev
     return int(prev[n])
 
 

@@ -29,14 +29,6 @@ DEFAULT_TEMPO_US = 500_000
 BEATS_PER_BAR = 4
 
 
-def section_label_index(label: str) -> int:
-    """Return the integer id of a section label, raising on unknown labels."""
-    try:
-        return SECTION_LABELS.index(label)
-    except ValueError:
-        raise ValueError(f"unknown section label: {label!r}") from None
-
-
 @dataclass(frozen=True)
 class Note:
     """One sung note: onset/duration in ticks, MIDI pitch, optional syllable.
@@ -241,16 +233,6 @@ def tick_to_seconds(score: VocalScore, tick: int | float) -> float:
             seconds += (tick - start) * tempo / (score.ticks_per_quarter * 1e6)
             break
     return seconds
-
-
-def section_index_at_tick(score: VocalScore, tick: int | float) -> int:
-    """Index of the section containing ``tick`` (last section for ticks at/past its end)."""
-    if not score.sections:
-        raise ValueError("score has no sections")
-    for i, sec in enumerate(score.sections):
-        if sec.start_tick <= tick < sec.end_tick:
-            return i
-    return len(score.sections) - 1
 
 
 def prepend_instrumental(score: VocalScore, bars: int, label: str = "intro") -> VocalScore:

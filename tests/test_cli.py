@@ -330,3 +330,17 @@ def test_plan_command_rejects_out_of_range_max_window(score_file, capsys, bad):
     assert exc.value.code == 2
     assert "47" in capsys.readouterr().err
     assert main(["plan", str(score_file), "--max-window", "30"]) == 0
+
+
+def test_config_rejects_negative_intro_bars():
+    with pytest.raises(ValueError, match="intro_bars must be >= 0, got -2"):
+        config_from_json(json.dumps({"score_path": "x", "intro_bars": -2}))
+    assert config_from_json(json.dumps({"score_path": "x", "intro_bars": 0})).intro_bars == 0
+
+
+def test_harmonize_command_rejects_negative_intro_bars(score_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["harmonize", str(score_file), "--intro-bars", "-2"])
+    assert exc.value.code == 2
+    assert "intro_bars must be >= 0, got -2" in capsys.readouterr().err
+    assert main(["harmonize", str(score_file), "--intro-bars", "0"]) == 0

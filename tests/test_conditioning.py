@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from songpipe.conditioning import (
     ChordSequence,
@@ -91,6 +92,75 @@ def test_rhythm_activation_takes_max_of_overlapping_events():
 def test_rhythm_activation_rejects_out_of_range_events():
     with pytest.raises(ValueError):
         rhythm_activation([2.5], [], 2.0)
+
+
+def _rhythm_activation_loop_oracle(beats, downbeats, duration_sec, frame_rate, sigma):
+    """Reference activation: one Gaussian bump per event, combined by max."""
+    t = math.ceil(duration_sec * frame_rate)
+    times = np.arange(t) / frame_rate
+    out = np.zeros((t, 2))
+    for column, events in enumerate((beats, downbeats)):
+        for event in events:
+            if not 0.0 <= event <= duration_sec:
+                raise ValueError(
+                    f"event at {event} s lies outside [0, {duration_sec}] s"
+                )
+            bump = np.exp(-((times - event) ** 2) / (2.0 * sigma * sigma))
+            np.maximum(out[:, column], bump, out=out[:, column])
+    return np.clip(out, 0.0, 1.0)
+
+
+@st.composite
+def _activation_cases(draw):
+    frame_rate = draw(st.one_of(
+        st.sampled_from((37.5, 43.0, 50.0, 86.1328125, 100.0)),
+        st.floats(37.5, 100.0),
+    ))
+    duration = draw(st.floats(0.01, 30.0))
+    sigma = draw(st.floats(0.001, 1.0))
+    last = math.ceil(duration * frame_rate) - 1
+
+    def events():
+        on_frame = st.integers(0, last).map(lambda f: f / frame_rate)
+        midpoint = st.integers(0, last).map(lambda f: (f + 0.5) / frame_rate)
+        anywhere = st.floats(0.0, duration)
+        times = draw(st.lists(
+            st.one_of(on_frame, midpoint, anywhere).map(lambda x: min(x, duration)),
+            max_size=40,
+        ))
+        times += draw(st.lists(st.sampled_from(times), max_size=5)) if times else []
+        return draw(st.permutations(times))
+
+    beats, downbeats = events(), events()
+    if draw(st.booleans()):
+        beats = np.array(beats)
+    return beats, downbeats, duration, frame_rate, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(_activation_cases())
+def test_rhythm_activation_equals_the_loop_oracle(case):
+    fast = rhythm_activation(*case)
+    slow = _rhythm_activation_loop_oracle(*case)
+    assert fast.shape == slow.shape
+    assert np.array_equal(
+        np.frombuffer(fast.tobytes(), dtype=np.uint8),
+        np.frombuffer(slow.tobytes(), dtype=np.uint8),
+    )
+
+
+@pytest.mark.parametrize("beats, downbeats", [
+    ([1.0, 2.5, -1.0], [3.0]),
+    ([1.0], [0.5, -0.25, 9.0]),
+    (np.array([0.5, float("nan")]), [1.0]),
+    ([3, 1], [2]),
+])
+def test_rhythm_activation_names_the_first_out_of_range_event(beats, downbeats):
+    with pytest.raises(ValueError) as expected:
+        _rhythm_activation_loop_oracle(beats, downbeats, 2.0, 50.0, 0.05)
+    with pytest.raises(ValueError) as got:
+        rhythm_activation(beats, downbeats, 2.0)
+    assert str(got.value) == str(expected.value)
 
 
 def test_chromagram_marks_triad_tones():

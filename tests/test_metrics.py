@@ -146,6 +146,66 @@ def test_edit_distance_matches_recursive_oracle():
         assert edit_distance(list(a), list(b)) == slow(a, b)
 
 
+def _edit_distance_loop_oracle(reference, hypothesis):
+    """Reference Levenshtein distance: one Python step per DP cell."""
+    m, n = len(reference), len(hypothesis)
+    prev = np.arange(n + 1)
+    for i in range(1, m + 1):
+        cur = np.empty(n + 1, dtype=np.int64)
+        cur[0] = i
+        for j in range(1, n + 1):
+            sub = prev[j - 1] + (reference[i - 1] != hypothesis[j - 1])
+            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return int(prev[n])
+
+
+_TOKEN_ALPHABETS = (
+    st.sampled_from(["a"]),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from(["AH0", "AH1", "K", "T", "S"]),
+    st.integers(0, 3),
+    st.tuples(st.integers(0, 1), st.sampled_from("xy")),
+    st.sampled_from([0, 1, 1.0, True, "1", (1,)]),  # 1 == 1.0 == True
+)
+
+
+@st.composite
+def _token_pairs(draw):
+    tokens = draw(st.sampled_from(_TOKEN_ALPHABETS))
+    return (
+        draw(st.lists(tokens, max_size=60)),
+        draw(st.lists(tokens, max_size=60)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_pairs())
+@example(([], []))
+@example(([], ["a", "b"]))
+@example((["a", "b", "c"], []))
+def test_edit_distance_equals_the_loop_oracle(pair):
+    reference, hypothesis = pair
+    assert edit_distance(reference, hypothesis) == _edit_distance_loop_oracle(
+        reference, hypothesis
+    )
+
+
+def test_edit_distance_equals_the_loop_oracle_on_long_sequences():
+    rng = random.Random(2026)
+    phones = ["AA", "AE", "AH", "B", "D", "IY", "K", "L", "M", "N", "S", "T"]
+    reference = [rng.choice(phones) for _ in range(400)]
+    hypothesis = [
+        rng.choice(phones) if rng.random() < 0.3 else tok for tok in reference
+    ]
+    del hypothesis[100:130]
+    hypothesis[250:250] = rng.choices(phones, k=30)
+    assert len(hypothesis) == 400
+    expected = _edit_distance_loop_oracle(reference, hypothesis)
+    assert edit_distance(reference, hypothesis) == expected
+    assert edit_distance(hypothesis, reference) == expected
+
+
 def test_per_is_distance_over_reference_length():
     assert per(list("abc"), list("abc")) == 0.0
     assert per(list("abc"), list("axc")) == pytest.approx(1 / 3)
