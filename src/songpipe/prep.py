@@ -9,6 +9,7 @@ comfortable range by trying whole-octave shifts.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from statistics import median
 
@@ -224,13 +225,19 @@ def is_cjk(char: str) -> bool:
     )
 
 
+#: One character of the ranges :func:`is_cjk` accepts.
+_CJK_CHAR = re.compile(
+    "[\u4e00-\u9fff\u3400-\u4dbf\U00020000-\U0002a6df\uf900-\ufaff\u3040-\u30ff]"
+)
+
+
 def tokenize_lyric_text(text: str) -> list[str]:
     """Split lyric text into tokens.
 
     Lines containing CJK characters yield one token per visible character;
     everything else splits on whitespace.
     """
-    if any(is_cjk(c) for c in text):
+    if _CJK_CHAR.search(text):
         return [c for c in text if not c.isspace()]
     return text.split()
 

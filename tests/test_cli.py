@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from songpipe.cli import (
 )
 from songpipe.score import Note, Section, VocalScore
 
-from helpers import bpm_to_us, simple_score
+from helpers import bpm_to_us, random_score, simple_score
 
 MELODY = [60, 62, 64, 65, 67, 65, 64, 62] * 4  # 8 bars of C-major noodling
 
@@ -344,3 +348,78 @@ def test_harmonize_command_rejects_negative_intro_bars(score_file, capsys):
     assert exc.value.code == 2
     assert "intro_bars must be >= 0, got -2" in capsys.readouterr().err
     assert main(["harmonize", str(score_file), "--intro-bars", "0"]) == 0
+
+
+def _random_score_file(tmp_path):
+    path = tmp_path / "random.mid"
+    path.write_bytes(score_io.write_smf(random_score(random.Random(11))))
+    return str(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("frame_rate", "Infinity", "frame_rate must be finite and > 0 fps, got inf"),
+    ("frame_rate", "NaN", "frame_rate must be finite and > 0 fps, got nan"),
+    ("frame_rate", "0", "frame_rate must be finite and > 0 fps, got 0"),
+    ("frame_rate", "-50", "frame_rate must be finite and > 0 fps, got -50"),
+    pytest.param("frame_rate", "1" + "0" * 400, "frame_rate must be finite and > 0 fps",
+                 id="frame_rate-int-beyond-float"),
+    ("sigma", "Infinity", "sigma must be finite and > 0 s, got inf"),
+    ("sigma", "-0.05", "sigma must be finite and > 0 s, got -0.05"),
+    ("sigma", "1e-300", "sigma must be > 2**-538 s (about 1.1e-162 s) so that "
+                        "2*sigma*sigma > 0, got 1e-300"),
+    ("sample_rate", "Infinity", "sample_rate must be finite and >= 1 Hz, got inf"),
+    ("sample_rate", "NaN", "sample_rate must be finite and >= 1 Hz, got nan"),
+    ("sample_rate", "0.5", "sample_rate must be finite and >= 1 Hz, got 0.5"),
+    ("sample_rate", "-44100", "sample_rate must be finite and >= 1 Hz, got -44100"),
+])
+def test_config_rejects_out_of_range_rates(tmp_path, key, value, message):
+    # Before these checks, frame_rate Infinity escaped run as an OverflowError,
+    # sigma Infinity gave a flat rhythm activation and sigma 1e-300 divided by
+    # zero in rhythm_activation.
+    text = f'{{"score_path": {json.dumps(_random_score_file(tmp_path))}, "{key}": {value}}}'
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_json(text)
+
+
+def test_config_accepts_rates_at_their_limits(tmp_path):
+    smallest_sigma = math.nextafter(2.0 ** -538, 1.0)
+    config = config_from_json(json.dumps({
+        "score_path": "x", "frame_rate": 1e-3, "sigma": smallest_sigma, "sample_rate": 1,
+    }))
+    assert (config.frame_rate, config.sigma, config.sample_rate) == (1e-3, smallest_sigma, 1)
+    assert config_from_json(json.dumps({"score_path": "x", "sample_rate": 22050.0})).sample_rate == 22050
+
+
+def test_config_keys_are_the_config_fields():
+    doc = {f.name: getattr(PipelineConfig("s", "o"), f.name) for f in fields(PipelineConfig)}
+    doc["profiles"] = [{"name": p.name, "low": p.low, "high": p.high} for p in doc["profiles"]]
+    assert config_from_json(json.dumps(doc)) == PipelineConfig("s", "o")
+    with pytest.raises(ValueError, match=re.escape("unknown config keys: ['bogus', 'fps']")):
+        config_from_json(json.dumps({"score_path": "x", "fps": 50, "bogus": 1}))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--frame-rate", "inf", "frame_rate must be finite and > 0 fps, got inf"),
+    ("--frame-rate", "0", "frame_rate must be finite and > 0 fps, got 0"),
+    ("--sigma", "nan", "sigma must be finite and > 0 s, got nan"),
+    ("--sigma", "1e-300", "so that 2*sigma*sigma > 0, got 1e-300"),
+])
+def test_condition_command_rejects_out_of_range_rates(score_file, tmp_path, capsys,
+                                                      flag, value, message):
+    chords = tmp_path / "chords.txt"
+    assert main(["harmonize", str(score_file), "-o", str(chords)]) == 0
+    argv = ["condition", str(score_file), "--chords", str(chords), "-o", str(tmp_path / "c.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert main(argv + [flag, "43"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "inf", "-8000"])
+def test_render_command_rejects_out_of_range_sample_rate(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--conditions", "c.json", "--plan", "p.json",
+              "-o", str(tmp_path), "--sample-rate", value])
+    assert exc.value.code == 2
+    assert f"sample_rate must be finite and >= 1 Hz, got {value}" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Frame-level conditioning features: rhythm, chroma, structure, snapping."""
 from __future__ import annotations
 
+import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from songpipe.conditioning import (
     bundle_to_json,
     chord_chromagram,
     format_chords,
+    nearest_targets,
     parse_chords,
     parse_pitch_class,
     pitch_contour_from_score,
@@ -26,7 +29,7 @@ from songpipe.conditioning import (
     structure_labels,
     triad_pitch_classes,
 )
-from songpipe.score import SECTION_LABELS, Note, Section, VocalScore
+from songpipe.score import SECTION_LABELS, Note, Section, VocalScore, tick_to_seconds
 
 from helpers import bpm_to_us, random_score, simple_score
 
@@ -175,6 +178,109 @@ def test_chromagram_marks_triad_tones():
     assert set(np.flatnonzero(chroma[49])) == {0, 4, 7}
 
 
+def _chord_chromagram_mask_oracle(chords, duration_sec, frame_rate):
+    """Reference chromagram: one full-length boolean mask per chord."""
+    if duration_sec < chords.end_sec - 1e-9:
+        raise ValueError("duration is shorter than the chord sequence")
+    t = math.ceil(duration_sec * frame_rate)
+    times = np.arange(t) / frame_rate
+    out = np.zeros((t, 12))
+    for chord in chords:
+        mask = (times >= chord.start_sec) & (times < chord.end_sec)
+        for pc in chord.pitch_classes():
+            out[mask, pc] = 1.0
+    return out
+
+
+def _pitch_contour_mask_oracle(score, duration_sec, frame_rate):
+    """Reference contour: one full-length boolean mask per note, in note order."""
+    t = math.ceil(duration_sec * frame_rate)
+    out = np.zeros(t)
+    times = np.arange(t) / frame_rate
+    for note in score.notes:
+        start = tick_to_seconds(score, note.onset_tick)
+        end = tick_to_seconds(score, note.end_tick)
+        out[(times >= start) & (times < end)] = float(note.pitch)
+    return out
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_FRAME_RATES = st.one_of(
+    st.sampled_from((37.5, 43.0, 50.0, 86.1328125, 100.0)), st.floats(37.5, 100.0)
+)
+
+
+@st.composite
+def _chromagram_cases(draw):
+    frame_rate = draw(_FRAME_RATES)
+    duration = draw(st.floats(0.01, 20.0))
+    last = math.ceil(duration * frame_rate) - 1
+    on_frame = st.integers(0, last).map(lambda f: f / frame_rate)
+    between = st.tuples(st.integers(0, last), st.floats(0.01, 0.99)).map(
+        lambda fx: (fx[0] + fx[1]) / frame_rate
+    )
+    past_last = st.floats(last / frame_rate, duration)
+    before_zero = st.floats(-5.0, 0.0)
+    edges = draw(st.lists(
+        st.one_of(on_frame, between, past_last, before_zero, st.floats(0.0, duration)),
+        min_size=2, max_size=30,
+    ))
+    edges = sorted({min(e, duration) for e in edges})
+    chords = []
+    for start, end in zip(edges, edges[1:]):
+        if draw(st.integers(0, 4)):  # mostly touching, sometimes a gap
+            chords.append(ChordSpan(start, end, draw(st.integers(0, 11)),
+                                    draw(st.sampled_from(("maj", "min")))))
+    return ChordSequence(tuple(chords)), duration, frame_rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chromagram_cases())
+def test_chord_chromagram_equals_the_mask_oracle(case):
+    assert _same_bytes(chord_chromagram(*case), _chord_chromagram_mask_oracle(*case))
+
+
+@st.composite
+def _contour_cases(draw):
+    frame_rate = draw(_FRAME_RATES)
+    tpq = draw(st.sampled_from((96, 480, 960)))
+    tempo_map = [(0, draw(st.integers(250_000, 1_500_000)))]
+    for tick in sorted(set(draw(st.lists(st.integers(1, 40 * tpq), max_size=3)))):
+        tempo_map.append((tick, draw(st.integers(250_000, 1_500_000))))
+    notes, tick = [], 0
+    for _ in range(draw(st.integers(0, 40))):
+        # Mostly touching notes (a shared boundary frame), some rests, some
+        # overlaps where the later note must win.
+        tick = max(0, tick + draw(st.sampled_from((0, 0, 0, 1, tpq // 4, -tpq // 4))))
+        length = draw(st.integers(0, 2 * tpq))
+        notes.append(Note(tick, length, draw(st.integers(30, 90))))
+        tick += length
+    score = VocalScore(notes=tuple(notes), tempo_map=tuple(tempo_map),
+                       ticks_per_quarter=tpq, sections=(Section("verse", 0, max(tick, 1)),))
+    # A duration past the score or one that ends inside it.
+    duration = score.duration_seconds() * draw(st.sampled_from((1.0, 1.0, 0.5, 1.3)))
+    return score, max(duration, 0.01), frame_rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contour_cases())
+def test_pitch_contour_equals_the_mask_oracle(case):
+    assert _same_bytes(pitch_contour_from_score(*case), _pitch_contour_mask_oracle(*case))
+
+
+def test_pitch_contour_boundaries_exactly_on_frames():
+    # 120 BPM at 480 tpq: 24 ticks are 0.025 s, one frame at 40 fps.
+    notes = tuple(Note(24 * k, 24 * (k % 3), 60 + k) for k in range(20))
+    score = VocalScore(notes=notes, tempo_map=((0, 500_000),),
+                       sections=(Section("verse", 0, 480),))
+    for frame_rate in (40.0, 80.0, 37.5, 100.0):
+        fast = pitch_contour_from_score(score, 0.6, frame_rate)
+        assert _same_bytes(fast, _pitch_contour_mask_oracle(score, 0.6, frame_rate))
+
+
 def test_chromagram_rejects_sequence_longer_than_duration():
     chords = ChordSequence((ChordSpan(0.0, 3.0, 0, "maj"),))
     with pytest.raises(ValueError):
@@ -222,6 +328,55 @@ def test_snap_boundaries_merges_duplicates():
 def test_snap_boundaries_requires_targets():
     with pytest.raises(ValueError):
         snap_boundaries([0.3], [], [])
+
+
+def _nearest_min_oracle(values, grid):
+    """Reference snap: scan the whole grid for every value."""
+    return [min(grid, key=lambda t: (abs(t - x), t)) for x in values]
+
+
+@st.composite
+def _snap_cases(draw):
+    finite = st.floats(-1e3, 1e3)
+    grid = sorted(set(draw(st.lists(
+        st.one_of(finite, st.integers(-50, 50).map(float), st.floats(-1e20, 1e20)),
+        min_size=1, max_size=40,
+    ))))
+    exact_midpoint = st.tuples(st.sampled_from(grid), st.sampled_from(grid)).map(
+        lambda ab: (ab[0] + ab[1]) / 2
+    )
+    far_away = st.floats(1e15, 1e300).flatmap(lambda m: st.sampled_from((m, -m)))
+    values = draw(st.lists(
+        st.one_of(finite, st.sampled_from(grid), exact_midpoint, far_away,
+                  st.sampled_from((math.inf, -math.inf, math.nan, 0.0, -0.0))),
+        max_size=40,
+    ))
+    values += draw(st.lists(st.sampled_from(values), max_size=5)) if values else []
+    return draw(st.permutations(values)), grid
+
+
+@settings(max_examples=500, deadline=None)
+@given(_snap_cases())
+def test_nearest_targets_equals_the_min_oracle(case):
+    values, grid = case
+    got = nearest_targets(values, grid)
+    expected = _nearest_min_oracle(values, grid)
+    assert [(v, math.copysign(1.0, v)) for v in got] == [
+        (v, math.copysign(1.0, v)) for v in expected
+    ]
+
+
+@pytest.mark.parametrize("values, grid, expected", [
+    ([1.0], [0.5, 1.5], [0.5]),                          # exact tie: the earlier
+    ([1e17], [0.0, 1.0, 2.0], [0.0]),                    # 1e17 - t rounds alike
+    ([1e17], [-1e3, 0.0, 1.0, 2.0], [0.0]),              # tie run stops at 0.0
+    ([math.inf, -math.inf], [0.0, 1.0, 2.0], [0.0, 0.0]),
+    ([math.nan], [3.0, 4.0], [3.0]),                     # min keeps the first
+    ([-1e17], [0.0, 1.0], [0.0]),
+])
+def test_nearest_targets_rounding_ties(values, grid, expected):
+    assert _nearest_min_oracle(values, grid) == expected
+    assert nearest_targets(values, grid) == expected
 
 
 def test_chord_text_round_trip():
@@ -289,3 +444,73 @@ def test_bundle_json_round_trip():
     np.testing.assert_array_equal(restored.structure, bundle.structure)
     np.testing.assert_allclose(restored.pitch_contour, bundle.pitch_contour)
     assert restored.keys == bundle.keys
+
+
+def _bundle_to_json_loop_oracle(bundle):
+    """Reference serializer: one Python conversion per element."""
+    doc = {
+        "format": "conditions",
+        "version": 1,
+        "frame_rate": bundle.frame_rate,
+        "num_frames": bundle.num_frames,
+        "rhythm": [[float(b), float(d)] for b, d in bundle.rhythm],
+        "chroma": [[int(x) for x in row] for row in bundle.chroma],
+        "structure": [int(x) for x in bundle.structure],
+        "pitch_contour": [float(x) for x in bundle.pitch_contour],
+        "keys": [
+            {"section": i, "tonic": k.tonic, "mode": k.mode} for i, k in bundle.keys
+        ],
+    }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _first_difference(got: str, expected: str):
+    """None if equal, else where the strings part and the text around it.
+
+    Asserting on this keeps pytest from diffing two long documents on every
+    failing example that hypothesis tries while shrinking.
+    """
+    if got == expected:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+             min(len(got), len(expected)))
+    return i, got[max(i - 40, 0):i + 40], expected[max(i - 40, 0):i + 40]
+
+
+_ODD_FLOATS = (-0.0, 5e-324, 2.2250738585072009e-308, 1e-310, -1e-320, 1e300, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.floats(0.0005, 0.2), st.sampled_from((37.5, 50.0, 100.0)),
+       st.booleans())
+def test_bundle_to_json_equals_the_loop_oracle(seed, sigma, frame_rate, odd):
+    rng = random.Random(seed)
+    score = random_score(rng, max_bars=6, multi_tempo=rng.random() < 0.5)
+    duration = score.duration_seconds()
+    cut = rng.uniform(0.1, duration - 0.1)
+    chords = ChordSequence((ChordSpan(0.0, cut, rng.randrange(12), "maj"),
+                            ChordSpan(cut, duration, rng.randrange(12), "min")))
+    keys = [(i, KeyLabel(rng.randrange(12), "minor")) for i in range(len(score.sections))]
+    contour = None
+    if odd:
+        t = math.ceil(duration * frame_rate)
+        contour = [rng.choice(_ODD_FLOATS) for _ in range(t)]
+    bundle = build_condition_bundle(score, chords, keys, frame_rate, sigma, contour)
+    if odd:
+        rhythm = bundle.rhythm.copy()
+        rhythm[:: 7] = rng.choice(_ODD_FLOATS)
+        bundle = replace(bundle, rhythm=rhythm)
+    assert _first_difference(bundle_to_json(bundle), _bundle_to_json_loop_oracle(bundle)) is None
+
+
+def test_bundle_to_json_writes_negative_zero_and_subnormals():
+    score = simple_score([60] * 8, bpm=120)
+    chords = ChordSequence((ChordSpan(0.0, 4.0, 0, "maj"),))
+    bundle = build_condition_bundle(score, chords, [(0, KeyLabel(0, "major"))])
+    rhythm = bundle.rhythm.copy()
+    rhythm[1] = (-0.0, 5e-324)
+    bundle = replace(bundle, rhythm=rhythm)
+    text = bundle_to_json(bundle)
+    assert _first_difference(text, _bundle_to_json_loop_oracle(bundle)) is None
+    assert json.loads(text)["rhythm"][1] == [-0.0, 5e-324]
+    assert "[-0.0, 5e-324]" in text

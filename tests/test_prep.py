@@ -199,6 +199,21 @@ def test_cjk_lines_tokenize_per_character():
     assert is_cjk("你") and not is_cjk("a")
 
 
+def _tokenize_loop_oracle(text):
+    """Reference tokenizer: one ``is_cjk`` call per character."""
+    if any(is_cjk(c) for c in text):
+        return [c for c in text if not c.isspace()]
+    return text.split()
+
+
+def test_cjk_test_agrees_with_is_cjk_on_every_code_point():
+    for cp in range(0x30000):
+        if 0xD800 <= cp <= 0xDFFF:  # surrogates
+            continue
+        text = f"la {chr(cp)} li"
+        assert tokenize_lyric_text(text) == _tokenize_loop_oracle(text), hex(cp)
+
+
 def test_parse_lyrics_tags_and_defaults():
     sheet = parse_lyrics(
         "# a comment\n"
