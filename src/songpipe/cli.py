@@ -24,6 +24,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,26 +79,24 @@ class PipelineConfig:
     seed: int = 0
     section_keys: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        # A config built in code passes the same range checks as a config file.
+        for name, parse in (
+            ("frame_rate", _frame_rate),
+            ("sigma", _sigma),
+            ("max_window_sec", _max_window_sec),
+            ("intro_bars", _intro_bars),
+            ("sample_rate", _sample_rate),
+        ):
+            object.__setattr__(self, name, parse(getattr(self, name)))
+
     def to_manifest_dict(self) -> dict:
         # output_dir is deliberately omitted so reruns into different
         # directories stay byte-identical.
-        return {
-            "score_path": self.score_path,
-            "vocal_path": self.vocal_path,
-            "lyrics_path": self.lyrics_path,
-            "reference_bank": self.reference_bank,
-            "reject_fewer_lines": self.reject_fewer_lines,
-            "profiles": [
-                {"name": p.name, "low": p.low, "high": p.high} for p in self.profiles
-            ],
-            "frame_rate": self.frame_rate,
-            "sigma": self.sigma,
-            "max_window_sec": self.max_window_sec,
-            "intro_bars": self.intro_bars,
-            "sample_rate": self.sample_rate,
-            "seed": self.seed,
-            "section_keys": list(self.section_keys) if self.section_keys else None,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
+        doc["profiles"] = [{"name": p.name, "low": p.low, "high": p.high} for p in self.profiles]
+        doc["section_keys"] = list(self.section_keys) if self.section_keys else None
+        return doc
 
 
 def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig:
@@ -125,11 +124,11 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         reference_bank=doc.get("reference_bank"),
         reject_fewer_lines=bool(doc.get("reject_fewer_lines", False)),
         profiles=profiles,
-        frame_rate=_frame_rate(doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE)),
-        sigma=_sigma(doc.get("sigma", conditioning.DEFAULT_SIGMA)),
-        max_window_sec=_max_window_sec(doc.get("max_window_sec", planner.MAX_WINDOW_SEC)),
-        intro_bars=_intro_bars(doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS)),
-        sample_rate=_sample_rate(doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE)),
+        frame_rate=doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE),
+        sigma=doc.get("sigma", conditioning.DEFAULT_SIGMA),
+        max_window_sec=doc.get("max_window_sec", planner.MAX_WINDOW_SEC),
+        intro_bars=doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS),
+        sample_rate=doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE),
         seed=int(doc.get("seed", 0)),
         section_keys=tuple(section_keys) if section_keys else None,
     )
@@ -237,10 +236,27 @@ def _need(outdir: str, key: str, stage: str) -> str:
     return path
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _read_artifact(outdir: str, key: str, stage: str, parse):
+    """``parse`` applied to the text of artifact ``key``; failures name ``stage``."""
+    path = _need(outdir, key, stage)
+    try:
+        return parse(_read_text(path))
+    except ValueError as exc:
+        raise StageError(stage, f"cannot parse {ART[key]}: {exc}") from exc
 
 
 def _stage_load(config: PipelineConfig, outdir: str) -> None:
@@ -250,16 +266,14 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
         score = score_io.load_score(config.score_path)
     except (score_io.ScoreFormatError, OSError) as exc:
         raise StageError("load", f"cannot read score: {exc}") from exc
-    with open(_art(outdir, "input_score"), "w", encoding="utf-8") as fh:
-        fh.write(score_io.score_to_json(score))
+    _write_text(_art(outdir, "input_score"), score_io.score_to_json(score))
 
     if config.lyrics_path:
         try:
             sheet = prep.load_lyrics(config.lyrics_path)
         except (OSError, ValueError) as exc:
             raise StageError("load", f"cannot read lyrics: {exc}") from exc
-        with open(_art(outdir, "lyrics"), "w", encoding="utf-8") as fh:
-            fh.write(prep.format_lyrics(sheet))
+        _write_text(_art(outdir, "lyrics"), prep.format_lyrics(sheet))
         if config.reference_bank:
             try:
                 names, bank = prep.load_reference_bank(config.reference_bank)
@@ -283,17 +297,8 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
             )
 
 
-def _load_score_artifact(outdir: str, key: str, stage: str) -> VocalScore:
-    path = _need(outdir, key, stage)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return score_io.score_from_json(fh.read())
-        except score_io.ScoreFormatError as exc:
-            raise StageError(stage, f"cannot parse {ART[key]}: {exc}") from exc
-
-
 def _stage_validate(config: PipelineConfig, outdir: str) -> None:
-    score = _load_score_artifact(outdir, "input_score", "validate")
+    score = _read_artifact(outdir, "input_score", "validate", score_io.score_from_json)
     problems = validate_score(score)
     _write_json(_art(outdir, "validation"), {"violations": problems})
     if problems:
@@ -303,7 +308,7 @@ def _stage_validate(config: PipelineConfig, outdir: str) -> None:
 
 
 def _stage_register(config: PipelineConfig, outdir: str) -> None:
-    score = _load_score_artifact(outdir, "input_score", "register")
+    score = _read_artifact(outdir, "input_score", "register", score_io.score_from_json)
     try:
         decision = prep.register_match(score, config.profiles)
         registered = prep.apply_transpose(score, decision.shift)
@@ -320,30 +325,37 @@ def _stage_register(config: PipelineConfig, outdir: str) -> None:
             "total_notes": decision.total_notes,
         },
     )
-    with open(_art(outdir, "registered_score"), "w", encoding="utf-8") as fh:
-        fh.write(score_io.score_to_json(registered))
+    _write_text(_art(outdir, "registered_score"), score_io.score_to_json(registered))
+
+
+def harmonize_song(
+    score: VocalScore, intro_bars: int, weights: harmony.HarmonizerWeights | None = None
+) -> tuple[VocalScore, ChordSequence]:
+    """The song to accompany and its chords, one span per bar.
+
+    An instrumental intro of ``intro_bars`` bars, copying the opening chords,
+    is prepended only when the score has no ``intro`` section and
+    ``0 < intro_bars <= score.num_bars``; otherwise ``score`` itself is returned.
+    """
+    chords = harmony.harmonize(score, weights)
+    if any(s.label == "intro" for s in score.sections) or not 0 < intro_bars <= score.num_bars:
+        return score, chords
+    bar_duration = tick_to_seconds(score, score.ticks_per_bar)
+    chords = harmony.prepend_intro_chords(chords, bar_duration, intro_bars)
+    return prepend_instrumental(score, intro_bars), chords
 
 
 def _stage_harmonize(config: PipelineConfig, outdir: str) -> None:
-    score = _load_score_artifact(outdir, "registered_score", "harmonize")
+    score = _read_artifact(outdir, "registered_score", "harmonize", score_io.score_from_json)
     try:
-        chords = harmony.harmonize(score)
+        song, chords = harmonize_song(score, config.intro_bars)
     except ValueError as exc:
         raise StageError("harmonize", str(exc)) from exc
-    has_intro = any(s.label == "intro" for s in score.sections)
-    intro_prepended = False
-    if not has_intro and config.intro_bars > 0 and score.num_bars >= config.intro_bars:
-        bar_duration = tick_to_seconds(score, score.ticks_per_bar)
-        chords = harmony.prepend_intro_chords(chords, bar_duration, config.intro_bars)
-        score = prepend_instrumental(score, config.intro_bars)
-        intro_prepended = True
-    with open(_art(outdir, "song_score"), "w", encoding="utf-8") as fh:
-        fh.write(score_io.score_to_json(score))
-    with open(_art(outdir, "chords"), "w", encoding="utf-8") as fh:
-        fh.write(conditioning.format_chords(chords))
+    _write_text(_art(outdir, "song_score"), score_io.score_to_json(song))
+    _write_text(_art(outdir, "chords"), conditioning.format_chords(chords))
     _write_json(
         _art(outdir, "harmonize_meta"),
-        {"intro_prepended": intro_prepended, "intro_bars": config.intro_bars},
+        {"intro_prepended": song is not score, "intro_bars": config.intro_bars},
     )
 
 
@@ -353,7 +365,6 @@ def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:
     Sections without any notes (instrumental intros, breaks) fall back to
     the whole-score histogram.
     """
-    overall = np.zeros(12)
     per_section = np.zeros((len(score.sections), 12))
     for note in score.notes:
         for i, sec in enumerate(score.sections):
@@ -371,41 +382,35 @@ def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:
     return keys
 
 
+def section_keys(score: VocalScore, labels: Sequence[str] | None) -> list[tuple[int, KeyLabel]]:
+    """One key per section: ``labels`` parsed in section order, or estimated if None."""
+    if labels is None:
+        return section_key_estimates(score)
+    if len(labels) != len(score.sections):
+        raise ValueError(f"{len(labels)} section keys given for {len(score.sections)} sections")
+    return [(i, KeyLabel.parse(k)) for i, k in enumerate(labels)]
+
+
 def _stage_condition(config: PipelineConfig, outdir: str) -> None:
-    score = _load_score_artifact(outdir, "song_score", "condition")
-    chords_path = _need(outdir, "chords", "condition")
-    with open(chords_path, "r", encoding="utf-8") as fh:
-        try:
-            chords = conditioning.parse_chords(fh.read())
-        except ValueError as exc:
-            raise StageError("condition", f"cannot parse {ART['chords']}: {exc}") from exc
+    score = _read_artifact(outdir, "song_score", "condition", score_io.score_from_json)
+    chords = _read_artifact(outdir, "chords", "condition", conditioning.parse_chords)
     try:
-        if config.section_keys is not None:
-            if len(config.section_keys) != len(score.sections):
-                raise ValueError(
-                    f"config gives {len(config.section_keys)} section keys for "
-                    f"{len(score.sections)} sections"
-                )
-            keys = [(i, KeyLabel.parse(k)) for i, k in enumerate(config.section_keys)]
-        else:
-            keys = section_key_estimates(score)
         bundle = conditioning.build_condition_bundle(
-            score, chords, keys, config.frame_rate, config.sigma
+            score, chords, section_keys(score, config.section_keys),
+            config.frame_rate, config.sigma,
         )
     except ValueError as exc:
         raise StageError("condition", str(exc)) from exc
-    with open(_art(outdir, "conditions"), "w", encoding="utf-8") as fh:
-        fh.write(conditioning.bundle_to_json(bundle))
+    _write_text(_art(outdir, "conditions"), conditioning.bundle_to_json(bundle))
 
 
 def _stage_plan(config: PipelineConfig, outdir: str) -> None:
-    score = _load_score_artifact(outdir, "song_score", "plan")
+    score = _read_artifact(outdir, "song_score", "plan", score_io.score_from_json)
     try:
         windows = planner.plan_inference(score, config.max_window_sec)
     except ValueError as exc:
         raise StageError("plan", str(exc)) from exc
-    with open(_art(outdir, "plan"), "w", encoding="utf-8") as fh:
-        fh.write(planner.plan_to_json(windows))
+    _write_text(_art(outdir, "plan"), planner.plan_to_json(windows))
 
 
 #: Window WAVs written by render, ``window_NNN.wav`` by plan order.
@@ -416,43 +421,43 @@ def _window_name(order: int) -> str:
     return f"window_{order:03d}.wav"
 
 
-def _read_plan_artifact(outdir: str, stage: str) -> list[planner.GenerationWindow]:
-    with open(_need(outdir, "plan", stage), "r", encoding="utf-8") as fh:
-        try:
-            return planner.plan_from_json(fh.read())
-        except ValueError as exc:
-            raise StageError(stage, f"cannot parse plan: {exc}") from exc
+def render_windows(
+    bundle: conditioning.ConditionBundle,
+    windows: list[planner.GenerationWindow],
+    sample_rate: int,
+    outdir: str,
+) -> None:
+    """Render every window of a plan into ``outdir``, then the whole song.
 
-
-def _stage_render(config: PipelineConfig, outdir: str) -> None:
-    with open(_need(outdir, "conditions", "render"), "r", encoding="utf-8") as fh:
-        try:
-            bundle = conditioning.bundle_from_json(fh.read())
-        except ValueError as exc:
-            raise StageError("render", f"cannot parse conditions: {exc}") from exc
-    windows = _read_plan_artifact(outdir, "render")
+    Window files the plan does not own are removed first.  Each window goes
+    to ``window_NNN.wav``; the windows joined in time order go to
+    ``accompaniment.wav`` and their events, sorted, to ``events.txt``.
+    """
     owned = {_window_name(w.order) for w in windows}
     for name in os.listdir(outdir):
         if _WINDOW_FILE.fullmatch(name) and name not in owned:
             os.remove(os.path.join(outdir, name))
     pieces: list[tuple[planner.GenerationWindow, render.AudioBuffer]] = []
     events: list[render.RenderEvent] = []
-    try:
-        for window in sorted(windows, key=lambda w: w.order):
-            buffer, window_events = render.render_stub(bundle, window, config.sample_rate)
-            render.write_wav(buffer, os.path.join(outdir, _window_name(window.order)))
-            pieces.append((window, buffer))
-            events.extend(window_events)
-    except ValueError as exc:
-        raise StageError("render", str(exc)) from exc
+    for window in sorted(windows, key=lambda w: w.order):
+        buffer, window_events = render.render_stub(bundle, window, sample_rate)
+        render.write_wav(buffer, os.path.join(outdir, _window_name(window.order)))
+        pieces.append((window, buffer))
+        events.extend(window_events)
     pieces.sort(key=lambda p: p[0].start_sec)
     full = np.concatenate([p[1].samples for p in pieces], axis=1)
-    render.write_wav(
-        render.AudioBuffer(config.sample_rate, full), _art(outdir, "accompaniment")
-    )
+    render.write_wav(render.AudioBuffer(sample_rate, full), _art(outdir, "accompaniment"))
     events.sort(key=lambda e: (e.time_sec, e.kind))
-    with open(_art(outdir, "events"), "w", encoding="utf-8") as fh:
-        fh.write(render.format_events(events))
+    _write_text(_art(outdir, "events"), render.format_events(events))
+
+
+def _stage_render(config: PipelineConfig, outdir: str) -> None:
+    bundle = _read_artifact(outdir, "conditions", "render", conditioning.bundle_from_json)
+    windows = _read_artifact(outdir, "plan", "render", planner.plan_from_json)
+    try:
+        render_windows(bundle, windows, config.sample_rate, outdir)
+    except ValueError as exc:
+        raise StageError("render", str(exc)) from exc
 
 
 def _stage_mix(config: PipelineConfig, outdir: str) -> None:
@@ -521,17 +526,9 @@ def self_report(
 
 
 def _stage_report(config: PipelineConfig, outdir: str) -> None:
-    with open(_need(outdir, "conditions", "report"), "r", encoding="utf-8") as fh:
-        try:
-            bundle = conditioning.bundle_from_json(fh.read())
-        except ValueError as exc:
-            raise StageError("report", f"cannot parse conditions: {exc}") from exc
-    with open(_need(outdir, "events", "report"), "r", encoding="utf-8") as fh:
-        try:
-            events = render.parse_events(fh.read())
-        except ValueError as exc:
-            raise StageError("report", f"cannot parse events: {exc}") from exc
-    windows = _read_plan_artifact(outdir, "report")
+    bundle = _read_artifact(outdir, "conditions", "report", conditioning.bundle_from_json)
+    events = _read_artifact(outdir, "events", "report", render.parse_events)
+    windows = _read_artifact(outdir, "plan", "report", planner.plan_from_json)
     accomp = _read_wav_artifact(outdir, "accompaniment", "report")
     report = self_report(bundle, events, accomp)
     _write_json(_art(outdir, "report"), report)
@@ -579,8 +576,7 @@ def run_pipeline(config: PipelineConfig, from_stage: str = "load") -> dict:
     for stage in STAGES[STAGES.index(from_stage):]:
         LOGGER.info("stage %s", stage)
         _STAGE_FUNCS[stage](config, config.output_dir)
-    with open(_art(config.output_dir, "manifest"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_read_text(_art(config.output_dir, "manifest")))
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +595,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_harmonize(args) -> int:
-    score = score_io.load_score(args.score)
     weights = harmony.HarmonizerWeights(
         args.emission_weight, args.transition_weight, args.change_penalty
     )
-    chords = harmony.harmonize(score, weights)
-    if args.intro_bars:
-        bar_duration = tick_to_seconds(score, score.ticks_per_bar)
-        chords = harmony.prepend_intro_chords(chords, bar_duration, args.intro_bars)
+    _, chords = harmonize_song(score_io.load_score(args.score), args.intro_bars, weights)
     text = conditioning.format_chords(chords)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         print(text, end="")
     return 0
@@ -645,22 +636,12 @@ def _cmd_register(args) -> int:
 
 def _cmd_condition(args) -> int:
     score = score_io.load_score(args.score)
-    with open(args.chords, "r", encoding="utf-8") as fh:
-        chords = conditioning.parse_chords(fh.read())
-    if args.keys:
-        labels = [k.strip() for k in args.keys.split(",")]
-        if len(labels) != len(score.sections):
-            raise ValueError(
-                f"--keys gives {len(labels)} keys for {len(score.sections)} sections"
-            )
-        keys = [(i, KeyLabel.parse(k)) for i, k in enumerate(labels)]
-    else:
-        keys = section_key_estimates(score)
+    chords = conditioning.parse_chords(_read_text(args.chords))
+    labels = [k.strip() for k in args.keys.split(",")] if args.keys else None
     bundle = conditioning.build_condition_bundle(
-        score, chords, keys, args.frame_rate, args.sigma
+        score, chords, section_keys(score, labels), args.frame_rate, args.sigma
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(conditioning.bundle_to_json(bundle))
+    _write_text(args.output, conditioning.bundle_to_json(bundle))
     print(f"wrote {bundle.num_frames} frames to {args.output}")
     return 0
 
@@ -670,34 +651,16 @@ def _cmd_plan(args) -> int:
     windows = planner.plan_inference(score, args.max_window)
     print(planner.format_plan_table(windows), end="")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(planner.plan_to_json(windows))
+        _write_text(args.output, planner.plan_to_json(windows))
     return 0
 
 
 def _cmd_render(args) -> int:
-    with open(args.conditions, "r", encoding="utf-8") as fh:
-        bundle = conditioning.bundle_from_json(fh.read())
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        windows = planner.plan_from_json(fh.read())
+    bundle = conditioning.bundle_from_json(_read_text(args.conditions))
+    windows = planner.plan_from_json(_read_text(args.plan))
     os.makedirs(args.output_dir, exist_ok=True)
-    pieces = []
-    events: list[render.RenderEvent] = []
-    for window in sorted(windows, key=lambda w: w.order):
-        buffer, window_events = render.render_stub(bundle, window, args.sample_rate)
-        render.write_wav(buffer, os.path.join(args.output_dir, _window_name(window.order)))
-        pieces.append((window, buffer))
-        events.extend(window_events)
-    pieces.sort(key=lambda p: p[0].start_sec)
-    full = np.concatenate([p[1].samples for p in pieces], axis=1)
-    render.write_wav(
-        render.AudioBuffer(args.sample_rate, full),
-        os.path.join(args.output_dir, "accompaniment.wav"),
-    )
-    events.sort(key=lambda e: (e.time_sec, e.kind))
-    with open(os.path.join(args.output_dir, "events.txt"), "w", encoding="utf-8") as fh:
-        fh.write(render.format_events(events))
-    print(f"rendered {len(pieces)} windows into {args.output_dir}")
+    render_windows(bundle, windows, args.sample_rate, args.output_dir)
+    print(f"rendered {len(windows)} windows into {args.output_dir}")
     return 0
 
 
@@ -761,11 +724,6 @@ def _cmd_eval(args) -> int:
     if args.json:
         _write_json(args.json, dict(rows))
     return 0
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _read_chroma(path: str) -> np.ndarray:

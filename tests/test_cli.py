@@ -6,7 +6,7 @@ import math
 import os
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -423,3 +423,60 @@ def test_render_command_rejects_out_of_range_sample_rate(tmp_path, capsys, value
               "-o", str(tmp_path), "--sample-rate", value])
     assert exc.value.code == 2
     assert f"sample_rate must be finite and >= 1 Hz, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frame_rate", math.inf),
+    ("frame_rate", 0.0),
+    ("sigma", math.nan),
+    ("sigma", 1e-300),
+    ("max_window_sec", 60.0),
+    ("intro_bars", -2),
+    ("sample_rate", 0.5),
+    ("sample_rate", -math.inf),
+])
+def test_config_built_in_code_is_checked_like_a_config_file(key, value):
+    # A config built in code used to skip these checks: frame_rate inf escaped
+    # run as an OverflowError and sigma 1e-300 divided by zero.
+    with pytest.raises(ValueError) as from_json:
+        config_from_json(json.dumps({"score_path": "s", key: value}))
+    with pytest.raises(ValueError) as built:
+        PipelineConfig("s", "o", **{key: value})
+    assert str(built.value) == str(from_json.value)
+    with pytest.raises(ValueError, match=re.escape(str(from_json.value))):
+        replace(PipelineConfig("s", "o"), **{key: value})
+
+
+def test_harmonize_command_keeps_an_existing_intro(tmp_path):
+    path = tmp_path / "with_intro.mid"
+    path.write_bytes(score_io.write_smf(simple_score(MELODY, labels=["intro", "verse"])))
+    out = tmp_path / "out"
+    _run(PipelineConfig(str(path), str(out)))
+    chords = tmp_path / "chords.txt"
+    assert main(["harmonize", str(path), "-o", str(chords), "--intro-bars", "4"]) == 0
+    assert chords.read_bytes() == (out / "chords.txt").read_bytes()
+
+
+def test_harmonize_command_skips_an_intro_longer_than_the_score(tmp_path, capsys):
+    path = tmp_path / "two_bars.mid"
+    path.write_bytes(score_io.write_smf(simple_score(MELODY[:8])))
+    assert main(["harmonize", str(path), "--intro-bars", "4"]) == 0
+    with_flag = capsys.readouterr().out
+    assert main(["harmonize", str(path)]) == 0
+    assert with_flag == capsys.readouterr().out
+    assert len(conditioning.parse_chords(with_flag).entries) == 2
+
+
+def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path):
+    out = tmp_path / "out"
+    _run(PipelineConfig(str(score_file), str(out)))
+    stage_dir = tmp_path / "render_out"
+    stage_dir.mkdir()
+    (stage_dir / "window_099.wav").write_bytes(b"stale")
+    assert main(["render", "--conditions", str(out / "conditions.json"),
+                 "--plan", str(out / "plan.json"), "-o", str(stage_dir)]) == 0
+    written = _read_bytes_map(stage_dir)
+    windows = [n for n in os.listdir(out) if n.startswith("window_")]
+    assert sorted(written) == sorted(["accompaniment.wav", "events.txt", *windows])
+    for name, data in written.items():
+        assert data == (out / name).read_bytes(), f"{name} differs from run's"
