@@ -36,18 +36,6 @@ from .score import VocalScore, prepend_instrumental, tick_to_seconds, validate_s
 
 LOGGER = logging.getLogger(__name__)
 
-STAGES = (
-    "load",
-    "validate",
-    "register",
-    "harmonize",
-    "condition",
-    "plan",
-    "render",
-    "mix",
-    "report",
-)
-
 MANIFEST_FORMAT = "manifest"
 MANIFEST_VERSION = 1
 
@@ -80,13 +68,14 @@ class PipelineConfig:
     section_keys: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        # A config built in code passes the same range checks as a config file.
+        # A config built in code passes the same checks as a config file.
         for name, parse in (
             ("frame_rate", _frame_rate),
             ("sigma", _sigma),
             ("max_window_sec", _max_window_sec),
             ("intro_bars", _intro_bars),
             ("sample_rate", _sample_rate),
+            ("section_keys", _section_keys),
         ):
             object.__setattr__(self, name, parse(getattr(self, name)))
 
@@ -99,7 +88,31 @@ class PipelineConfig:
         return doc
 
 
+def _optional_path(value) -> str | None:
+    # open() takes an int as a file descriptor, so a number here is refused.
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a path or null")
+    return value
+
+
+#: How a config-file value becomes a field value, for the fields whose JSON
+#: form differs from the field or that PipelineConfig does not check itself.
+_FROM_JSON = {
+    "score_path": str,
+    "output_dir": str,
+    "vocal_path": _optional_path,
+    "lyrics_path": _optional_path,
+    "reference_bank": _optional_path,
+    "reject_fewer_lines": bool,
+    "seed": int,
+    "profiles": lambda profiles: tuple(
+        SingerProfile(str(p["name"]), int(p["low"]), int(p["high"])) for p in profiles or ()
+    ) or DEFAULT_PROFILES,
+}
+
+
 def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig:
+    """The config a JSON object describes; keys it leaves out keep their defaults."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,32 +124,29 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "score_path" not in doc:
         raise ValueError("config is missing 'score_path'")
-    profiles = tuple(
-        SingerProfile(str(p["name"]), int(p["low"]), int(p["high"]))
-        for p in doc.get("profiles") or []
-    ) or DEFAULT_PROFILES
-    section_keys = doc.get("section_keys")
-    return PipelineConfig(
-        score_path=str(doc["score_path"]),
-        output_dir=str(output_dir or doc.get("output_dir") or "songpipe_out"),
-        vocal_path=doc.get("vocal_path"),
-        lyrics_path=doc.get("lyrics_path"),
-        reference_bank=doc.get("reference_bank"),
-        reject_fewer_lines=bool(doc.get("reject_fewer_lines", False)),
-        profiles=profiles,
-        frame_rate=doc.get("frame_rate", conditioning.DEFAULT_FRAME_RATE),
-        sigma=doc.get("sigma", conditioning.DEFAULT_SIGMA),
-        max_window_sec=doc.get("max_window_sec", planner.MAX_WINDOW_SEC),
-        intro_bars=doc.get("intro_bars", harmony.DEFAULT_INTRO_BARS),
-        sample_rate=doc.get("sample_rate", render.DEFAULT_SAMPLE_RATE),
-        seed=int(doc.get("seed", 0)),
-        section_keys=tuple(section_keys) if section_keys else None,
-    )
+    doc["output_dir"] = output_dir or doc.get("output_dir") or "songpipe_out"
+    for key, convert in _FROM_JSON.items():
+        if key in doc:
+            try:
+                doc[key] = convert(doc[key])
+            except (TypeError, KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"config key {key!r} cannot be {doc[key]!r} ({type(exc).__name__}: {exc})"
+                ) from exc
+    return PipelineConfig(**doc)
+
+
+def _number(convert, value, otherwise):
+    """``convert(value)``, or ``otherwise`` if ``value`` is not a number ``convert`` takes."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):  # wrong type, NaN, infinite or too large
+        return otherwise
 
 
 def _max_window_sec(value) -> float:
     """A window-length limit in seconds; must lie in (0, planner.MAX_WINDOW_SEC]."""
-    seconds = float(value)
+    seconds = _number(float, value, math.nan)
     if not 0.0 < seconds <= planner.MAX_WINDOW_SEC:
         raise ValueError(
             f"max_window_sec must be > 0 and at most {planner.MAX_WINDOW_SEC} s, "
@@ -147,10 +157,7 @@ def _max_window_sec(value) -> float:
 
 def _positive(key: str, value, unit: str) -> float:
     """``value`` as a float; it must be finite and > 0."""
-    try:
-        number = float(value)
-    except OverflowError:  # an int too large for a float
-        number = math.inf
+    number = _number(float, value, math.nan)
     if not (math.isfinite(number) and number > 0.0):
         raise ValueError(f"{key} must be finite and > 0 {unit}, got {value}")
     return number
@@ -174,10 +181,7 @@ def _sigma(value) -> float:
 
 def _sample_rate(value) -> int:
     """An audio sample rate in Hz, truncated to an int; must be finite and >= 1."""
-    try:
-        rate = int(value)
-    except (OverflowError, ValueError):  # infinite, NaN or not a number
-        rate = 0
+    rate = _number(int, value, 0)
     if rate < 1:
         raise ValueError(f"sample_rate must be finite and >= 1 Hz, got {value}")
     return rate
@@ -185,10 +189,19 @@ def _sample_rate(value) -> int:
 
 def _intro_bars(value) -> int:
     """A count of instrumental intro bars; must not be negative."""
-    bars = int(value)
+    bars = _number(int, value, -1)
     if bars < 0:
         raise ValueError(f"intro_bars must be >= 0, got {value}")
     return bars
+
+
+def _section_keys(keys) -> tuple[str, ...] | None:
+    """One key name per section, such as ``"C:maj"``; None or empty means estimated keys."""
+    if keys is not None and not (
+        isinstance(keys, (list, tuple)) and all(isinstance(k, str) for k in keys)
+    ):
+        raise ValueError(f'section_keys must be a list of key names such as "C:maj", got {keys!r}')
+    return tuple(keys) if keys else None
 
 
 def _argument(parse):
@@ -229,103 +242,99 @@ def _art(outdir: str, key: str) -> str:
     return os.path.join(outdir, ART[key])
 
 
-def _need(outdir: str, key: str, stage: str) -> str:
-    path = _art(outdir, key)
-    if not os.path.exists(path):
-        raise StageError(stage, f"missing artifact {ART[key]}; run earlier stages first")
-    return path
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_file(path: str, data: str | bytes) -> None:
+    """Write ``data`` to ``path``; text is encoded as UTF-8."""
+    with open(path, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _read_artifact(outdir: str, key: str, stage: str, parse):
-    """``parse`` applied to the text of artifact ``key``; failures name ``stage``."""
-    path = _need(outdir, key, stage)
+def _codec(key: str):
+    """``(encode, decode)`` of artifact ``key``: value to file data and back.
+
+    Built on each call, so that a module attribute replaced at run time
+    (``score_io.score_to_json`` wrapped by a tracer, say) is the one used.
+    """
+    score = (score_io.score_to_json, score_io.score_from_json)
+    wav = (render.wav_bytes, render.wav_from_bytes)
+    return {
+        "input_score": score,
+        "registered_score": score,
+        "song_score": score,
+        "lyrics": (prep.format_lyrics, prep.parse_lyrics),
+        "chords": (conditioning.format_chords, conditioning.parse_chords),
+        "conditions": (conditioning.bundle_to_json, conditioning.bundle_from_json),
+        "plan": (planner.plan_to_json, planner.plan_from_json),
+        "accompaniment": wav,
+        "events": (render.format_events, render.parse_events),
+        "mix": wav,
+    }.get(key, (_json_text, json.loads))
+
+
+def _read(outdir: str, key: str, stage: str):
+    """Artifact ``key`` decoded; any failure is a :class:`StageError` naming the file."""
+    binary = ART[key].endswith(".wav")
     try:
-        return parse(_read_text(path))
-    except ValueError as exc:
-        raise StageError(stage, f"cannot parse {ART[key]}: {exc}") from exc
+        with open(_art(outdir, key), "rb" if binary else "r",
+                  encoding=None if binary else "utf-8") as fh:
+            return _codec(key)[1](fh.read())
+    except FileNotFoundError as exc:
+        raise StageError(stage, f"missing artifact {ART[key]}; run earlier stages first") from exc
+    except (OSError, ValueError) as exc:
+        raise StageError(stage, f"cannot read {ART[key]}: {exc}") from exc
+
+
+def _write(outdir: str, key: str, value) -> None:
+    _write_file(_art(outdir, key), _codec(key)[0](value))
 
 
 def _stage_load(config: PipelineConfig, outdir: str) -> None:
-    if not os.path.exists(config.score_path):
-        raise StageError("load", f"score file not found: {config.score_path}")
-    try:
-        score = score_io.load_score(config.score_path)
-    except (score_io.ScoreFormatError, OSError) as exc:
-        raise StageError("load", f"cannot read score: {exc}") from exc
-    _write_text(_art(outdir, "input_score"), score_io.score_to_json(score))
-
+    _write(outdir, "input_score", score_io.load_score(config.score_path))
     if config.lyrics_path:
-        try:
-            sheet = prep.load_lyrics(config.lyrics_path)
-        except (OSError, ValueError) as exc:
-            raise StageError("load", f"cannot read lyrics: {exc}") from exc
-        _write_text(_art(outdir, "lyrics"), prep.format_lyrics(sheet))
+        sheet = prep.load_lyrics(config.lyrics_path)
+        _write(outdir, "lyrics", sheet)
         if config.reference_bank:
-            try:
-                names, bank = prep.load_reference_bank(config.reference_bank)
-                index, breakdown = prep.select_reference(
-                    sheet, bank, config.reject_fewer_lines
-                )
-            except (OSError, ValueError) as exc:
-                raise StageError("load", f"reference selection failed: {exc}") from exc
-            _write_json(
-                _art(outdir, "reference"),
-                {
-                    "bank_index": index,
-                    "bank_file": names[index],
-                    "penalty": {
-                        "sentence": breakdown.sentence,
-                        "profile": breakdown.profile,
-                        "structure": breakdown.structure,
-                        "total": breakdown.total,
-                    },
+            names, bank = prep.load_reference_bank(config.reference_bank)
+            index, breakdown = prep.select_reference(sheet, bank, config.reject_fewer_lines)
+            _write(outdir, "reference", {
+                "bank_index": index,
+                "bank_file": names[index],
+                "penalty": {
+                    "sentence": breakdown.sentence,
+                    "profile": breakdown.profile,
+                    "structure": breakdown.structure,
+                    "total": breakdown.total,
                 },
-            )
+            })
 
 
-def _stage_validate(config: PipelineConfig, outdir: str) -> None:
-    score = _read_artifact(outdir, "input_score", "validate", score_io.score_from_json)
+def _stage_validate(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
     problems = validate_score(score)
-    _write_json(_art(outdir, "validation"), {"violations": problems})
+    _write(outdir, "validation", {"violations": problems})
     if problems:
-        raise StageError(
-            "validate", "score is invalid: " + "; ".join(problems)
-        )
+        raise ValueError("score is invalid: " + "; ".join(problems))
 
 
-def _stage_register(config: PipelineConfig, outdir: str) -> None:
-    score = _read_artifact(outdir, "input_score", "register", score_io.score_from_json)
-    try:
-        decision = prep.register_match(score, config.profiles)
-        registered = prep.apply_transpose(score, decision.shift)
-    except ValueError as exc:
-        raise StageError("register", str(exc)) from exc
-    _write_json(
-        _art(outdir, "register"),
-        {
-            "profile": decision.profile.name,
-            "low": decision.profile.low,
-            "high": decision.profile.high,
-            "shift": decision.shift,
-            "in_range": decision.in_range,
-            "total_notes": decision.total_notes,
-        },
-    )
-    _write_text(_art(outdir, "registered_score"), score_io.score_to_json(registered))
+def _stage_register(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
+    decision = prep.register_match(score, config.profiles)
+    registered = prep.apply_transpose(score, decision.shift)
+    _write(outdir, "register", {
+        "profile": decision.profile.name,
+        "low": decision.profile.low,
+        "high": decision.profile.high,
+        "shift": decision.shift,
+        "in_range": decision.in_range,
+        "total_notes": decision.total_notes,
+    })
+    _write(outdir, "registered_score", registered)
 
 
 def harmonize_song(
@@ -345,18 +354,12 @@ def harmonize_song(
     return prepend_instrumental(score, intro_bars), chords
 
 
-def _stage_harmonize(config: PipelineConfig, outdir: str) -> None:
-    score = _read_artifact(outdir, "registered_score", "harmonize", score_io.score_from_json)
-    try:
-        song, chords = harmonize_song(score, config.intro_bars)
-    except ValueError as exc:
-        raise StageError("harmonize", str(exc)) from exc
-    _write_text(_art(outdir, "song_score"), score_io.score_to_json(song))
-    _write_text(_art(outdir, "chords"), conditioning.format_chords(chords))
-    _write_json(
-        _art(outdir, "harmonize_meta"),
-        {"intro_prepended": song is not score, "intro_bars": config.intro_bars},
-    )
+def _stage_harmonize(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
+    song, chords = harmonize_song(score, config.intro_bars)
+    _write(outdir, "song_score", song)
+    _write(outdir, "chords", chords)
+    _write(outdir, "harmonize_meta",
+           {"intro_prepended": song is not score, "intro_bars": config.intro_bars})
 
 
 def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:
@@ -391,26 +394,17 @@ def section_keys(score: VocalScore, labels: Sequence[str] | None) -> list[tuple[
     return [(i, KeyLabel.parse(k)) for i, k in enumerate(labels)]
 
 
-def _stage_condition(config: PipelineConfig, outdir: str) -> None:
-    score = _read_artifact(outdir, "song_score", "condition", score_io.score_from_json)
-    chords = _read_artifact(outdir, "chords", "condition", conditioning.parse_chords)
-    try:
-        bundle = conditioning.build_condition_bundle(
-            score, chords, section_keys(score, config.section_keys),
-            config.frame_rate, config.sigma,
-        )
-    except ValueError as exc:
-        raise StageError("condition", str(exc)) from exc
-    _write_text(_art(outdir, "conditions"), conditioning.bundle_to_json(bundle))
+def _stage_condition(
+    config: PipelineConfig, outdir: str, score: VocalScore, chords: ChordSequence
+) -> None:
+    _write(outdir, "conditions", conditioning.build_condition_bundle(
+        score, chords, section_keys(score, config.section_keys),
+        config.frame_rate, config.sigma,
+    ))
 
 
-def _stage_plan(config: PipelineConfig, outdir: str) -> None:
-    score = _read_artifact(outdir, "song_score", "plan", score_io.score_from_json)
-    try:
-        windows = planner.plan_inference(score, config.max_window_sec)
-    except ValueError as exc:
-        raise StageError("plan", str(exc)) from exc
-    _write_text(_art(outdir, "plan"), planner.plan_to_json(windows))
+def _stage_plan(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
+    _write(outdir, "plan", planner.plan_inference(score, config.max_window_sec))
 
 
 #: Window WAVs written by render, ``window_NNN.wav`` by plan order.
@@ -446,44 +440,24 @@ def render_windows(
         events.extend(window_events)
     pieces.sort(key=lambda p: p[0].start_sec)
     full = np.concatenate([p[1].samples for p in pieces], axis=1)
-    render.write_wav(render.AudioBuffer(sample_rate, full), _art(outdir, "accompaniment"))
+    _write(outdir, "accompaniment", render.AudioBuffer(sample_rate, full))
     events.sort(key=lambda e: (e.time_sec, e.kind))
-    _write_text(_art(outdir, "events"), render.format_events(events))
+    _write(outdir, "events", events)
 
 
-def _stage_render(config: PipelineConfig, outdir: str) -> None:
-    bundle = _read_artifact(outdir, "conditions", "render", conditioning.bundle_from_json)
-    windows = _read_artifact(outdir, "plan", "render", planner.plan_from_json)
-    try:
-        render_windows(bundle, windows, config.sample_rate, outdir)
-    except ValueError as exc:
-        raise StageError("render", str(exc)) from exc
+def _stage_render(
+    config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
+    windows: list[planner.GenerationWindow],
+) -> None:
+    render_windows(bundle, windows, config.sample_rate, outdir)
 
 
-def _stage_mix(config: PipelineConfig, outdir: str) -> None:
-    accomp = _read_wav_artifact(outdir, "accompaniment", "mix")
+def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.AudioBuffer) -> None:
     if config.vocal_path:
-        try:
-            vocal = render.read_wav(config.vocal_path)
-        except (OSError, render.WavFormatError) as exc:
-            raise StageError("mix", f"cannot read vocal: {exc}") from exc
+        vocal = render.read_wav(config.vocal_path)
     else:  # no vocal track given: mix against silence
-        vocal = render.AudioBuffer(
-            accomp.sample_rate, np.zeros((1, accomp.n_samples))
-        )
-    try:
-        mixed = render.mix(vocal, accomp)
-    except ValueError as exc:
-        raise StageError("mix", str(exc)) from exc
-    render.write_wav(mixed, _art(outdir, "mix"))
-
-
-def _read_wav_artifact(outdir: str, key: str, stage: str) -> render.AudioBuffer:
-    path = _need(outdir, key, stage)
-    try:
-        return render.read_wav(path)
-    except (OSError, render.WavFormatError) as exc:
-        raise StageError(stage, f"cannot read {ART[key]}: {exc}") from exc
+        vocal = render.AudioBuffer(accomp.sample_rate, np.zeros((1, accomp.n_samples)))
+    _write(outdir, "mix", render.mix(vocal, accomp))
 
 
 def self_report(
@@ -525,42 +499,59 @@ def self_report(
     }
 
 
-def _stage_report(config: PipelineConfig, outdir: str) -> None:
-    bundle = _read_artifact(outdir, "conditions", "report", conditioning.bundle_from_json)
-    events = _read_artifact(outdir, "events", "report", render.parse_events)
-    windows = _read_artifact(outdir, "plan", "report", planner.plan_from_json)
-    accomp = _read_wav_artifact(outdir, "accompaniment", "report")
+def _stage_report(
+    config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
+    events: list[render.RenderEvent], windows: list[planner.GenerationWindow],
+    accomp: render.AudioBuffer,
+) -> None:
     report = self_report(bundle, events, accomp)
-    _write_json(_art(outdir, "report"), report)
-
+    _write(outdir, "report", report)
     artifacts = {
         key: name for key, name in ART.items()
         if key != "manifest" and os.path.exists(_art(outdir, key))
     }
-    _write_json(
-        _art(outdir, "manifest"),
-        {
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
-            "config": config.to_manifest_dict(),
-            "artifacts": artifacts,
-            "window_files": sorted(_window_name(w.order) for w in windows),
-            "report": report,
-        },
-    )
+    _write(outdir, "manifest", {
+        "format": MANIFEST_FORMAT,
+        "version": MANIFEST_VERSION,
+        "config": config.to_manifest_dict(),
+        "artifacts": artifacts,
+        "window_files": sorted(_window_name(w.order) for w in windows),
+        "report": report,
+    })
 
 
+def _drive(stage: str, core, inputs: tuple[str, ...]):
+    """``core`` as a stage ``fn(config, outdir)``.
+
+    The artifacts named by ``inputs`` are read and passed to ``core`` in
+    order; a ``ValueError`` or ``OSError`` from ``core`` becomes a
+    :class:`StageError` for ``stage``.
+    """
+    def run(config: PipelineConfig, outdir: str) -> None:
+        values = [_read(outdir, key, stage) for key in inputs]
+        try:
+            core(config, outdir, *values)
+        except (ValueError, OSError) as exc:
+            raise StageError(stage, str(exc)) from exc
+    return run
+
+
+#: Stage name to ``fn(config, outdir)``, in pipeline order.
 _STAGE_FUNCS = {
-    "load": _stage_load,
-    "validate": _stage_validate,
-    "register": _stage_register,
-    "harmonize": _stage_harmonize,
-    "condition": _stage_condition,
-    "plan": _stage_plan,
-    "render": _stage_render,
-    "mix": _stage_mix,
-    "report": _stage_report,
+    stage: _drive(stage, core, inputs)
+    for stage, core, inputs in (
+        ("load", _stage_load, ()),
+        ("validate", _stage_validate, ("input_score",)),
+        ("register", _stage_register, ("input_score",)),
+        ("harmonize", _stage_harmonize, ("registered_score",)),
+        ("condition", _stage_condition, ("song_score", "chords")),
+        ("plan", _stage_plan, ("song_score",)),
+        ("render", _stage_render, ("conditions", "plan")),
+        ("mix", _stage_mix, ("accompaniment",)),
+        ("report", _stage_report, ("conditions", "events", "plan", "accompaniment")),
+    )
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_pipeline(config: PipelineConfig, from_stage: str = "load") -> dict:
@@ -576,7 +567,7 @@ def run_pipeline(config: PipelineConfig, from_stage: str = "load") -> dict:
     for stage in STAGES[STAGES.index(from_stage):]:
         LOGGER.info("stage %s", stage)
         _STAGE_FUNCS[stage](config, config.output_dir)
-    return json.loads(_read_text(_art(config.output_dir, "manifest")))
+    return _read(config.output_dir, "manifest", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +592,7 @@ def _cmd_harmonize(args) -> int:
     _, chords = harmonize_song(score_io.load_score(args.score), args.intro_bars, weights)
     text = conditioning.format_chords(chords)
     if args.output:
-        _write_text(args.output, text)
+        _write_file(args.output, text)
     else:
         print(text, end="")
     return 0
@@ -641,7 +632,7 @@ def _cmd_condition(args) -> int:
     bundle = conditioning.build_condition_bundle(
         score, chords, section_keys(score, labels), args.frame_rate, args.sigma
     )
-    _write_text(args.output, conditioning.bundle_to_json(bundle))
+    _write_file(args.output, conditioning.bundle_to_json(bundle))
     print(f"wrote {bundle.num_frames} frames to {args.output}")
     return 0
 
@@ -651,7 +642,7 @@ def _cmd_plan(args) -> int:
     windows = planner.plan_inference(score, args.max_window)
     print(planner.format_plan_table(windows), end="")
     if args.output:
-        _write_text(args.output, planner.plan_to_json(windows))
+        _write_file(args.output, planner.plan_to_json(windows))
     return 0
 
 
@@ -722,7 +713,7 @@ def _cmd_eval(args) -> int:
     for name, value in rows:
         print(f"{name:<{width}}  {value:.6f}")
     if args.json:
-        _write_json(args.json, dict(rows))
+        _write_file(args.json, _json_text(dict(rows)))
     return 0
 
 
@@ -884,7 +875,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, score_io.ScoreFormatError, render.WavFormatError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -442,8 +442,9 @@ def build_condition_bundle(
 
     Chord boundaries are snapped to the union of downbeats and section edges
     before rasterization, so all conditioning transitions line up with
-    structural transitions or the beat grid.  ``keys`` must carry exactly one
-    entry per section.  An externally supplied ``pitch_contour`` (length T)
+    structural transitions or the beat grid; chords that run past the end of
+    the score are rejected.  ``keys`` must carry exactly one entry per
+    section.  An externally supplied ``pitch_contour`` (length T)
     replaces the score-derived one.
     """
     problems_keys = {i for i, _ in keys}
@@ -458,9 +459,13 @@ def build_condition_bundle(
     beats, downbeats = beat_downbeat_events(score)
     section_edges = [tick_to_seconds(score, s.start_tick) for s in score.sections]
     section_edges.append(duration)
+    # Snapping clamps every edge to the song end, so check before it; the
+    # tolerance covers the 6 decimals that chords.txt keeps.
+    if chords.end_sec > duration + 1e-6:
+        raise ValueError(
+            f"chords run to {chords.end_sec} s, past the end of the score ({duration} s)"
+        )
     snapped = _snap_chords(chords, downbeats, section_edges)
-    if snapped.end_sec > duration + 1e-9:
-        raise ValueError("chord sequence extends past the end of the score")
 
     rhythm = rhythm_activation(beats, downbeats, duration, frame_rate, sigma)
     chroma = chord_chromagram(snapped, duration, frame_rate)
@@ -535,8 +540,9 @@ def bundle_from_json(text: str | bytes) -> ConditionBundle:
                 for k in doc["keys"]
             ),
         )
+        num_frames = int(doc["num_frames"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed conditions document: {exc}") from exc
-    if bundle.num_frames != int(doc["num_frames"]):
+    if bundle.num_frames != num_frames:
         raise ValueError("num_frames does not match matrix length")
     return bundle

@@ -480,3 +480,88 @@ def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path
     assert sorted(written) == sorted(["accompaniment.wav", "events.txt", *windows])
     for name, data in written.items():
         assert data == (out / name).read_bytes(), f"{name} differs from run's"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frame_rate", None),
+    ("intro_bars", None),
+    ("sample_rate", [44100]),
+    ("section_keys", 5),
+    ("section_keys", [1, 2]),
+    ("profiles", [{"name": "a"}]),
+    ("vocal_path", 5),
+])
+def test_config_rejects_wrong_typed_values(key, value):
+    # Each of these used to escape run as a TypeError, KeyError or
+    # AttributeError, or (a number as a path) to open a file descriptor.
+    with pytest.raises(ValueError, match=key):
+        config_from_json(json.dumps({"score_path": "s", key: value}))
+
+
+def test_config_built_in_code_rejects_wrong_typed_section_keys():
+    # These used to reach the condition stage and escape run as an AttributeError.
+    with pytest.raises(ValueError, match="section_keys"):
+        PipelineConfig("s", "o", section_keys=(1, 2, 3))
+
+
+def test_condition_command_rejects_chords_past_the_score(score_file, tmp_path, capsys):
+    # Chords for the song with a 4-bar intro laid over the 8-bar melody used
+    # to give 800 misaligned frames with the last four bars of chords dropped.
+    chords = tmp_path / "chords.txt"
+    assert main(["harmonize", str(score_file), "-o", str(chords), "--intro-bars", "4"]) == 0
+    assert main(["condition", str(score_file), "--chords", str(chords),
+                 "-o", str(tmp_path / "c.json")]) == 1
+    assert "chords run to 24.0 s, past the end of the score (16.0 s)" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def test_unreadable_artifact_is_a_stage_error(score_file, tmp_path):
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"))
+    _run(config)
+    _replace_with_directory(tmp_path / "out" / "conditions.json")
+    with pytest.raises(StageError, match="conditions.json") as err:
+        run_pipeline(config, from_stage="render")
+    assert err.value.stage == "render"
+
+
+def test_unwritable_artifact_is_a_stage_error(score_file, tmp_path):
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"))
+    _run(config)
+    _replace_with_directory(tmp_path / "out" / "report.json")
+    with pytest.raises(StageError, match="report.json") as err:
+        run_pipeline(config, from_stage="report")
+    assert err.value.stage == "report"
+
+
+def test_value_error_inside_report_is_a_stage_error(score_file, tmp_path, monkeypatch):
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"))
+    _run(config)
+
+    def broken(*args, **kwargs):
+        raise ValueError("no chroma today")
+
+    monkeypatch.setattr("songpipe.metrics.chroma_from_audio", broken)
+    with pytest.raises(StageError, match="no chroma today") as err:
+        run_pipeline(config, from_stage="report")
+    assert err.value.stage == "report"
+
+
+@pytest.mark.parametrize("num_frames", [[], None], ids=["list", "missing"])
+def test_malformed_frame_count_is_a_stage_error(score_file, tmp_path, num_frames):
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"))
+    _run(config)
+    path = tmp_path / "out" / "conditions.json"
+    doc = json.loads(path.read_text())
+    if num_frames is None:
+        del doc["num_frames"]
+    else:
+        doc["num_frames"] = num_frames
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StageError, match="conditions.json") as err:
+        run_pipeline(config, from_stage="render")
+    assert err.value.stage == "render"
