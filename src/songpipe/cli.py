@@ -248,8 +248,8 @@ def _read_text(path: str) -> str:
 
 
 def _write_file(path: str, data: str | bytes) -> None:
-    """Write ``data`` to ``path``; text is encoded as UTF-8."""
-    with open(path, "wb") as fh:
+    """Write ``data`` to ``path`` atomically (see :func:`render.replacing`); text is UTF-8."""
+    with render.replacing(path) as fh:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
 
@@ -264,7 +264,6 @@ def _codec(key: str):
     (``score_io.score_to_json`` wrapped by a tracer, say) is the one used.
     """
     score = (score_io.score_to_json, score_io.score_from_json)
-    wav = (render.wav_bytes, render.wav_from_bytes)
     return {
         "input_score": score,
         "registered_score": score,
@@ -273,18 +272,20 @@ def _codec(key: str):
         "chords": (conditioning.format_chords, conditioning.parse_chords),
         "conditions": (conditioning.bundle_to_json, conditioning.bundle_from_json),
         "plan": (planner.plan_to_json, planner.plan_from_json),
-        "accompaniment": wav,
         "events": (render.format_events, render.parse_events),
-        "mix": wav,
     }.get(key, (_json_text, json.loads))
 
 
 def _read(outdir: str, key: str, stage: str):
-    """Artifact ``key`` decoded; any failure is a :class:`StageError` naming the file."""
-    binary = ART[key].endswith(".wav")
+    """Artifact ``key`` decoded, a WAV as a :class:`render.WavReader` on the file.
+
+    Any failure is a :class:`StageError` naming the file.
+    """
+    path = _art(outdir, key)
     try:
-        with open(_art(outdir, key), "rb" if binary else "r",
-                  encoding=None if binary else "utf-8") as fh:
+        if path.endswith(".wav"):
+            return render.WavReader(path)
+        with open(path, "r", encoding="utf-8") as fh:
             return _codec(key)[1](fh.read())
     except FileNotFoundError as exc:
         raise StageError(stage, f"missing artifact {ART[key]}; run earlier stages first") from exc
@@ -424,23 +425,32 @@ def render_windows(
     """Render every window of a plan into ``outdir``, then the whole song.
 
     Window files the plan does not own are removed first.  Each window goes
-    to ``window_NNN.wav``; the windows joined in time order go to
-    ``accompaniment.wav`` and their events, sorted, to ``events.txt``.
+    to ``window_NNN.wav``; the windows' float32 payloads spliced in time
+    order go to ``accompaniment.wav`` and their events, sorted, to
+    ``events.txt``.  One window's audio is in memory at a time.
     """
+    if not windows:
+        raise ValueError("the plan has no windows")
     owned = {_window_name(w.order) for w in windows}
     for name in os.listdir(outdir):
         if _WINDOW_FILE.fullmatch(name) and name not in owned:
             os.remove(os.path.join(outdir, name))
-    pieces: list[tuple[planner.GenerationWindow, render.AudioBuffer]] = []
     events: list[render.RenderEvent] = []
     for window in sorted(windows, key=lambda w: w.order):
-        buffer, window_events = render.render_stub(bundle, window, sample_rate)
-        render.write_wav(buffer, os.path.join(outdir, _window_name(window.order)))
-        pieces.append((window, buffer))
+        audio, window_events = render.render_stub(bundle, window, sample_rate)
+        render.write_wav(audio, os.path.join(outdir, _window_name(window.order)))
+        del audio  # freed before the next window renders
         events.extend(window_events)
-    pieces.sort(key=lambda p: p[0].start_sec)
-    full = np.concatenate([p[1].samples for p in pieces], axis=1)
-    _write(outdir, "accompaniment", render.AudioBuffer(sample_rate, full))
+    # The float32 cast of a concatenation is the concatenation of the casts,
+    # so re-encoding each window file's frames in time order gives the bytes
+    # of the whole song cast at once.  render_stub renders mono.
+    frames = sum(round(w.end_sec * sample_rate) - round(w.start_sec * sample_rate)
+                 for w in windows)
+    with render.wav_writer(_art(outdir, "accompaniment"), sample_rate, 1, frames) as write:
+        for window in sorted(windows, key=lambda w: (w.start_sec, w.order)):
+            piece = render.WavReader(os.path.join(outdir, _window_name(window.order)))
+            for lo in range(0, piece.n_samples, render.STREAM_FRAMES):
+                write(piece.read(lo, lo + render.STREAM_FRAMES))
     events.sort(key=lambda e: (e.time_sec, e.kind))
     _write(outdir, "events", events)
 
@@ -452,18 +462,18 @@ def _stage_render(
     render_windows(bundle, windows, config.sample_rate, outdir)
 
 
-def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.AudioBuffer) -> None:
+def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> None:
     if config.vocal_path:
-        vocal = render.read_wav(config.vocal_path)
-    else:  # no vocal track given: mix against silence
-        vocal = render.AudioBuffer(accomp.sample_rate, np.zeros((1, accomp.n_samples)))
-    _write(outdir, "mix", render.mix(vocal, accomp))
+        vocal = render.open_wav(config.vocal_path)
+    else:  # no vocal track given: an empty one, which mix zero-pads to silence
+        vocal = render.AudioBuffer(accomp.sample_rate, np.zeros((1, 0)))
+    render.mix(vocal, accomp, _art(outdir, "mix"))
 
 
 def self_report(
     bundle: conditioning.ConditionBundle,
     events: list[render.RenderEvent],
-    accompaniment: render.AudioBuffer,
+    accompaniment: render.AudioBuffer | render.WavReader,
 ) -> dict:
     """Closed-loop metrics of rendered audio against its own conditions."""
     beat_frames = render.local_maxima(bundle.rhythm[:, 0], render.CLICK_THRESHOLD)
@@ -472,7 +482,7 @@ def self_report(
     beat_f1 = metrics.rhythm_f1(expected_beats, logged_beats)
 
     audio_chroma = metrics.chroma_from_audio(
-        accompaniment.samples,
+        accompaniment,
         accompaniment.sample_rate,
         bundle.frame_rate,
         bundle.num_frames,
@@ -502,7 +512,7 @@ def self_report(
 def _stage_report(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
     events: list[render.RenderEvent], windows: list[planner.GenerationWindow],
-    accomp: render.AudioBuffer,
+    accomp: render.WavReader,
 ) -> None:
     report = self_report(bundle, events, accomp)
     _write(outdir, "report", report)
@@ -656,10 +666,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_mix(args) -> int:
-    vocal = render.read_wav(args.vocal)
-    accomp = render.read_wav(args.accompaniment)
-    mixed = render.mix(vocal, accomp)
-    render.write_wav(mixed, args.output)
+    mixed = render.mix(render.open_wav(args.vocal), render.open_wav(args.accompaniment),
+                       args.output)
     print(f"wrote {args.output} (peak {mixed.peak():.3f})")
     return 0
 

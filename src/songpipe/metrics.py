@@ -233,14 +233,15 @@ def chroma_from_audio(
     each class) and the three strongest classes are marked — or none when the
     slice is essentially silent.  Designed as an independent check of the
     stub renderer's triad pad, not a general transcription tool.
+
+    ``samples`` is a 1-D or (channels, n) array, or a source with ``read``
+    and ``n_samples`` such as :class:`songpipe.render.WavReader`.  Channels
+    are averaged.  Frames are measured ``_CHROMA_CHUNK`` at a time, each
+    chunk from its own span of samples, so a file source is never read whole.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 2:
-        samples = samples.mean(axis=0)
-    if samples.ndim != 1:
-        raise ValueError("samples must be 1-D or (channels, n)")
+    read, n_samples = _mono_source(samples)
     if num_frames is None:
-        num_frames = int(np.ceil(len(samples) / sample_rate * frame_rate))
+        num_frames = int(np.ceil(n_samples / sample_rate * frame_rate))
     n_fft = 4 * window_size
     note_freqs = 440.0 * 2.0 ** ((np.arange(low_midi, high_midi) - 69) / 12.0)
     note_bins = np.round(note_freqs * n_fft / sample_rate).astype(int)
@@ -253,13 +254,16 @@ def chroma_from_audio(
     span = 2 * half  # samples read per frame; an odd window ends in a zero
     centres = np.rint(np.arange(num_frames) / frame_rate * sample_rate)
     starts = centres.astype(np.int64) - half
-    slices = sliding_window_view(samples, span) if len(samples) >= span else None
 
     out = np.zeros((num_frames, 12))
     for first in range(0, num_frames, _CHROMA_CHUNK):
-        frames = _frame_rows(
-            samples, slices, starts[first : first + _CHROMA_CHUNK], span, window_size
-        )
+        chunk_starts = starts[first : first + _CHROMA_CHUNK]
+        # The samples this chunk's rows read, clipped to the signal.
+        lo = min(max(int(chunk_starts[0]), 0), n_samples)
+        hi = max(min(int(chunk_starts[-1]) + span, n_samples), lo)
+        segment = read(lo, hi)
+        slices = sliding_window_view(segment, span) if len(segment) >= span else None
+        frames = _frame_rows(segment, slices, chunk_starts - lo, span, window_size)
         live = np.flatnonzero(~(np.sqrt((frames**2).mean(axis=1)) < silence_threshold))
         if not live.size:
             continue
@@ -276,6 +280,22 @@ def chroma_from_audio(
         row, rank = np.nonzero(strong)
         out[first + live[row], top[row, rank]] = 1.0
     return out
+
+
+def _mono_source(samples) -> tuple:
+    """``(read, n)`` for :func:`chroma_from_audio`'s ``samples``.
+
+    ``read(lo, hi)`` is the float64 channel mean of samples ``[lo, hi)``.
+    """
+    if hasattr(samples, "read"):
+        return (lambda lo, hi: np.asarray(samples.read(lo, hi), dtype=float).mean(axis=0),
+                samples.n_samples)
+    array = np.asarray(samples, dtype=float)
+    if array.ndim == 1:
+        return (lambda lo, hi: array[lo:hi]), len(array)
+    if array.ndim == 2:
+        return (lambda lo, hi: array[:, lo:hi].mean(axis=0)), array.shape[1]
+    raise ValueError("samples must be 1-D or (channels, n)")
 
 
 def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:

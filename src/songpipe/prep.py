@@ -287,8 +287,12 @@ def format_lyrics(sheet: LyricsSheet) -> str:
 
 
 def load_lyrics(path) -> LyricsSheet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lyrics(fh.read())
+    """Read a lyric sheet from ``path``; a decoding or format error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_lyrics(fh.read())
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def load_reference_bank(directory) -> tuple[list[str], list[LyricsSheet]]:

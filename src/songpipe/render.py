@@ -16,7 +16,9 @@ concatenate seamlessly.
 """
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,10 @@ class AudioBuffer:
 
     def peak(self) -> float:
         return float(np.abs(self.samples).max()) if self.n_samples else 0.0
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples ``[lo, hi)`` (``0 <= lo``), clipped to the buffer; as :meth:`WavReader.read`."""
+        return self.samples[:, lo:hi]
 
 
 @dataclass(frozen=True)
@@ -198,12 +204,18 @@ def render_stub(
     return AudioBuffer(sample_rate, out[None, :]), events
 
 
-def mix(vocal: AudioBuffer, accompaniment: AudioBuffer) -> AudioBuffer:
-    """Sum two buffers and normalize the peak to 0.95.
+def mix(vocal, accompaniment, path=None):
+    """Sum two sources and normalize the peak to 0.95.
 
-    Sample rates must match; the shorter buffer is zero-padded and a mono
-    buffer is duplicated up to stereo when channel counts differ.  All-silent
-    input stays silent instead of being scaled.
+    Each source is an :class:`AudioBuffer` or a :class:`WavReader`.  Sample
+    rates must match; the shorter source is zero-padded and a mono source is
+    duplicated up to stereo when channel counts differ.  All-silent input
+    stays silent instead of being scaled.
+
+    The sum is formed :data:`STREAM_FRAMES` frames at a time, twice: once for
+    the global peak, once to scale and store it.  With ``path`` it streams
+    into a float32 WAV there and a :class:`WavReader` of that file is
+    returned; without, the mix is returned as an :class:`AudioBuffer`.
     """
     if vocal.sample_rate != accompaniment.sample_rate:
         raise ValueError(
@@ -211,16 +223,35 @@ def mix(vocal: AudioBuffer, accompaniment: AudioBuffer) -> AudioBuffer:
         )
     channels = max(vocal.channels, accompaniment.channels)
     n = max(vocal.n_samples, accompaniment.n_samples)
-    total = np.zeros((channels, n))
-    for buf in (vocal, accompaniment):
-        samples = buf.samples
-        if buf.channels < channels:
-            samples = np.repeat(samples, channels, axis=0)
-        total[:, : buf.n_samples] += samples
-    peak = np.abs(total).max() if n else 0.0
-    if peak > 0.0:
-        total *= MIX_PEAK / peak
-    return AudioBuffer(vocal.sample_rate, total)
+    starts = range(0, n, STREAM_FRAMES)
+
+    def total(lo: int) -> np.ndarray:
+        # Starting from zeros also turns a -0.0 sample into +0.0.
+        out = np.zeros((channels, min(STREAM_FRAMES, n - lo)))
+        for source in (vocal, accompaniment):
+            part = source.read(lo, lo + STREAM_FRAMES)
+            if source.channels < channels:
+                part = np.repeat(part, channels, axis=0)
+            out[:, : part.shape[1]] += part
+        return out
+
+    peak = np.max([np.abs(total(lo)).max() for lo in starts]) if n else 0.0
+
+    def scaled(lo: int) -> np.ndarray:
+        out = total(lo)
+        if peak > 0.0:
+            out *= MIX_PEAK / peak
+        return out
+
+    if path is None:
+        mixed = np.empty((channels, n))
+        for lo in starts:
+            mixed[:, lo : lo + STREAM_FRAMES] = scaled(lo)
+        return AudioBuffer(vocal.sample_rate, mixed)
+    with wav_writer(path, vocal.sample_rate, channels, n) as write:
+        for lo in starts:
+            write(scaled(lo))
+    return WavReader(path)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +280,116 @@ def parse_events(text: str) -> list[RenderEvent]:
 
 
 # ---------------------------------------------------------------------------
-# WAV (RIFF) I/O: PCM-16 and IEEE float-32, 1-2 channels
+# WAV (RIFF) I/O: PCM-16 and IEEE float-32, 1-2 channels.  Files are read by
+# frame range and written chunk by chunk, so no whole song need be in memory.
+
+#: Frames per chunk when audio streams through :func:`mix` and file copies.
+STREAM_FRAMES = 1 << 17
+
+#: ``sample_format`` to (format tag, bits per sample, little-endian dtype).
+_WAV_FORMATS = {"pcm16": (1, 16, "<i2"), "float32": (3, 32, "<f4")}
+
+
+@dataclass(frozen=True)
+class WavHeader:
+    """What a WAV header says: sample format, layout, and where the frames are."""
+
+    sample_format: str
+    sample_rate: int
+    channels: int
+    n_frames: int
+    data_offset: int
+
+    @property
+    def dtype(self) -> str:
+        return _WAV_FORMATS[self.sample_format][2]
+
+    @property
+    def block_align(self) -> int:
+        return self.channels * _WAV_FORMATS[self.sample_format][1] // 8
+
+
+def _wav_header(sample_format: str, channels: int, sample_rate: int, n_frames: int) -> bytes:
+    """The bytes of a WAV file before its frames, sized for ``n_frames`` frames."""
+    if sample_format not in ("pcm16", "float32"):
+        raise ValueError(f"sample_format must be 'pcm16' or 'float32', got {sample_format!r}")
+    fmt_tag, bits, _ = _WAV_FORMATS[sample_format]
+    block_align = channels * bits // 8
+    byte_rate = sample_rate * block_align
+    fmt = struct.pack("<HHIIHH", fmt_tag, channels, sample_rate, byte_rate, block_align, bits)
+    chunks = [b"fmt " + struct.pack("<I", len(fmt)) + fmt]
+    if fmt_tag == 3:  # float WAVs conventionally carry a fact chunk
+        chunks.append(b"fact" + struct.pack("<II", 4, n_frames))
+    data_size = n_frames * block_align
+    chunks.append(b"data" + struct.pack("<I", data_size))
+    head = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(head) + data_size) + head
+
+
+def _wav_payload(samples: np.ndarray, sample_format: str) -> bytes:
+    """Interleaved frames of (channels, n) float samples in ``sample_format``."""
+    interleaved = samples.T.reshape(-1)
+    if sample_format == "pcm16":
+        interleaved = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
+    return interleaved.astype(_WAV_FORMATS[sample_format][2]).tobytes()
+
+
+def _parse_wav_header(read_at, size: int) -> WavHeader:
+    """Parse the header of a RIFF/WAVE file of ``size`` bytes.
+
+    ``read_at(pos, n)`` returns ``n`` bytes of the file from ``pos``.  Only
+    chunk headers and the fmt chunk are read; every chunk size is checked
+    against ``size``.  Raises :class:`WavFormatError` on bad input.
+    """
+    if size < 12:
+        raise WavFormatError("file too short for a RIFF header")
+    head = read_at(0, 12)
+    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise WavFormatError("not a RIFF/WAVE file")
+    pos = 12
+    fmt_fields = None
+    data = None
+    while pos + 8 <= size:
+        tag, chunk_size = struct.unpack("<4sI", read_at(pos, 8))
+        pos += 8
+        if pos + chunk_size > size:
+            raise WavFormatError(f"chunk {tag!r} runs past end of file")
+        if tag == b"fmt ":
+            if chunk_size < 16:
+                raise WavFormatError("fmt chunk shorter than 16 bytes")
+            fmt_fields = struct.unpack("<HHIIHH", read_at(pos, 16))
+        elif tag == b"data":
+            data = (pos, chunk_size)
+        pos += chunk_size + (chunk_size & 1)  # chunks are word-aligned
+    if fmt_fields is None:
+        raise WavFormatError("missing fmt chunk")
+    if data is None:
+        raise WavFormatError("missing data chunk")
+    fmt_tag, channels, sample_rate, _, block_align, bits = fmt_fields
+    if channels not in (1, 2):
+        raise WavFormatError(f"unsupported channel count {channels}")
+    if sample_rate <= 0:
+        raise WavFormatError(f"invalid sample rate {sample_rate}")
+    by_tag = {(tag_, bits_): name for name, (tag_, bits_, _) in _WAV_FORMATS.items()}
+    sample_format = by_tag.get((fmt_tag, bits))
+    if sample_format is None:
+        raise WavFormatError(
+            f"unsupported format: tag {fmt_tag} with {bits} bits "
+            "(PCM-16 and float-32 only)"
+        )
+    if block_align != channels * bits // 8:
+        raise WavFormatError(f"block align {block_align} inconsistent with format")
+    if data[1] % block_align:
+        raise WavFormatError("data chunk length is not a whole number of frames")
+    return WavHeader(sample_format, sample_rate, channels, data[1] // block_align, data[0])
+
+
+def _wav_samples(raw: np.ndarray, header: WavHeader) -> np.ndarray:
+    """C-contiguous float64 (channels, k) samples of raw interleaved frames."""
+    flat = raw.astype(float)
+    if header.sample_format == "pcm16":
+        flat /= 32768.0
+    return np.ascontiguousarray(flat.reshape(-1, header.channels).T)
 
 
 def wav_bytes(buffer: AudioBuffer, sample_format: str = "float32") -> bytes:
@@ -258,90 +398,117 @@ def wav_bytes(buffer: AudioBuffer, sample_format: str = "float32") -> bytes:
     ``float32`` is bit-exact for float32-representable samples; ``pcm16``
     quantizes to 16-bit integers (values outside [-1, 1] clip).
     """
-    interleaved = buffer.samples.T.reshape(-1)
-    if sample_format == "pcm16":
-        fmt_tag, bits = 1, 16
-        data = (
-            np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-            .astype("<i2")
-            .tobytes()
-        )
-    elif sample_format == "float32":
-        fmt_tag, bits = 3, 32
-        data = interleaved.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"sample_format must be 'pcm16' or 'float32', got {sample_format!r}")
-
-    channels = buffer.channels
-    block_align = channels * bits // 8
-    byte_rate = buffer.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", fmt_tag, channels, buffer.sample_rate, byte_rate, block_align, bits
-    )
-    chunks = [b"fmt " + struct.pack("<I", len(fmt)) + fmt]
-    if fmt_tag == 3:  # float WAVs conventionally carry a fact chunk
-        chunks.append(b"fact" + struct.pack("<II", 4, buffer.n_samples))
-    chunks.append(b"data" + struct.pack("<I", len(data)) + data)
-    body = b"WAVE" + b"".join(chunks)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+    header = _wav_header(sample_format, buffer.channels, buffer.sample_rate, buffer.n_samples)
+    return header + _wav_payload(buffer.samples, sample_format)
 
 
 def wav_from_bytes(data: bytes) -> AudioBuffer:
     """Decode a RIFF/WAVE byte string, raising :class:`WavFormatError` on bad input."""
-    if len(data) < 12:
-        raise WavFormatError("file too short for a RIFF header")
-    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError("not a RIFF/WAVE file")
-    pos = 12
-    fmt_fields = None
-    payload = None
-    while pos + 8 <= len(data):
-        tag = data[pos : pos + 4]
-        (size,) = struct.unpack("<I", data[pos + 4 : pos + 8])
-        pos += 8
-        if pos + size > len(data):
-            raise WavFormatError(f"chunk {tag!r} runs past end of file")
-        body = data[pos : pos + size]
-        pos += size + (size & 1)  # chunks are word-aligned
-        if tag == b"fmt ":
-            if size < 16:
-                raise WavFormatError("fmt chunk shorter than 16 bytes")
-            fmt_fields = struct.unpack("<HHIIHH", body[:16])
-        elif tag == b"data":
-            payload = body
-    if fmt_fields is None:
-        raise WavFormatError("missing fmt chunk")
-    if payload is None:
-        raise WavFormatError("missing data chunk")
-    fmt_tag, channels, sample_rate, _, block_align, bits = fmt_fields
-    if channels not in (1, 2):
-        raise WavFormatError(f"unsupported channel count {channels}")
-    if sample_rate <= 0:
-        raise WavFormatError(f"invalid sample rate {sample_rate}")
-    if fmt_tag == 1 and bits == 16:
-        width = 2
-        decode = lambda raw: np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
-    elif fmt_tag == 3 and bits == 32:
-        width = 4
-        decode = lambda raw: np.frombuffer(raw, dtype="<f4").astype(float)
-    else:
-        raise WavFormatError(
-            f"unsupported format: tag {fmt_tag} with {bits} bits "
-            "(PCM-16 and float-32 only)"
+    header = _parse_wav_header(lambda pos, n: data[pos : pos + n], len(data))
+    raw = np.frombuffer(
+        data, header.dtype, header.n_frames * header.channels, header.data_offset
+    )
+    return AudioBuffer(header.sample_rate, _wav_samples(raw, header))
+
+
+class WavReader:
+    """A WAV file whose frames are read on demand, a range at a time.
+
+    Only the header is read on construction.  :meth:`read` seeks to a frame
+    range and reads just that range, so a song-long file is never held
+    whole.  Its format errors do not name the file; :func:`open_wav` does.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            def read_at(pos: int, n: int) -> bytes:
+                fh.seek(pos)
+                return fh.read(n)
+
+            self.header = header = _parse_wav_header(read_at, os.fstat(fh.fileno()).st_size)
+        self.sample_rate, self.channels = header.sample_rate, header.channels
+        self.n_samples = header.n_frames
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Frames ``[lo, hi)`` (``0 <= lo``) as float64 (channels, k), clipped to the file."""
+        header = self.header
+        count = max(min(hi, header.n_frames) - lo, 0) * header.channels
+        with open(self.path, "rb") as fh:
+            fh.seek(header.data_offset + lo * header.block_align)
+            raw = np.fromfile(fh, dtype=header.dtype, count=count)
+        if raw.size != count:
+            raise WavFormatError("file is shorter than its header says")
+        return _wav_samples(raw, header)
+
+    def peak(self) -> float:
+        return max(
+            (float(np.abs(self.read(lo, lo + STREAM_FRAMES)).max())
+             for lo in range(0, self.n_samples, STREAM_FRAMES)),
+            default=0.0,
         )
-    if block_align != channels * width:
-        raise WavFormatError(f"block align {block_align} inconsistent with format")
-    if len(payload) % (channels * width):
-        raise WavFormatError("data chunk length is not a whole number of frames")
-    flat = decode(payload)
-    return AudioBuffer(sample_rate, flat.reshape(-1, channels).T.copy())
 
 
-def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None:
-    with open(path, "wb") as fh:
-        fh.write(wav_bytes(buffer, sample_format))
+def open_wav(path) -> WavReader:
+    """A :class:`WavReader` on ``path``; a format error names the file."""
+    try:
+        return WavReader(path)
+    except WavFormatError as exc:
+        raise WavFormatError(f"cannot read {path}: {exc}") from None
 
 
 def read_wav(path) -> AudioBuffer:
-    with open(path, "rb") as fh:
-        return wav_from_bytes(fh.read())
+    reader = open_wav(path)
+    return AudioBuffer(reader.sample_rate, reader.read(0, reader.n_samples))
+
+
+@contextmanager
+def replacing(path):
+    """A binary file that replaces ``path`` only if the ``with`` block succeeds.
+
+    It is written under the fixed name ``.NAME.tmp`` beside ``path`` and moved
+    into place with :func:`os.replace`.  On any exception the temporary file
+    is removed and ``path`` is left as it was.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+@contextmanager
+def wav_writer(path, sample_rate: int, channels: int, n_frames: int,
+               sample_format: str = "float32"):
+    """Yield ``write(samples)``, which appends (channels, k) frames to a new WAV.
+
+    The header, sized for ``n_frames`` frames, is written first.  The file
+    replaces ``path`` (see :func:`replacing`) only if exactly ``n_frames``
+    frames were written.
+    """
+    header = _wav_header(sample_format, channels, sample_rate, n_frames)
+    written = 0
+    with replacing(path) as fh:
+        fh.write(header)
+
+        def write(samples: np.ndarray) -> None:
+            nonlocal written
+            if samples.ndim != 2 or samples.shape[0] != channels:
+                raise ValueError(f"expected ({channels}, k) samples, got {samples.shape}")
+            fh.write(_wav_payload(samples, sample_format))
+            written += samples.shape[1]
+
+        yield write
+        if written != n_frames:
+            raise ValueError(f"WAV header declares {n_frames} frames, {written} were written")
+
+
+def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None:
+    with wav_writer(path, buffer.sample_rate, buffer.channels, buffer.n_samples,
+                    sample_format) as write:
+        write(buffer.samples)

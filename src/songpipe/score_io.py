@@ -434,13 +434,14 @@ def load_score(path) -> VocalScore:
     """Read a score from ``path``, choosing the codec by content sniffing.
 
     Files starting with ``MThd`` parse as SMF; anything else is treated as the
-    canonical JSON text.
+    canonical JSON text.  A format error names ``path``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == b"MThd":
-        return read_smf(data)
-    return score_from_json(data)
+    try:
+        return read_smf(data) if data[:4] == b"MThd" else score_from_json(data)
+    except ScoreFormatError as exc:
+        raise ScoreFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def save_score(score: VocalScore, path) -> None:

@@ -6,20 +6,29 @@ import math
 import os
 import random
 import re
+import tempfile
+import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from songpipe import conditioning, planner, render, score_io
 from songpipe.cli import (
+    _STAGE_FUNCS,
     ART,
+    STAGES,
     PipelineConfig,
     StageError,
     config_from_json,
+    harmonize_song,
     main,
+    render_windows,
     run_pipeline,
     section_key_estimates,
+    section_keys,
 )
 from songpipe.score import Note, Section, VocalScore
 
@@ -563,5 +572,139 @@ def test_malformed_frame_count_is_a_stage_error(score_file, tmp_path, num_frames
         doc["num_frames"] = num_frames
     path.write_text(json.dumps(doc))
     with pytest.raises(StageError, match="conditions.json") as err:
+        run_pipeline(config, from_stage="render")
+    assert err.value.stage == "render"
+
+
+# ---------------------------------------------------------------------------
+# The streamed audio path
+
+
+def _accompaniment_oracle(bundle, windows, sample_rate: int) -> bytes:
+    """The whole-song accompaniment: windows concatenated in time order, encoded once."""
+    pieces = [
+        (w, render.render_stub(bundle, w, sample_rate)[0])
+        for w in sorted(windows, key=lambda w: w.order)
+    ]
+    pieces.sort(key=lambda p: p[0].start_sec)
+    full = np.concatenate([p[1].samples for p in pieces], axis=1)
+    return render.wav_bytes(render.AudioBuffer(sample_rate, full))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    sample_rate=st.sampled_from((101, 997)),
+    chunk=st.sampled_from((3, 16, render.STREAM_FRAMES)),
+)
+def test_spliced_accompaniment_matches_the_concatenated_windows(seed, sample_rate, chunk):
+    song, chords = harmonize_song(random_score(random.Random(seed), max_bars=12), 4)
+    bundle = conditioning.build_condition_bundle(song, chords, section_keys(song, None))
+    windows = planner.plan_inference(song)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(render, "STREAM_FRAMES", chunk):
+        render_windows(bundle, windows, sample_rate, tmp)
+        with open(os.path.join(tmp, ART["accompaniment"]), "rb") as fh:
+            assert fh.read() == _accompaniment_oracle(bundle, windows, sample_rate)
+
+
+@pytest.mark.parametrize("failing", ["render_stub", "splice"])
+def test_a_render_that_fails_midway_keeps_the_previous_output(
+    score_file, tmp_path, monkeypatch, capsys, failing
+):
+    out = tmp_path / "out"
+    args = ["run", "--score", str(score_file), "--output", str(out)]
+    assert main(args) == 0
+    fresh = _read_bytes_map(out)
+    assert len([n for n in fresh if n.startswith("window_")]) >= 2
+    (out / "accompaniment.wav").write_bytes(b"an older accompaniment")
+
+    calls = []
+
+    def second_call_fails(original):
+        def wrapper(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("interrupted")
+            return original(*a, **kw)
+        return wrapper
+
+    if failing == "render_stub":  # before accompaniment.wav is opened
+        monkeypatch.setattr(render, "render_stub", second_call_fails(render.render_stub))
+    else:  # with accompaniment.wav half streamed
+        monkeypatch.setattr(render.WavReader, "read", second_call_fails(render.WavReader.read))
+    assert main(args + ["--from", "render"]) == 1
+    assert "error in stage 'render': interrupted" in capsys.readouterr().err
+    assert (out / "accompaniment.wav").read_bytes() == b"an older accompaniment"
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+    monkeypatch.undo()
+    assert main(args + ["--from", "render"]) == 0
+    assert _read_bytes_map(out) == fresh
+
+
+def test_unreadable_outside_inputs_are_named(score_file, tmp_path, capsys):
+    bad_mid = tmp_path / "bad.mid"
+    bad_mid.write_bytes(score_file.read_bytes()[:10])
+    assert main(["run", "--score", str(bad_mid), "--output", str(tmp_path / "o1")]) == 1
+    assert (f"error in stage 'load': cannot read {bad_mid}: file too short for MThd header"
+            in capsys.readouterr().err)
+    assert main(["validate", str(bad_mid)]) == 1
+    assert f"error: cannot read {bad_mid}: " in capsys.readouterr().err
+
+    bad_lyrics = tmp_path / "bad.txt"
+    bad_lyrics.write_text("[verse\nla la\n")
+    assert main(["run", "--score", str(score_file), "--lyrics", str(bad_lyrics),
+                 "--output", str(tmp_path / "o2")]) == 1
+    assert (f"error in stage 'load': cannot read {bad_lyrics}: lyric line 1: unterminated"
+            in capsys.readouterr().err)
+
+    bad_wav = tmp_path / "vocal.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 100))), bad_wav)
+    bad_wav.write_bytes(bad_wav.read_bytes()[:10])
+    out = tmp_path / "o3"
+    assert main(["run", "--score", str(score_file), "--vocal", str(bad_wav),
+                 "--output", str(out)]) == 1
+    assert (f"error in stage 'mix': cannot read {bad_wav}: file too short for a RIFF header"
+            in capsys.readouterr().err)
+    assert main(["mix", str(bad_wav), str(out / "accompaniment.wav"),
+                 "-o", str(tmp_path / "m.wav")]) == 1
+    assert f"error: cannot read {bad_wav}: file too short" in capsys.readouterr().err
+
+    # An artifact is named once, by its file name.
+    (out / "accompaniment.wav").write_bytes(b"RIFF")
+    assert main(["run", "--score", str(score_file), "--output", str(out), "--from", "mix"]) == 1
+    assert ("error in stage 'mix': cannot read accompaniment.wav: file too short for a RIFF "
+            "header\n") in capsys.readouterr().err
+
+
+def test_audio_stages_peak_memory_is_flat_in_song_length(tmp_path):
+    """render, mix and report stream audio: a 4x longer song raises their
+    traced peak by less than one float64 copy of its audio."""
+    peaks = {}
+    for bars in (24, 96):
+        score = random_score(random.Random(1), min_bars=bars, max_bars=bars,
+                             min_bpm=60.0, max_bpm=60.0, with_intro=True)
+        path = tmp_path / f"{bars}.mid"
+        path.write_bytes(score_io.write_smf(score))
+        config = PipelineConfig(str(path), str(tmp_path / f"out{bars}"))
+        os.makedirs(config.output_dir)
+        for stage in STAGES[: STAGES.index("render")]:
+            _STAGE_FUNCS[stage](config, config.output_dir)
+        tracemalloc.start()
+        try:
+            run_pipeline(config, "render")
+            peaks[bars] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    frames = render.WavReader(tmp_path / "out96" / ART["accompaniment"]).n_samples
+    assert frames == 96 * 4 * 44100
+    assert peaks[96] - peaks[24] < frames * 8
+
+
+def test_a_plan_without_windows_is_a_render_error(score_file, tmp_path):
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"))
+    _run(config)
+    (tmp_path / "out" / "plan.json").write_text(planner.plan_to_json([]))
+    with pytest.raises(StageError, match="the plan has no windows") as err:
         run_pipeline(config, from_stage="render")
     assert err.value.stage == "render"

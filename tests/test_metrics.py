@@ -422,3 +422,20 @@ def test_chroma_from_audio_equals_the_fft_oracle_on_a_rendered_song(tmp_path):
     fast = chroma_from_audio(*args)
     assert fast.any()
     assert np.array_equal(fast, _chroma_fft_oracle(*args))
+
+
+@pytest.mark.parametrize("chunk", [3, 256])
+def test_chroma_from_audio_reads_a_wav_file_as_it_reads_the_decoded_array(tmp_path, chunk):
+    score = simple_score([60, 64, 67, 65, 62, 59, 60, 55] * 2, labels=["verse", "chorus"])
+    path = tmp_path / "song.mid"
+    path.write_bytes(score_io.write_smf(score))
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(str(path), str(out)))
+    bundle = conditioning.bundle_from_json((out / "conditions.json").read_text())
+    reader = render.WavReader(out / "accompaniment.wav")
+    rest = (reader.sample_rate, bundle.frame_rate, bundle.num_frames)
+    with mock.patch.object(metrics, "_CHROMA_CHUNK", chunk):
+        from_file = chroma_from_audio(reader, *rest)
+        from_array = chroma_from_audio(render.read_wav(out / "accompaniment.wav").samples, *rest)
+    assert from_file.any()
+    assert np.array_equal(from_file, from_array)

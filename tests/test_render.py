@@ -1,12 +1,18 @@
 """Stub accompaniment rendering, mixing, WAV and event-log formats."""
 from __future__ import annotations
 
+import os
 import random
 import struct
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from songpipe import render
 from songpipe.conditioning import ConditionBundle
 from songpipe.planner import REFERENCE_NONE, GenerationWindow, WindowReference
 from songpipe.render import (
@@ -16,15 +22,18 @@ from songpipe.render import (
     AudioBuffer,
     RenderEvent,
     WavFormatError,
+    WavReader,
     format_events,
     local_maxima,
     midi_to_hz,
     mix,
+    open_wav,
     parse_events,
     read_wav,
     render_stub,
     wav_bytes,
     wav_from_bytes,
+    wav_writer,
     write_wav,
 )
 
@@ -329,3 +338,108 @@ def test_parse_events_rejects_bad_lines():
         parse_events("0.5\n")
     with pytest.raises(ValueError):
         parse_events("oops\tbeat\n")
+
+
+# ---------------------------------------------------------------------------
+# Streamed mix against the whole-buffer mix it replaced
+
+
+def _mix_oracle(vocal: AudioBuffer, accompaniment: AudioBuffer) -> AudioBuffer:
+    """The in-memory mix: one zero-padded whole-song sum, scaled once."""
+    channels = max(vocal.channels, accompaniment.channels)
+    n = max(vocal.n_samples, accompaniment.n_samples)
+    total = np.zeros((channels, n))
+    for buf in (vocal, accompaniment):
+        samples = buf.samples
+        if buf.channels < channels:
+            samples = np.repeat(samples, channels, axis=0)
+        total[:, : buf.n_samples] += samples
+    peak = np.abs(total).max() if n else 0.0
+    if peak > 0.0:
+        total *= MIX_PEAK / peak
+    return AudioBuffer(vocal.sample_rate, total)
+
+
+@st.composite
+def _audio(draw):
+    """(channels, n) samples, float32-representable, with signed zeros; maybe all silent."""
+    rows = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(0, 40))
+    zeros = st.sampled_from((0.0, -0.0))
+    value = zeros if draw(st.booleans()) else st.one_of(zeros, st.floats(-1.5, 1.5, width=32))
+    cells = draw(st.lists(value, min_size=rows * n, max_size=rows * n))
+    return np.array(cells, dtype=float).reshape(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vocal=_audio(),
+    vocal_format=st.sampled_from(("pcm16", "float32")),
+    accompaniment=_audio(),
+    chunk=st.sampled_from((3, 16, render.STREAM_FRAMES)),
+)
+@example(np.full((1, 40), 0.25), "float32", np.full((1, 7), -0.5), 3)  # vocal longer
+@example(np.full((2, 5), -0.25), "pcm16", np.full((1, 33), 0.5), 16)  # vocal shorter
+@example(np.full((2, 9), -0.0), "float32", np.full((1, 9), -0.0), 3)  # silent, -0.0
+def test_streamed_mix_matches_the_in_memory_mix_byte_for_byte(
+    vocal, vocal_format, accompaniment, chunk
+):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(render, "STREAM_FRAMES", chunk):
+        vocal_path = os.path.join(tmp, "vocal.wav")
+        accomp_path = os.path.join(tmp, "accompaniment.wav")
+        write_wav(AudioBuffer(SR, vocal), vocal_path, vocal_format)
+        write_wav(AudioBuffer(SR, accompaniment), accomp_path)
+        expected = wav_bytes(_mix_oracle(read_wav(vocal_path), read_wav(accomp_path)))
+
+        out = os.path.join(tmp, "mix.wav")
+        mixed = mix(open_wav(vocal_path), open_wav(accomp_path), out)
+        with open(out, "rb") as fh:
+            assert fh.read() == expected
+        assert sorted(os.listdir(tmp)) == ["accompaniment.wav", "mix.wav", "vocal.wav"]
+        assert mixed.n_samples == max(vocal.shape[1], accompaniment.shape[1])
+        in_memory = mix(read_wav(vocal_path), read_wav(accomp_path))
+        assert wav_bytes(in_memory) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    audio=_audio(),
+    sample_format=st.sampled_from(("pcm16", "float32")),
+    lo=st.integers(0, 45),
+    width=st.integers(0, 45),
+)
+def test_wav_reader_ranges_equal_the_decoded_file(audio, sample_format, lo, width):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.wav")
+        write_wav(AudioBuffer(SR, audio), path, sample_format)
+        with open(path, "rb") as fh:
+            whole = wav_from_bytes(fh.read())
+        reader = WavReader(path)
+        assert (reader.sample_rate, reader.channels, reader.n_samples) == (
+            SR, whole.channels, whole.n_samples)
+        np.testing.assert_array_equal(reader.read(lo, lo + width), whole.read(lo, lo + width))
+
+
+def test_wav_reader_checks_chunk_sizes_against_the_file_size(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(AudioBuffer(SR, np.zeros((1, 100))), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(WavFormatError, match="runs past end of file"):
+        WavReader(path)
+    with pytest.raises(WavFormatError, match=f"cannot read {path}: chunk"):
+        open_wav(path)
+
+
+def test_wav_writer_keeps_the_old_file_when_the_stream_fails(tmp_path):
+    path = tmp_path / "x.wav"
+    write_wav(AudioBuffer(SR, np.full((1, 10), 0.5)), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="declares 10 frames, 4 were written"):
+        with wav_writer(path, SR, 1, 10) as write:
+            write(np.zeros((1, 4)))
+    with pytest.raises(RuntimeError):
+        with wav_writer(path, SR, 1, 10) as write:
+            write(np.zeros((1, 4)))
+            raise RuntimeError("interrupted mid-stream")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["x.wav"]
