@@ -18,6 +18,7 @@ The remaining subcommands expose the individual stages over explicit files:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
@@ -80,9 +81,16 @@ class PipelineConfig:
             object.__setattr__(self, name, parse(getattr(self, name)))
 
     def to_manifest_dict(self) -> dict:
-        # output_dir is deliberately omitted so reruns into different
-        # directories stay byte-identical.
+        # output_dir is omitted and input paths are reduced to their base
+        # names, so the same song run from any directory or checkout gives the
+        # same bytes; the input files are identified by their SHA-256 instead.
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
+        for name in ("score_path", "vocal_path", "lyrics_path", "reference_bank"):
+            if doc[name] is not None:
+                doc[name] = os.path.basename(os.path.normpath(doc[name]))
+        for name in ("score", "vocal", "lyrics"):
+            path = getattr(self, f"{name}_path")
+            doc[f"{name}_sha256"] = _file_sha256(path) if path else None
         doc["profiles"] = [{"name": p.name, "low": p.low, "high": p.high} for p in self.profiles]
         doc["section_keys"] = list(self.section_keys) if self.section_keys else None
         return doc
@@ -232,8 +240,10 @@ ART = {
     "plan": "plan.json",
     "accompaniment": "accompaniment.wav",
     "events": "events.txt",
+    "render_record": "render.json",
     "mix": "mix.wav",
     "report": "report.json",
+    "chroma_memo": "chroma_memo.json",
     "manifest": "manifest.json",
 }
 
@@ -242,9 +252,25 @@ def _art(outdir: str, key: str) -> str:
     return os.path.join(outdir, ART[key])
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_parsed(path: str, parse):
+    """``parse`` of the UTF-8 text of the file ``path``; a format error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _file_sha256(path: str) -> str | None:
+    """SHA-256 of a file, read 1 MiB at a time; None if there is no such file."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
 
 
 def _write_file(path: str, data: str | bytes) -> None:
@@ -273,6 +299,7 @@ def _codec(key: str):
         "conditions": (conditioning.bundle_to_json, conditioning.bundle_from_json),
         "plan": (planner.plan_to_json, planner.plan_from_json),
         "events": (render.format_events, render.parse_events),
+        "chroma_memo": (metrics.memo_to_json, metrics.memo_from_json),
     }.get(key, (_json_text, json.loads))
 
 
@@ -291,6 +318,20 @@ def _read(outdir: str, key: str, stage: str):
         raise StageError(stage, f"missing artifact {ART[key]}; run earlier stages first") from exc
     except (OSError, ValueError) as exc:
         raise StageError(stage, f"cannot read {ART[key]}: {exc}") from exc
+
+
+def _read_cache(outdir: str, key: str):
+    """Cache artifact ``key`` decoded, or None if it is missing or unreadable.
+
+    A cache only saves work: the stage that reads it rebuilds what it lacks.
+    """
+    if not os.path.exists(_art(outdir, key)):
+        return None
+    try:
+        return _read(outdir, key, "")
+    except StageError as exc:
+        LOGGER.info("%s; rebuilding it", exc)
+        return None
 
 
 def _write(outdir: str, key: str, value) -> None:
@@ -416,18 +457,29 @@ def _window_name(order: int) -> str:
     return f"window_{order:03d}.wav"
 
 
+#: Format name and version of the render record (``render.json``).
+RENDER_RECORD = ("render", 1)
+
+
 def render_windows(
     bundle: conditioning.ConditionBundle,
     windows: list[planner.GenerationWindow],
     sample_rate: int,
     outdir: str,
-) -> None:
+    record: dict | None = None,
+) -> dict:
     """Render every window of a plan into ``outdir``, then the whole song.
 
     Window files the plan does not own are removed first.  Each window goes
-    to ``window_NNN.wav``; the windows' float32 payloads spliced in time
-    order go to ``accompaniment.wav`` and their events, sorted, to
-    ``events.txt``.  One window's audio is in memory at a time.
+    to ``window_NNN.wav``, unless ``record`` (what an earlier call returned
+    for ``outdir``) shows that the file holds it already: the same
+    :func:`render.window_fingerprint` and the same file SHA-256.  The
+    windows' float32 payloads spliced in time order go to
+    ``accompaniment.wav`` and their events, sorted, to ``events.txt``.  One
+    window's audio is in memory at a time.
+
+    Returns the render record: per window in plan order, its file name,
+    fingerprint, file SHA-256 and events.
     """
     if not windows:
         raise ValueError("the plan has no windows")
@@ -435,12 +487,23 @@ def render_windows(
     for name in os.listdir(outdir):
         if _WINDOW_FILE.fullmatch(name) and name not in owned:
             os.remove(os.path.join(outdir, name))
+    recorded = _recorded_windows(record)
+    entries: list[dict] = []
     events: list[render.RenderEvent] = []
     for window in sorted(windows, key=lambda w: w.order):
-        audio, window_events = render.render_stub(bundle, window, sample_rate)
-        render.write_wav(audio, os.path.join(outdir, _window_name(window.order)))
-        del audio  # freed before the next window renders
-        events.extend(window_events)
+        name = _window_name(window.order)
+        path = os.path.join(outdir, name)
+        fingerprint = render.window_fingerprint(bundle, window, sample_rate)
+        entry = recorded.get(name)
+        if not (entry and entry["fingerprint"] == fingerprint
+                and _file_sha256(path) == entry["sha256"]):
+            audio, window_events = render.render_stub(bundle, window, sample_rate)
+            render.write_wav(audio, path)
+            del audio  # freed before the next window renders
+            entry = {"file": name, "fingerprint": fingerprint, "sha256": _file_sha256(path),
+                     "events": [[e.time_sec, e.kind] for e in window_events]}
+        entries.append(entry)
+        events.extend(render.RenderEvent(t, kind) for t, kind in entry["events"])
     # The float32 cast of a concatenation is the concatenation of the casts,
     # so re-encoding each window file's frames in time order gives the bytes
     # of the whole song cast at once.  render_stub renders mono.
@@ -453,13 +516,40 @@ def render_windows(
                 write(piece.read(lo, lo + render.STREAM_FRAMES))
     events.sort(key=lambda e: (e.time_sec, e.kind))
     _write(outdir, "events", events)
+    format_name, version = RENDER_RECORD
+    return {"format": format_name, "version": version, "windows": entries}
+
+
+def _recorded_windows(record) -> dict[str, dict]:
+    """The well-formed window entries of a render record, by file name."""
+    try:
+        if (record["format"], record["version"]) != RENDER_RECORD:
+            return {}
+        windows = list(record["windows"])
+    except (KeyError, TypeError):
+        return {}
+    entries = {}
+    for entry in windows:
+        try:
+            name, fingerprint, sha256 = entry["file"], entry["fingerprint"], entry["sha256"]
+            events = [[t, kind] for t, kind in entry["events"]]
+        except (KeyError, TypeError, ValueError):
+            continue
+        if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
+            type(t) is float and isinstance(kind, str) for t, kind in events
+        ):  # rebuilt from its fields, so a reused entry is written as a new one is
+            entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
+                             "events": events}
+    return entries
 
 
 def _stage_render(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
     windows: list[planner.GenerationWindow],
 ) -> None:
-    render_windows(bundle, windows, config.sample_rate, outdir)
+    record = _read_cache(outdir, "render_record")
+    _write(outdir, "render_record",
+           render_windows(bundle, windows, config.sample_rate, outdir, record))
 
 
 def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> None:
@@ -470,12 +560,31 @@ def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) ->
     render.mix(vocal, accomp, _art(outdir, "mix"))
 
 
+def steady_frames(chroma: np.ndarray, radius: int) -> np.ndarray:
+    """Frames whose neighbours within ``radius`` frames all share their chroma row.
+
+    A frame near a chord change is not steady: an analysis window centred
+    on it straddles two chords.
+    """
+    t = len(chroma)
+    run = np.zeros(t, dtype=np.int64)
+    run[1:] = np.cumsum(np.any(chroma[1:] != chroma[:-1], axis=1))
+    frames = np.arange(t)
+    return run[np.maximum(frames - radius, 0)] == run[np.minimum(frames + radius, t - 1)]
+
+
 def self_report(
     bundle: conditioning.ConditionBundle,
     events: list[render.RenderEvent],
     accompaniment: render.AudioBuffer | render.WavReader,
+    memo: dict | None = None,
 ) -> dict:
-    """Closed-loop metrics of rendered audio against its own conditions."""
+    """Closed-loop metrics of rendered audio against its own conditions.
+
+    ``memo`` is passed to :func:`metrics.chroma_from_audio`.  Keys are
+    estimated only on frames whose chroma analysis window lies inside one
+    chord run, so that a window straddling two chords cannot tip a near-tie.
+    """
     beat_frames = render.local_maxima(bundle.rhythm[:, 0], render.CLICK_THRESHOLD)
     expected_beats = [f / bundle.frame_rate for f in beat_frames]
     logged_beats = [e.time_sec for e in events if e.kind in ("beat", "downbeat")]
@@ -486,13 +595,16 @@ def self_report(
         accompaniment.sample_rate,
         bundle.frame_rate,
         bundle.num_frames,
+        memo=memo,
     )
     chord = metrics.chord_f1(bundle.chroma, audio_chroma)
 
+    hop = accompaniment.sample_rate / bundle.frame_rate
+    steady = steady_frames(bundle.chroma, math.ceil(metrics.CHROMA_WINDOW // 2 / hop))
     ref_keys: list[KeyLabel] = []
     est_keys: list[KeyLabel] = []
     for sec in sorted(set(bundle.structure.tolist())):
-        mask = (bundle.structure == sec) & bundle.chroma.any(axis=1)
+        mask = (bundle.structure == sec) & bundle.chroma.any(axis=1) & steady
         if not mask.any() or not audio_chroma[mask].any():
             continue
         ref_keys.append(metrics.estimate_key(bundle.chroma[mask]))
@@ -506,6 +618,7 @@ def self_report(
         "num_expected_beats": len(expected_beats),
         "num_logged_beats": len(logged_beats),
         "num_key_segments": len(ref_keys),
+        "num_key_masked_frames": int(bundle.num_frames - steady.sum()),
     }
 
 
@@ -514,8 +627,10 @@ def _stage_report(
     events: list[render.RenderEvent], windows: list[planner.GenerationWindow],
     accomp: render.WavReader,
 ) -> None:
-    report = self_report(bundle, events, accomp)
+    memo = _read_cache(outdir, "chroma_memo") or {}
+    report = self_report(bundle, events, accomp, memo)
     _write(outdir, "report", report)
+    _write(outdir, "chroma_memo", memo)
     artifacts = {
         key: name for key, name in ART.items()
         if key != "manifest" and os.path.exists(_art(outdir, key))
@@ -637,7 +752,7 @@ def _cmd_register(args) -> int:
 
 def _cmd_condition(args) -> int:
     score = score_io.load_score(args.score)
-    chords = conditioning.parse_chords(_read_text(args.chords))
+    chords = _read_parsed(args.chords, conditioning.parse_chords)
     labels = [k.strip() for k in args.keys.split(",")] if args.keys else None
     bundle = conditioning.build_condition_bundle(
         score, chords, section_keys(score, labels), args.frame_rate, args.sigma
@@ -657,8 +772,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    bundle = conditioning.bundle_from_json(_read_text(args.conditions))
-    windows = planner.plan_from_json(_read_text(args.plan))
+    bundle = _read_parsed(args.conditions, conditioning.bundle_from_json)
+    windows = _read_parsed(args.plan, planner.plan_from_json)
     os.makedirs(args.output_dir, exist_ok=True)
     render_windows(bundle, windows, args.sample_rate, args.output_dir)
     print(f"rendered {len(windows)} windows into {args.output_dir}")
@@ -677,8 +792,8 @@ def _cmd_eval(args) -> int:
     if args.ref_beats or args.est_beats:
         if not (args.ref_beats and args.est_beats):
             raise ValueError("--ref-beats and --est-beats must be given together")
-        ref = beatgrid.parse_beat_grid(_read_text(args.ref_beats))
-        est = beatgrid.parse_beat_grid(_read_text(args.est_beats))
+        ref = _read_parsed(args.ref_beats, beatgrid.parse_beat_grid)
+        est = _read_parsed(args.est_beats, beatgrid.parse_beat_grid)
         rows.append(
             ("rhythm_f1", metrics.rhythm_f1(list(ref.beats), list(est.beats), args.tolerance))
         )
@@ -698,15 +813,16 @@ def _cmd_eval(args) -> int:
             (
                 "chord_f1",
                 metrics.chord_f1(
-                    _read_chroma(args.ref_chroma), _read_chroma(args.est_chroma)
+                    _read_parsed(args.ref_chroma, _parse_chroma),
+                    _read_parsed(args.est_chroma, _parse_chroma),
                 ),
             )
         )
     if args.ref_keys or args.est_keys:
         if not (args.ref_keys and args.est_keys):
             raise ValueError("--ref-keys and --est-keys must be given together")
-        ref_keys = _read_keys(args.ref_keys)
-        est_keys = _read_keys(args.est_keys)
+        ref_keys = _read_parsed(args.ref_keys, _parse_keys)
+        est_keys = _read_parsed(args.est_keys, _parse_keys)
         rows.append(("key_accuracy", metrics.key_accuracy(ref_keys, est_keys)))
     if args.ref_text or args.hyp_text:
         if not (args.ref_text and args.hyp_text):
@@ -725,16 +841,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_chroma(path: str) -> np.ndarray:
-    doc = json.loads(_read_text(path))
+def _parse_chroma(text: str) -> np.ndarray:
+    doc = json.loads(text)
     if not isinstance(doc, dict) or "chroma" not in doc:
-        raise ValueError(f"{path}: expected a JSON object with a 'chroma' key")
+        raise ValueError("expected a JSON object with a 'chroma' key")
     return np.asarray(doc["chroma"], dtype=float).reshape(-1, 12)
 
 
-def _read_keys(path: str) -> list[KeyLabel]:
+def _parse_keys(text: str) -> list[KeyLabel]:
     keys = []
-    for line in _read_text(path).splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             keys.append(KeyLabel.parse(line))
@@ -742,7 +858,7 @@ def _read_keys(path: str) -> list[KeyLabel]:
 
 
 def _text_tokens(path: str, dedup: bool) -> list[str]:
-    lines = [l.strip() for l in _read_text(path).splitlines() if l.strip()]
+    lines = _read_parsed(path, lambda text: [l.strip() for l in text.splitlines() if l.strip()])
     if dedup:
         lines = metrics.dedup_lines(lines)
     tokens: list[str] = []
@@ -753,7 +869,7 @@ def _text_tokens(path: str, dedup: bool) -> list[str]:
 
 def _cmd_run(args) -> int:
     if args.config:
-        config = config_from_json(_read_text(args.config), args.output)
+        config = _read_parsed(args.config, lambda text: config_from_json(text, args.output))
     else:
         if not args.score:
             raise ValueError("either --config or --score is required")

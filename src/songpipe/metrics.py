@@ -8,6 +8,9 @@ the maximum one-to-one matching for a fixed symmetric window.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +214,13 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 #: Frames per matrix product in :func:`chroma_from_audio`.
 _CHROMA_CHUNK = 256
 
+#: Samples in :func:`chroma_from_audio`'s analysis window.
+CHROMA_WINDOW = 8192
+
+#: Part of every chunk key of :func:`chroma_from_audio`'s memo: change it
+#: whenever a chunk's rows change for the same samples and parameters.
+CHROMA_VERSION = 1
+
 
 def chroma_from_audio(
     samples: np.ndarray,
@@ -219,8 +229,9 @@ def chroma_from_audio(
     num_frames: int | None = None,
     low_midi: int = 48,
     high_midi: int = 84,
-    window_size: int = 8192,
+    window_size: int = CHROMA_WINDOW,
     silence_threshold: float = 1e-4,
+    memo: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Estimate a binary (T, 12) chromagram from audio by DFT peak picking.
 
@@ -238,6 +249,12 @@ def chroma_from_audio(
     and ``n_samples`` such as :class:`songpipe.render.WavReader`.  Channels
     are averaged.  Frames are measured ``_CHROMA_CHUNK`` at a time, each
     chunk from its own span of samples, so a file source is never read whole.
+
+    ``memo`` maps a chunk key to that chunk's rows.  A chunk's key is the
+    SHA-256 of everything its rows depend on: the samples it reads, its frame
+    starts relative to the first of them, and the parameters.  A chunk whose
+    key is in ``memo`` is copied from it instead of measured.  On return
+    ``memo`` holds the keys and rows of this call's chunks only.
     """
     read, n_samples = _mono_source(samples)
     if num_frames is None:
@@ -248,38 +265,98 @@ def chroma_from_audio(
     note_pcs = np.arange(low_midi, high_midi) % 12
     # Notes that share a bin share one basis column, so they tie exactly.
     bins, note_cols = np.unique(note_bins, return_inverse=True)
-    basis = _note_bin_basis(window_size, n_fft, bins)
+    basis = None  # built on the first chunk measured
 
     half = window_size // 2
     span = 2 * half  # samples read per frame; an odd window ends in a zero
     centres = np.rint(np.arange(num_frames) / frame_rate * sample_rate)
     starts = centres.astype(np.int64) - half
+    params = repr((CHROMA_VERSION, sample_rate, low_midi, high_midi, window_size,
+                   silence_threshold)).encode("ascii")
 
     out = np.zeros((num_frames, 12))
+    chunks: dict[str, np.ndarray] = {}
     for first in range(0, num_frames, _CHROMA_CHUNK):
         chunk_starts = starts[first : first + _CHROMA_CHUNK]
+        rows = out[first : first + len(chunk_starts)]
         # The samples this chunk's rows read, clipped to the signal.
         lo = min(max(int(chunk_starts[0]), 0), n_samples)
         hi = max(min(int(chunk_starts[-1]) + span, n_samples), lo)
-        segment = read(lo, hi)
+        segment = np.ascontiguousarray(read(lo, hi), dtype=float)
+        relative = chunk_starts - lo
+        if memo is not None:
+            key = hashlib.sha256(params + repr((len(relative), len(segment))).encode("ascii"))
+            key.update(np.ascontiguousarray(relative, dtype="<i8"))
+            key.update(np.ascontiguousarray(segment, dtype="<f8"))
+            key = key.hexdigest()
+            cached = memo.get(key)
+            if cached is not None and cached.shape == rows.shape:
+                rows[:] = cached
+                chunks[key] = cached
+                continue
         slices = sliding_window_view(segment, span) if len(segment) >= span else None
-        frames = _frame_rows(segment, slices, chunk_starts - lo, span, window_size)
+        frames = _frame_rows(segment, slices, relative, span, window_size)
         live = np.flatnonzero(~(np.sqrt((frames**2).mean(axis=1)) < silence_threshold))
-        if not live.size:
-            continue
-        if live.size < len(frames):
-            frames = frames[live]
-        proj = frames @ basis
-        magnitude = np.hypot(proj[:, : len(bins)], proj[:, len(bins) :])
-        energy = np.zeros((len(live), 12))
-        np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
-        top = np.argsort(energy, axis=1, kind="stable")[:, -3:]
-        strong = np.take_along_axis(energy, top, axis=1) > 0.05 * energy.max(
-            axis=1, keepdims=True
-        )
-        row, rank = np.nonzero(strong)
-        out[first + live[row], top[row, rank]] = 1.0
+        if live.size:
+            if live.size < len(frames):
+                frames = frames[live]
+            if basis is None:
+                basis = _note_bin_basis(window_size, n_fft, bins)
+            proj = frames @ basis
+            magnitude = np.hypot(proj[:, : len(bins)], proj[:, len(bins) :])
+            energy = np.zeros((len(live), 12))
+            np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
+            top = np.argsort(energy, axis=1, kind="stable")[:, -3:]
+            strong = np.take_along_axis(energy, top, axis=1) > 0.05 * energy.max(
+                axis=1, keepdims=True
+            )
+            row, rank = np.nonzero(strong)
+            rows[live[row], top[row, rank]] = 1.0
+        if memo is not None:
+            chunks[key] = rows.copy()
+    if memo is not None:
+        memo.clear()
+        memo.update(chunks)
     return out
+
+
+#: Format name and version of :func:`memo_to_json` documents.
+MEMO_FORMAT = "chroma-memo"
+MEMO_VERSION = 1
+
+_ROW_BITS = 1 << np.arange(12)
+_PACKED_ROWS = re.compile(r"(?:[0-9a-f]{3})*")
+
+
+def memo_to_json(memo: dict[str, np.ndarray]) -> str:
+    """A :func:`chroma_from_audio` memo as JSON: ``[key, rows]`` per chunk, in
+    memo order.  ``rows`` has three hex digits per row, bit ``i`` for pitch
+    class ``i``."""
+    chunks = [
+        [key, "".join(f"{v:03x}" for v in (rows != 0).astype(np.int64) @ _ROW_BITS)]
+        for key, rows in memo.items()
+    ]
+    return json.dumps({"format": MEMO_FORMAT, "version": MEMO_VERSION, "chunks": chunks},
+                      indent=1) + "\n"
+
+
+def memo_from_json(text: str) -> dict[str, np.ndarray]:
+    """Parse :func:`memo_to_json` output; raises ``ValueError`` if malformed."""
+    try:
+        doc = json.loads(text)
+        if doc["format"] != MEMO_FORMAT or doc["version"] != MEMO_VERSION:
+            raise ValueError(f"not a {MEMO_FORMAT} version {MEMO_VERSION} document")
+        memo = {}
+        for key, packed in doc["chunks"]:
+            if not (isinstance(key, str) and isinstance(packed, str)
+                    and _PACKED_ROWS.fullmatch(packed)):
+                raise ValueError("a chunk must be [key, rows] with three hex digits per row")
+            values = np.array([int(packed[i : i + 3], 16) for i in range(0, len(packed), 3)],
+                              dtype=np.int64)
+            memo[key] = ((values[:, None] & _ROW_BITS) != 0).astype(float).reshape(-1, 12)
+        return memo
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {MEMO_FORMAT}: {exc!r}") from exc
 
 
 def _mono_source(samples) -> tuple:

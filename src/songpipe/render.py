@@ -16,8 +16,10 @@ concatenate seamlessly.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -38,6 +40,10 @@ DOWNBEAT_GAIN = 1.5
 CLICK_DECAY_SEC = 0.0025
 CLICK_THRESHOLD = 0.5
 MIX_PEAK = 0.95
+
+#: Part of every window fingerprint: change it whenever :func:`render_stub`
+#: renders different audio or events from the same inputs.
+RENDER_VERSION = 1
 
 _TABLE_SIZE = 16384
 _SINE_TABLE = np.round(np.sin(2.0 * np.pi * np.arange(_TABLE_SIZE) / _TABLE_SIZE), 9)
@@ -129,6 +135,53 @@ def _chord_segments(chroma: np.ndarray) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(starts, starts[1:] + [t])]
 
 
+def window_frames(
+    bundle: ConditionBundle, window: GenerationWindow, sample_rate: int
+) -> tuple[int, int]:
+    """The frames ``[lo, hi)`` whose condition rows :func:`render_stub` reads for ``window``.
+
+    Frame ``f`` starts at sample ``round(f / frame_rate * sample_rate)``.
+    ``lo`` is the last frame that starts before the window's first sample
+    and ``hi - 1`` the first frame that starts after its last sample, each
+    clipped to the bundle.  Rendering from these rows
+    alone equals rendering from the whole bundle: a chord run cut at ``lo``
+    or ``hi`` starts before or ends after the window either way (so it has
+    no fade or ``chord_change`` there), and every frame that can click in
+    the window keeps both neighbours of its local-maximum test.
+    """
+    fr = bundle.frame_rate
+
+    def start(f: int) -> int:
+        return round(f / fr * sample_rate)
+
+    frames = range(bundle.num_frames)
+    first = round(window.start_sec * sample_rate)
+    last = round(window.end_sec * sample_rate)
+    lo = max(bisect_left(frames, first, key=start) - 1, 0)
+    hi = min(bisect_right(frames, last, key=start) + 1, bundle.num_frames)
+    return lo, hi
+
+
+def window_fingerprint(
+    bundle: ConditionBundle, window: GenerationWindow, sample_rate: int
+) -> str:
+    """SHA-256 of everything :func:`render_stub` reads to render ``window``.
+
+    That is :data:`RENDER_VERSION`, the sample and frame rates, the bundle's
+    frame count (which sets its duration), the window's fields, and the
+    chroma and rhythm rows of :func:`window_frames`.
+    """
+    lo, hi = window_frames(bundle, window, sample_rate)
+    digest = hashlib.sha256(repr(
+        (RENDER_VERSION, sample_rate, bundle.frame_rate, bundle.num_frames, window, lo, hi)
+    ).encode("utf-8"))
+    for rows in (bundle.chroma[lo:hi], bundle.rhythm[lo:hi]):
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        digest.update(repr(rows.shape).encode("ascii"))
+        digest.update(rows)
+    return digest.hexdigest()
+
+
 def render_stub(
     bundle: ConditionBundle,
     window: GenerationWindow,
@@ -137,7 +190,8 @@ def render_stub(
     """Render one window of a bundle to mono audio plus an event log.
 
     The window must lie inside the bundle's time span.  Event times are
-    absolute (song time), quantized to the sample grid.
+    absolute (song time), quantized to the sample grid.  Only the condition
+    rows of :func:`window_frames` are read.
     """
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
@@ -148,6 +202,8 @@ def render_stub(
             f"[0, {duration:.3f}) span"
         )
     fr = bundle.frame_rate
+    lo, hi = window_frames(bundle, window, sample_rate)
+    chroma, rhythm = bundle.chroma[lo:hi], bundle.rhythm[lo:hi]
     first_sample = round(window.start_sec * sample_rate)
     last_sample = round(window.end_sec * sample_rate)
     n = last_sample - first_sample
@@ -155,8 +211,9 @@ def render_stub(
     events: list[RenderEvent] = []
 
     fade_len = int(round(FADE_SEC * sample_rate))
-    for f0, f1 in _chord_segments(bundle.chroma):
-        pcs = np.nonzero(bundle.chroma[f0])[0]
+    for f0, f1 in _chord_segments(chroma):
+        pcs = np.nonzero(chroma[f0])[0]
+        f0, f1 = f0 + lo, f1 + lo  # song frames from here on
         seg_start = f0 / fr
         seg_end = min(f1 / fr, duration)
         a = max(round(seg_start * sample_rate), first_sample)
@@ -182,8 +239,8 @@ def render_stub(
         if is_change and first_sample <= true_start < last_sample:
             events.append(RenderEvent(true_start / sample_rate, "chord_change"))
 
-    beat_frames = local_maxima(bundle.rhythm[:, 0], CLICK_THRESHOLD)
-    down_frames = set(local_maxima(bundle.rhythm[:, 1], CLICK_THRESHOLD).tolist())
+    beat_frames = local_maxima(rhythm[:, 0], CLICK_THRESHOLD) + lo
+    down_frames = set((local_maxima(rhythm[:, 1], CLICK_THRESHOLD) + lo).tolist())
     click_len = int(round(CLICK_SEC * sample_rate))
     click_t = np.arange(click_len) / sample_rate
     click_env = np.exp(-click_t / CLICK_DECAY_SEC)

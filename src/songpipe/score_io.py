@@ -23,6 +23,7 @@ import json
 import struct
 from typing import Iterator
 
+from .render import replacing
 from .score import (
     DEFAULT_TEMPO_US,
     SECTION_LABELS,
@@ -445,11 +446,14 @@ def load_score(path) -> VocalScore:
 
 
 def save_score(score: VocalScore, path) -> None:
-    """Write a score to ``path``; ``.mid``/``.midi`` selects SMF, else JSON."""
+    """Write a score to ``path``; ``.mid``/``.midi`` selects SMF, else JSON.
+
+    The file replaces ``path`` whole or not at all (see :func:`render.replacing`).
+    """
     name = str(path).lower()
     if name.endswith((".mid", ".midi")):
         payload = write_smf(score)
     else:
         payload = score_to_json(score).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(payload)

@@ -1,11 +1,14 @@
 """Pipeline orchestration and subcommands, exercised through ``main(argv)``."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import pathlib
 import random
 import re
+import shutil
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -13,9 +16,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from songpipe import conditioning, planner, render, score_io
+from songpipe import cli, conditioning, metrics, planner, render, score_io
 from songpipe.cli import (
     _STAGE_FUNCS,
     ART,
@@ -615,8 +618,12 @@ def test_a_render_that_fails_midway_keeps_the_previous_output(
     args = ["run", "--score", str(score_file), "--output", str(out)]
     assert main(args) == 0
     fresh = _read_bytes_map(out)
-    assert len([n for n in fresh if n.startswith("window_")]) >= 2
+    windows = sorted(n for n in fresh if n.startswith("window_"))
+    assert len(windows) >= 2
     (out / "accompaniment.wav").write_bytes(b"an older accompaniment")
+    if failing == "render_stub":  # unchanged windows are not rendered again
+        for name in windows[:2]:
+            (out / name).write_bytes(b"junk")
 
     calls = []
 
@@ -708,3 +715,266 @@ def test_a_plan_without_windows_is_a_render_error(score_file, tmp_path):
     with pytest.raises(StageError, match="the plan has no windows") as err:
         run_pipeline(config, from_stage="render")
     assert err.value.stage == "render"
+
+
+# ---------------------------------------------------------------------------
+# Incremental resume: render and report redo only what changed
+
+_CACHES = ("render.json", "chroma_memo.json")
+
+
+def _strip_caches(directory) -> None:
+    for name in os.listdir(directory):
+        if name.startswith("window_") or name in _CACHES:
+            os.remove(os.path.join(directory, name))
+
+
+def _edit_bar(out, bar: int, root: int, quality: str) -> None:
+    path = out / "chords.txt"
+    lines = path.read_text().splitlines()
+    start, end, _ = lines[bar].split()
+    names = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
+    lines[bar] = f"{start} {end} {names[root]}:{quality}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _seam_bars(out) -> list[int]:
+    """Bars that start or end on a window edge of the plan in ``out``."""
+    starts = [float(line.split()[0]) for line in (out / "chords.txt").read_text().splitlines()]
+    edges = {w.start_sec for w in planner.plan_from_json((out / "plan.json").read_text())}
+    seams = set()
+    for bar, start in enumerate(starts):
+        if bar and any(abs(start - e) < 1e-6 for e in edges):
+            seams.update((bar - 1, bar))
+    return sorted(seams) or [0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    max_window=st.sampled_from((4.0, 9.0, 47.0)),
+    where=st.sampled_from(("any", "first", "last", "seam")),
+    pick=st.integers(0, 2**16),
+    root=st.integers(0, 11),
+    quality=st.sampled_from(("maj", "min")),
+    replan=st.sampled_from((None, 3.0, 47.0)),
+)
+# Seed 11 plans 5 windows at 47 s and 9 at 3 s.
+@example(seed=11, max_window=3.0, where="seam", pick=1, root=3, quality="min", replan=None)
+@example(seed=11, max_window=47.0, where="last", pick=0, root=9, quality="maj", replan=3.0)
+def test_a_cached_resume_equals_an_uncached_one(seed, max_window, where, pick, root,
+                                                quality, replan):
+    score = random_score(random.Random(seed), max_bars=6, min_bpm=100.0, max_bpm=160.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "song.mid").write_bytes(score_io.write_smf(score))
+        cached, uncached = tmp / "cached", tmp / "uncached"
+        run_pipeline(PipelineConfig(str(tmp / "song.mid"), str(cached),
+                                    max_window_sec=max_window))
+        bars = len((cached / "chords.txt").read_text().splitlines())
+        bar = {"any": pick % bars, "first": 0, "last": bars - 1,
+               "seam": _seam_bars(cached)[pick % len(_seam_bars(cached))]}[where]
+        _edit_bar(cached, bar, root, quality)
+        shutil.copytree(cached, uncached)
+        _strip_caches(uncached)
+        # A new max_window_sec re-plans the song, which can change the window count.
+        for out in (cached, uncached):
+            run_pipeline(PipelineConfig(str(tmp / "song.mid"), str(out),
+                                        max_window_sec=replan or max_window), "condition")
+        assert _read_bytes_map(cached) == _read_bytes_map(uncached)
+
+
+def _counting(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    renders = _counting(monkeypatch, render, "render_stub")
+    measured = _counting(monkeypatch, metrics, "_note_bin_basis")
+    chroma = _counting(monkeypatch, metrics, "chroma_from_audio")
+    run_pipeline(config, "condition")
+    assert (len(renders), len(measured), len(chroma)) == (0, 0, 1)
+    assert _read_bytes_map(out) == fresh
+
+
+@pytest.mark.parametrize("tamper, rendered", [
+    ("window", 1),
+    ("accompaniment", 0),
+    ("record", "all"),
+    ("record entry", 1),
+    ("record version", "all"),
+    ("memo", 0),
+])
+def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, monkeypatch,
+                                                         tamper, rendered):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    windows = sorted(n for n in fresh if n.startswith("window_"))
+    assert len(windows) >= 3
+    record = json.loads(fresh["render.json"])
+    if tamper == "window":  # same size, one sample changed
+        data = bytearray(fresh[windows[1]])
+        data[-1] ^= 1
+        (out / windows[1]).write_bytes(bytes(data))
+    elif tamper == "accompaniment":
+        (out / "accompaniment.wav").write_bytes(fresh["accompaniment.wav"][:-4])
+    elif tamper == "record":
+        (out / "render.json").write_text('{"format": "render", "version": 1, "windows": [')
+    elif tamper == "record entry":
+        record["windows"][2]["events"] = [["0.5", "beat"]]
+        (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record version":
+        record["version"] = 0
+        (out / "render.json").write_text(json.dumps(record))
+    else:
+        (out / "chroma_memo.json").write_text("not json")
+    renders = _counting(monkeypatch, render, "render_stub")
+    run_pipeline(config, "render")
+    assert len(renders) == (len(windows) if rendered == "all" else rendered)
+    assert _read_bytes_map(out) == fresh
+
+
+def test_memo_entries_that_do_not_fit_are_measured_again(score_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out))
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    memo = json.loads(fresh["chroma_memo.json"])
+    key, rows = memo["chunks"][0]
+    memo["chunks"][0] = [key, rows[:-3]]  # one row short
+    (out / "chroma_memo.json").write_text(json.dumps(memo))
+    measured = _counting(monkeypatch, metrics, "_note_bin_basis")
+    run_pipeline(config, "report")
+    assert len(measured) == 1
+    assert _read_bytes_map(out) == fresh
+
+
+# ---------------------------------------------------------------------------
+# Satellites: the key near-tie, a portable manifest, files named on parse errors
+
+
+def test_steady_frames_drop_the_radius_around_each_chord_change():
+    chroma = np.zeros((20, 12))
+    chroma[8:, 0] = 1.0  # one change, at frame 8
+    steady = cli.steady_frames(chroma, 3)
+    assert np.flatnonzero(~steady).tolist() == [5, 6, 7, 8, 9, 10]
+    assert cli.steady_frames(chroma[:8], 3).all()  # song edges are not changes
+
+
+def test_key_accuracy_skips_frames_whose_window_straddles_a_chord_change(tmp_path):
+    # On this score the unmasked per-section keys of the audio and of the
+    # conditions differ on a near-tie: the analysis windows around each chord
+    # change hear both chords.
+    path = tmp_path / "tie.mid"
+    path.write_bytes(score_io.write_smf(random_score(random.Random(86))))
+    out = tmp_path / "out"
+    report = run_pipeline(PipelineConfig(str(path), str(out)))["report"]
+    bundle = conditioning.bundle_from_json((out / "conditions.json").read_text())
+    audio = render.read_wav(out / "accompaniment.wav")
+    chroma = metrics.chroma_from_audio(audio.samples, audio.sample_rate, bundle.frame_rate,
+                                       bundle.num_frames)
+    hits = []
+    for section in sorted(set(bundle.structure.tolist())):
+        mask = (bundle.structure == section) & bundle.chroma.any(axis=1)
+        if mask.any() and chroma[mask].any():
+            hits.append(metrics.estimate_key(bundle.chroma[mask])
+                        == metrics.estimate_key(chroma[mask]))
+    assert not all(hits)
+    assert report["key_accuracy_audio_vs_conditions"] == 1.0
+    assert report["num_key_segments"] == len(hits)
+    # 6 chord changes, 10 frames each: a window of 8192 samples at 882 per frame
+    assert report["num_key_masked_frames"] == 60
+    assert json.loads((out / "report.json").read_text()) == report
+
+
+def test_the_manifest_does_not_depend_on_the_checkout_directory(score_file, tmp_path):
+    vocal = tmp_path / "vocal.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 4410))), vocal)
+    manifests = []
+    for checkout in ("a", "somewhere/else"):
+        inputs = tmp_path / checkout / "inputs"
+        inputs.mkdir(parents=True)
+        shutil.copy(score_file, inputs / "song.mid")
+        shutil.copy(vocal, inputs / "vocal.wav")
+        out = tmp_path / checkout / "out"
+        run_pipeline(PipelineConfig(str(inputs / "song.mid"), str(out),
+                                    vocal_path=str(inputs / "vocal.wav")))
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    config = json.loads(manifests[0])["config"]
+    assert (config["score_path"], config["vocal_path"], config["lyrics_path"]) == \
+        ("song.mid", "vocal.wav", None)
+    assert config["score_sha256"] == hashlib.sha256(score_file.read_bytes()).hexdigest()
+    assert config["vocal_sha256"] == hashlib.sha256(vocal.read_bytes()).hexdigest()
+    assert config["lyrics_sha256"] is None
+
+
+def _stage_files(score_file, tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(str(score_file), str(out)))
+    beats = tmp_path / "ref.beats"
+    beats.write_text("0.0 1\n0.5 2\n")
+    keys = tmp_path / "ref.keys"
+    keys.write_text("C:maj\n")
+    text = tmp_path / "ref.txt"
+    text.write_text("la la\n")
+    return out, beats, keys, text
+
+
+@pytest.mark.parametrize("flag, garbage, message", [
+    ("render --conditions", "{", "not valid JSON"),
+    ("render --plan", "[1, 2", "not valid JSON"),
+    ("condition --chords", "0 2 X:maj\n", "unknown pitch class name: 'X'"),
+    ("eval --ref-beats", "0.0 1 2\n", "beat line 1: expected 2 columns, got 3"),
+    ("eval --est-beats", "0.0 1 2\n", "beat line 1: expected 2 columns, got 3"),
+    ("eval --ref-chroma", "[]", "expected a JSON object with a 'chroma' key"),
+    ("eval --est-chroma", "{", "Expecting property name"),
+    ("eval --ref-keys", "H:maj\n", "unknown pitch class name: 'H'"),
+    ("eval --est-keys", "C:major-ish\n", "unknown key mode 'major-ish'"),
+    ("eval --ref-text", b"\xff\xfe", "codec can't decode"),
+    ("eval --hyp-text", b"la \xff\n", "codec can't decode"),
+    ("run --config", '{"score_path": "s.mid",', "config is not valid JSON"),
+])
+def test_a_file_argument_that_does_not_parse_is_named(score_file, tmp_path, capsys,
+                                                     flag, garbage, message):
+    out, beats, keys, text = _stage_files(score_file, tmp_path)
+    good = {
+        "render": {"--conditions": out / "conditions.json", "--plan": out / "plan.json",
+                   "-o": tmp_path / "render_out"},
+        "condition": {"--chords": out / "chords.txt", "-o": tmp_path / "c.json"},
+    }
+    pairs = {"beats": beats, "chroma": out / "conditions.json", "keys": keys, "text": text}
+    command, option = flag.split()
+    if command == "eval":
+        kind = option.split("-")[-1]
+        files = ("--ref-text", "--hyp-text") if kind == "text" else (f"--ref-{kind}",
+                                                                        f"--est-{kind}")
+        options = dict.fromkeys(files, pairs[kind])
+    elif command == "run":
+        options = {"--output": tmp_path / "o"}
+    else:
+        options = dict(good[command])
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(garbage if isinstance(garbage, bytes) else garbage.encode())
+    options[option] = bad
+    argv = [command] + ([str(score_file)] if command == "condition" else [])
+    for name, value in options.items():
+        argv += [name, str(value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read {bad}: " in err
+    assert message in err

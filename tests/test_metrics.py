@@ -439,3 +439,60 @@ def test_chroma_from_audio_reads_a_wav_file_as_it_reads_the_decoded_array(tmp_pa
         from_array = chroma_from_audio(render.read_wav(out / "accompaniment.wav").samples, *rest)
     assert from_file.any()
     assert np.array_equal(from_file, from_array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chroma_cases(), st.sampled_from((3, 16, 256)), st.data())
+def test_chroma_from_audio_with_a_memo_equals_it_without(case, chunk, data):
+    samples, sample_rate, frame_rate, num_frames, window_size = case
+    kwargs = dict(num_frames=num_frames, window_size=window_size)
+    # An edit: a span of the signal scaled, so some chunks read other samples.
+    edited = np.array(samples, dtype=float)
+    n = edited.shape[-1]
+    lo = data.draw(st.integers(0, n))
+    edited[..., lo : lo + data.draw(st.integers(0, n))] *= data.draw(st.sampled_from((0.0, 0.5)))
+    memo: dict = {}
+    with mock.patch.object(metrics, "_CHROMA_CHUNK", chunk):
+        first = chroma_from_audio(samples, sample_rate, frame_rate, memo=memo, **kwargs)
+        assert np.array_equal(first, chroma_from_audio(samples, sample_rate, frame_rate, **kwargs))
+        assert len(memo) <= -(-len(first) // chunk)
+        memo = metrics.memo_from_json(metrics.memo_to_json(memo))
+        after = chroma_from_audio(edited, sample_rate, frame_rate, memo=memo, **kwargs)
+        fresh_memo: dict = {}
+        fresh = chroma_from_audio(edited, sample_rate, frame_rate, memo=fresh_memo, **kwargs)
+    assert np.array_equal(after, fresh)
+    assert metrics.memo_to_json(memo) == metrics.memo_to_json(fresh_memo)
+
+
+def test_chroma_memo_keys_change_with_the_parameters():
+    t = np.arange(44100) / 44100
+    audio = 0.2 * np.sin(2 * np.pi * 261.63 * t)
+    keys = []
+    for kwargs in ({}, {"window_size": 4096}, {"silence_threshold": 1e-3}, {"high_midi": 83}):
+        memo: dict = {}
+        chroma_from_audio(audio, 44100, 50.0, memo=memo, **kwargs)
+        keys.append(set(memo))
+    assert all(a.isdisjoint(b) for i, a in enumerate(keys) for b in keys[i + 1:])
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"format": "chroma-memo", "version": 2, "chunks": []}',
+    '{"format": "chroma-memo", "version": 1, "chunks": [["k", "0f"]]}',
+    '{"format": "chroma-memo", "version": 1, "chunks": [["k", "-ff"]]}',
+    '{"format": "chroma-memo", "version": 1, "chunks": [["k"]]}',
+    '{"format": "chroma-memo", "version": 1}',
+])
+def test_malformed_chroma_memos_are_rejected(text):
+    with pytest.raises(ValueError):
+        metrics.memo_from_json(text)
+
+
+def test_chroma_memo_round_trips_twelve_bits_a_row():
+    rows = np.zeros((4, 12))
+    rows[1, [0, 4, 7]] = 1.0
+    rows[2] = 1.0
+    rows[3, 11] = 1.0
+    text = metrics.memo_to_json({"key": rows})
+    assert '"000091fff800"' in text
+    assert np.array_equal(metrics.memo_from_json(text)["key"], rows)

@@ -443,3 +443,136 @@ def test_wav_writer_keeps_the_old_file_when_the_stream_fails(tmp_path):
             raise RuntimeError("interrupted mid-stream")
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["x.wav"]
+
+
+# ---------------------------------------------------------------------------
+# render_stub reads only the rows of window_frames
+
+
+def _render_stub_oracle(bundle, window, sample_rate):
+    """render_stub as it was before it sliced the bundle: every chord run and
+    local maximum of the whole song, clipped to the window afterwards."""
+    duration = bundle.duration_sec
+    fr = bundle.frame_rate
+    first_sample = round(window.start_sec * sample_rate)
+    last_sample = round(window.end_sec * sample_rate)
+    n = last_sample - first_sample
+    out = np.zeros(n)
+    events = []
+    fade_len = int(round(render.FADE_SEC * sample_rate))
+    for f0, f1 in render._chord_segments(bundle.chroma):
+        pcs = np.nonzero(bundle.chroma[f0])[0]
+        seg_start = f0 / fr
+        seg_end = min(f1 / fr, duration)
+        a = max(round(seg_start * sample_rate), first_sample)
+        b = min(round(seg_end * sample_rate), last_sample)
+        if len(pcs) == 0 or b <= a:
+            continue
+        times = np.arange(a, b) / sample_rate
+        seg = np.zeros(b - a)
+        for pc in pcs:
+            seg += render.PAD_TONE_AMPLITUDE * render._table_sine(
+                midi_to_hz(render.PAD_OCTAVE_BASE_MIDI + pc), times)
+        env = np.ones(b - a)
+        true_start = round(seg_start * sample_rate)
+        true_end = round(seg_end * sample_rate)
+        ramp = min(fade_len, b - a)
+        if a == true_start and ramp > 0:
+            env[:ramp] = np.minimum(env[:ramp], np.arange(ramp) / max(fade_len, 1))
+        if b == true_end and ramp > 0:
+            env[-ramp:] = np.minimum(env[-ramp:], np.arange(ramp, 0, -1) / max(fade_len, 1))
+        out[a - first_sample : b - first_sample] += seg * env
+        if f0 > 0 and first_sample <= true_start < last_sample:
+            events.append(RenderEvent(true_start / sample_rate, "chord_change"))
+    beats = set(local_maxima(bundle.rhythm[:, 0], render.CLICK_THRESHOLD).tolist())
+    downs = set(local_maxima(bundle.rhythm[:, 1], render.CLICK_THRESHOLD).tolist())
+    click_len = int(round(render.CLICK_SEC * sample_rate))
+    click_t = np.arange(click_len) / sample_rate
+    click_env = np.exp(-click_t / render.CLICK_DECAY_SEC)
+    for f in sorted(beats | downs):
+        s_abs = round(f / fr * sample_rate)
+        if not first_sample <= s_abs < last_sample:
+            continue
+        amp = CLICK_AMPLITUDE * (DOWNBEAT_GAIN if f in downs else 1.0)
+        burst = amp * click_env * render._table_sine(render.CLICK_FREQ_HZ, click_t)
+        local = s_abs - first_sample
+        stop = min(local + click_len, n)
+        out[local:stop] += burst[: stop - local]
+        events.append(RenderEvent(s_abs / sample_rate, "downbeat" if f in downs else "beat"))
+    events.sort(key=lambda e: (e.time_sec, e.kind))
+    return out, events
+
+
+@st.composite
+def _bundles_and_windows(draw):
+    frames = draw(st.integers(1, 120))
+    frame_rate = draw(st.sampled_from((50.0, 43.0, 7.3, 1000.0)))
+    # Chord runs of 1 to 9 frames, some silent; rhythm with plateaus and ties.
+    chroma = np.zeros((frames, 12))
+    f = 0
+    while f < frames:
+        run = draw(st.integers(1, 9))
+        for pc in draw(st.lists(st.integers(0, 11), max_size=3)):
+            chroma[f : f + run, pc] = 1.0
+        f += run
+    levels = st.sampled_from((0.0, 0.3, 0.5, 0.7, 1.0))
+    rhythm = np.array([[draw(levels), draw(levels)] for _ in range(frames)])
+    bundle = ConditionBundle(frame_rate, rhythm, chroma, np.zeros(frames, dtype=np.int64),
+                             np.zeros(frames), ())
+    duration = bundle.duration_sec
+    a = draw(st.integers(0, frames - 1))
+    b = draw(st.integers(a + 1, frames))
+    # Window edges on frame boundaries, or anywhere in between.
+    start = draw(st.sampled_from((a / frame_rate, a / frame_rate + 0.37 / frame_rate)))
+    end = draw(st.sampled_from((b / frame_rate, min(b / frame_rate + 0.61 / frame_rate, duration))))
+    end = min(max(end, start + 1e-6), duration)
+    return bundle, _window(start, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_bundles_and_windows(), sample_rate=st.sampled_from((1, 37, 101, 997, 8000)))
+def test_render_stub_on_its_window_frames_equals_the_whole_bundle_render(case, sample_rate):
+    bundle, window = case
+    audio, events = render_stub(bundle, window, sample_rate)
+    samples, expected = _render_stub_oracle(bundle, window, sample_rate)
+    assert audio.samples[0].tobytes() == samples.tobytes()
+    assert events == expected
+    # The fingerprint reads the same rows: rows outside them change nothing.
+    lo, hi = render.window_frames(bundle, window, sample_rate)
+    outside = ConditionBundle(
+        bundle.frame_rate, bundle.rhythm.copy(), bundle.chroma.copy(), bundle.structure,
+        bundle.pitch_contour, ())
+    outside.chroma[:lo] = 1.0 - outside.chroma[:lo]
+    outside.chroma[hi:] = 1.0 - outside.chroma[hi:]
+    outside.rhythm[:lo] = 1.0 - outside.rhythm[:lo]
+    outside.rhythm[hi:] = 1.0 - outside.rhythm[hi:]
+    assert render.window_fingerprint(outside, window, sample_rate) == \
+        render.window_fingerprint(bundle, window, sample_rate)
+    audio_outside, events_outside = render_stub(outside, window, sample_rate)
+    assert audio_outside.samples.tobytes() == audio.samples.tobytes()
+    assert events_outside == events
+
+
+def test_window_fingerprint_changes_with_what_the_window_reads():
+    bundle = _bundle(T=200, chroma_rows=[((0, 200), (0, 4, 7))], beat_frames=(10, 150))
+    window = _window(1.0, 2.0)
+    base = render.window_fingerprint(bundle, window, SR)
+    lo, hi = render.window_frames(bundle, window, SR)
+    assert (lo, hi) == (49, 102)
+    inside = _bundle(T=200, chroma_rows=[((0, 200), (0, 4, 7)), ((60, 61), (2,))],
+                     beat_frames=(10, 150))
+    beat_inside = _bundle(T=200, chroma_rows=[((0, 200), (0, 4, 7))], beat_frames=(10, 101, 150))
+    changed = [
+        render.window_fingerprint(inside, window, SR),
+        render.window_fingerprint(beat_inside, window, SR),
+        render.window_fingerprint(bundle, _window(1.0, 2.02), SR),
+        render.window_fingerprint(bundle, window, 22050),
+        render.window_fingerprint(_bundle(T=201, chroma_rows=[((0, 200), (0, 4, 7))],
+                                          beat_frames=(10, 150)), window, SR),
+    ]
+    assert len({base, *changed}) == 6
+    # Frame 150 lies outside the rows the window reads.
+    beat_outside = _bundle(T=200, chroma_rows=[((0, 200), (0, 4, 7))], beat_frames=(10,))
+    assert render.window_fingerprint(beat_outside, window, SR) == base
+    with mock.patch.object(render, "RENDER_VERSION", render.RENDER_VERSION + 1):
+        assert render.window_fingerprint(bundle, window, SR) != base

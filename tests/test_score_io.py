@@ -1,16 +1,19 @@
 """SMF and canonical-JSON codecs: hand-built frames, round trips, fuzz."""
 from __future__ import annotations
 
+import os
 import random
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from songpipe import score_io
 from songpipe.score import Note, Section, VocalScore
 from songpipe.score_io import (
     ScoreFormatError,
     read_smf,
+    save_score,
     score_from_json,
     score_to_json,
     write_smf,
@@ -250,3 +253,15 @@ def test_smf_reader_total_on_arbitrary_bytes(data):
         read_smf(data)
     except ScoreFormatError:
         pass
+
+
+def test_save_score_keeps_the_old_file_when_the_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "shifted.mid"
+    save_score(simple_score([60, 62]), path)
+    old = path.read_bytes()
+    # A payload the binary file cannot take fails the write part-way.
+    monkeypatch.setattr(score_io, "write_smf", lambda score: "not bytes")
+    with pytest.raises(TypeError):
+        save_score(simple_score([64, 65]), path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["shifted.mid"]
