@@ -772,8 +772,9 @@ def test_a_cached_resume_equals_an_uncached_one(seed, max_window, where, pick, r
         run_pipeline(PipelineConfig(str(tmp / "song.mid"), str(cached),
                                     max_window_sec=max_window))
         bars = len((cached / "chords.txt").read_text().splitlines())
+        seams = _seam_bars(cached)
         bar = {"any": pick % bars, "first": 0, "last": bars - 1,
-               "seam": _seam_bars(cached)[pick % len(_seam_bars(cached))]}[where]
+               "seam": seams[pick % len(seams)]}[where]
         _edit_bar(cached, bar, root, quality)
         shutil.copytree(cached, uncached)
         _strip_caches(uncached)
