@@ -285,10 +285,10 @@ def chroma_from_audio(
         segment = np.ascontiguousarray(read(lo, hi), dtype=float)
         relative = chunk_starts - lo
         if memo is not None:
-            key = hashlib.sha256(params + repr((len(relative), len(segment))).encode("ascii"))
-            key.update(np.ascontiguousarray(relative, dtype="<i8"))
-            key.update(np.ascontiguousarray(segment, dtype="<f8"))
-            key = key.hexdigest()
+            digest = hashlib.sha256(params + repr((len(relative), len(segment))).encode("ascii"))
+            digest.update(np.ascontiguousarray(relative, dtype="<i8"))
+            digest.update(np.ascontiguousarray(segment, dtype="<f8"))
+            key = digest.hexdigest()
             cached = memo.get(key)
             if cached is not None and cached.shape == rows.shape:
                 rows[:] = cached

@@ -143,11 +143,11 @@ def window_frames(
     Frame ``f`` starts at sample ``round(f / frame_rate * sample_rate)``.
     ``lo`` is the last frame that starts before the window's first sample
     and ``hi - 1`` the first frame that starts after its last sample, each
-    clipped to the bundle.  Rendering from these rows
-    alone equals rendering from the whole bundle: a chord run cut at ``lo``
-    or ``hi`` starts before or ends after the window either way (so it has
-    no fade or ``chord_change`` there), and every frame that can click in
-    the window keeps both neighbours of its local-maximum test.
+    clipped to the bundle.  Rendering from these rows alone equals rendering
+    from the whole bundle: a chord run cut at ``lo`` or ``hi`` starts before
+    or ends after the window either way (so it has no fade or
+    ``chord_change`` there), and every frame that can click in the window
+    keeps both neighbours of its local-maximum test.
     """
     fr = bundle.frame_rate
 
