@@ -80,17 +80,16 @@ class PipelineConfig:
         ):
             object.__setattr__(self, name, parse(getattr(self, name)))
 
-    def to_manifest_dict(self) -> dict:
+    def to_manifest_dict(self, input_hashes: dict) -> dict:
         # output_dir is omitted and input paths are reduced to their base
         # names, so the same song run from any directory or checkout gives the
-        # same bytes; the input files are identified by their SHA-256 instead.
+        # same bytes; the input files are identified by ``input_hashes``
+        # (``score_sha256``, ``vocal_sha256``, ``lyrics_sha256``) instead.
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
         for name in ("score_path", "vocal_path", "lyrics_path", "reference_bank"):
             if doc[name] is not None:
                 doc[name] = os.path.basename(os.path.normpath(doc[name]))
-        for name in ("score", "vocal", "lyrics"):
-            path = getattr(self, f"{name}_path")
-            doc[f"{name}_sha256"] = _file_sha256(path) if path else None
+        doc.update(input_hashes)
         doc["profiles"] = [{"name": p.name, "low": p.low, "high": p.high} for p in self.profiles]
         doc["section_keys"] = list(self.section_keys) if self.section_keys else None
         return doc
@@ -229,6 +228,7 @@ def _argument(parse):
 ART = {
     "input_score": "input.score.json",
     "lyrics": "lyrics.txt",
+    "load_inputs": "load.json",
     "reference": "reference.json",
     "validation": "validation.json",
     "register": "register.json",
@@ -242,6 +242,7 @@ ART = {
     "events": "events.txt",
     "render_record": "render.json",
     "mix": "mix.wav",
+    "mix_inputs": "mix.json",
     "report": "report.json",
     "chroma_memo": "chroma_memo.json",
     "manifest": "manifest.json",
@@ -338,10 +339,42 @@ def _write(outdir: str, key: str, value) -> None:
     _write_file(_art(outdir, key), _codec(key)[0](value))
 
 
+#: The input-file hashes each stage that reads an outside file records, by
+#: the artifact it records them in.  Report copies them into the manifest.
+_INPUT_HASHES = {
+    "load_inputs": ("score_sha256", "lyrics_sha256"),
+    "mix_inputs": ("vocal_sha256",),
+}
+
+
+def _input_hashes(outdir: str) -> dict:
+    """The input-file hashes load and mix recorded, each None if not recorded.
+
+    An output directory written before these records existed has none; its
+    manifest then gives null hashes rather than hashes of the files as they
+    are now, which the run may not have read.
+    """
+    hashes = {}
+    for key, names in _INPUT_HASHES.items():
+        hashes.update(dict.fromkeys(names))
+        if not os.path.exists(_art(outdir, key)):
+            LOGGER.warning("no %s: manifest.json records no %s", ART[key], " or ".join(names))
+            continue
+        doc = _read(outdir, key, "report")
+        for name in names:
+            value = doc.get(name, 0) if isinstance(doc, dict) else 0
+            if not (value is None or isinstance(value, str)):
+                raise ValueError(f"{ART[key]} does not record {name} as a hash or null")
+            hashes[name] = value
+    return hashes
+
+
 def _stage_load(config: PipelineConfig, outdir: str) -> None:
     _write(outdir, "input_score", score_io.load_score(config.score_path))
+    hashes = {"score_sha256": _file_sha256(config.score_path), "lyrics_sha256": None}
     if config.lyrics_path:
         sheet = prep.load_lyrics(config.lyrics_path)
+        hashes["lyrics_sha256"] = _file_sha256(config.lyrics_path)
         _write(outdir, "lyrics", sheet)
         if config.reference_bank:
             names, bank = prep.load_reference_bank(config.reference_bank)
@@ -356,6 +389,7 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
                     "total": breakdown.total,
                 },
             })
+    _write(outdir, "load_inputs", hashes)
 
 
 def _stage_validate(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
@@ -558,6 +592,8 @@ def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) ->
     else:  # no vocal track given: an empty one, which mix zero-pads to silence
         vocal = render.AudioBuffer(accomp.sample_rate, np.zeros((1, 0)))
     render.mix(vocal, accomp, _art(outdir, "mix"))
+    _write(outdir, "mix_inputs",
+           {"vocal_sha256": _file_sha256(config.vocal_path) if config.vocal_path else None})
 
 
 def steady_frames(chroma: np.ndarray, radius: int) -> np.ndarray:
@@ -638,7 +674,7 @@ def _stage_report(
     _write(outdir, "manifest", {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
-        "config": config.to_manifest_dict(),
+        "config": config.to_manifest_dict(_input_hashes(outdir)),
         "artifacts": artifacts,
         "window_files": sorted(_window_name(w.order) for w in windows),
         "report": report,

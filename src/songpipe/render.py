@@ -9,10 +9,12 @@ at or above 0.5 (amplitude 0.3; 1.5x at downbeats).  Every emitted event is
 logged with its sample-accurate time, so closed-loop tests can compare the
 log, the audio and the conditions independently.
 
-Sines come from a fixed 16384-entry lookup table rounded to 1e-9, with
-truncating phase lookup and phase derived from absolute song time, so equal
-inputs render byte-identical audio and windows tiled over one song
-concatenate seamlessly.
+Sines come from a fixed 16384-entry lookup table rounded to 1e-9.  The
+entry for a frequency at a time is an exact integer function of the float
+product of the song time and the frequency (see :func:`_table_index`), and
+phase is derived from absolute song time, so equal inputs render
+byte-identical audio and windows tiled over one song concatenate
+seamlessly.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ RENDER_VERSION = 1
 
 _TABLE_SIZE = 16384
 _SINE_TABLE = np.round(np.sin(2.0 * np.pi * np.arange(_TABLE_SIZE) / _TABLE_SIZE), 9)
+#: One pad tone: the same bits as scaling each looked-up entry.
+_PAD_TABLE = PAD_TONE_AMPLITUDE * _SINE_TABLE
+#: Samples of a chord run synthesised at a time; bounds the temporaries.
+_PAD_CHUNK = 1 << 16
 
 
 class WavFormatError(ValueError):
@@ -100,11 +106,60 @@ class RenderEvent:
     kind: str
 
 
-def _table_sine(freq_hz: float, times_sec: np.ndarray) -> np.ndarray:
-    """Sine of ``freq_hz`` sampled at absolute times via the fixed table."""
-    phase = times_sec * freq_hz
-    idx = np.floor((phase % 1.0) * _TABLE_SIZE).astype(np.int64) % _TABLE_SIZE
-    return _SINE_TABLE[idx]
+def _table_index(freq_hz: float, times_sec: np.ndarray) -> np.ndarray:
+    """Sine-table index of ``freq_hz`` at the absolute times ``times_sec``, each ``>= 0``.
+
+    With ``N = _TABLE_SIZE`` and ``fl`` the float64 rounding of an exact
+    result, the index of time ``t`` is defined as
+    ``floor((fl(t * f) % 1.0) * N) % N``, and computed without a float
+    remainder as ``int64(fl(t * (f * N))) & (N - 1)``.  The two are equal,
+    bit for bit, because ``N`` is a power of two:
+
+    * ``f * N`` is exact, and ``fl(t * (f * N)) == fl(t * f) * N``: scaling
+      by a power of two commutes with rounding when nothing overflows or
+      becomes subnormal (a sample time ``t`` is 0 or at least one sample
+      period, so ``t * f`` is far above the subnormal range);
+    * for ``x = fl(t * f) >= 0``, ``fmod`` makes ``x % 1.0`` exactly
+      ``x - floor(x)``, so ``(x % 1.0) * N`` is exactly
+      ``x * N - N * floor(x)``, whose floor is ``floor(x * N)`` less a
+      multiple of ``N``;
+    * truncation equals ``floor`` for values in ``[0, 2**63)`` (so for
+      ``t * f`` below ``2**49`` cycles), and ``& (N - 1)`` equals ``% N``
+      for non-negative integers.
+    """
+    idx = (times_sec * (freq_hz * _TABLE_SIZE)).astype(np.int64)
+    idx &= _TABLE_SIZE - 1
+    return idx
+
+
+def _fade_ends(run: np.ndarray, fade_in: bool, fade_out: bool, fade_len: int) -> None:
+    """Apply a chord run's linear fades in place, as ``0.0 + run * env`` would.
+
+    ``env`` rises over the first ``fade_len`` samples when ``fade_in``, falls
+    over the last ``fade_len`` when ``fade_out``, and is 1 elsewhere; only
+    the ramp samples are touched.  Where a short run's ramps overlap, ``env``
+    is the smaller of the two.  Adding 0.0 turns the ``-0.0`` of a negative
+    sample times gain 0 into ``+0.0``, as summing into a zeroed buffer does.
+    """
+    n = len(run)
+    ramp = min(fade_len, n)
+    if ramp == 0:
+        return
+    rise, fall = np.arange(ramp) / fade_len, np.arange(ramp, 0, -1) / fade_len
+    if fade_in and fade_out and 2 * ramp > n:
+        env = np.ones(n)
+        env[:ramp] = rise
+        env[n - ramp:] = np.minimum(env[n - ramp:], fall)
+        ramps = [(run, env)]
+    else:
+        ramps = []
+        if fade_in:
+            ramps.append((run[:ramp], rise))
+        if fade_out:
+            ramps.append((run[n - ramp:], fall))
+    for part, env in ramps:
+        part *= env
+        part += 0.0
 
 
 def midi_to_hz(pitch: float) -> float:
@@ -223,19 +278,22 @@ def render_stub(
             # Log silent-to-chord boundaries handled by the next segment;
             # nothing to synthesize for an empty row.
             continue
-        times = np.arange(a, b) / sample_rate
-        seg = np.zeros(b - a)
-        for pc in pcs:
-            seg += PAD_TONE_AMPLITUDE * _table_sine(midi_to_hz(PAD_OCTAVE_BASE_MIDI + pc), times)
-        env = np.ones(b - a)
+        # Chord runs do not overlap and clicks come later, so each run sums
+        # its tones into zeros.  a >= round(seg_start * sample_rate) >= 0,
+        # so every time passed to _table_index is >= 0.
+        freqs = [midi_to_hz(PAD_OCTAVE_BASE_MIDI + pc) for pc in pcs]
+        for start in range(a, b, _PAD_CHUNK):
+            stop = min(start + _PAD_CHUNK, b)
+            times = np.arange(start, stop, dtype=float)  # exact: integers below 2**53
+            times /= sample_rate
+            dest = out[start - first_sample : stop - first_sample]
+            for freq in freqs:
+                dest += _PAD_TABLE[_table_index(freq, times)]
         true_start = round(seg_start * sample_rate)
         true_end = round(seg_end * sample_rate)
-        ramp = min(fade_len, b - a)
-        if a == true_start and ramp > 0:  # fade-in only at the real chord onset
-            env[:ramp] = np.minimum(env[:ramp], np.arange(ramp) / max(fade_len, 1))
-        if b == true_end and ramp > 0:
-            env[-ramp:] = np.minimum(env[-ramp:], np.arange(ramp, 0, -1) / max(fade_len, 1))
-        out[a - first_sample : b - first_sample] += seg * env
+        # fade-in only at the real chord onset, fade-out only at its real end
+        _fade_ends(out[a - first_sample : b - first_sample],
+                   a == true_start, b == true_end, fade_len)
         if is_change and first_sample <= true_start < last_sample:
             events.append(RenderEvent(true_start / sample_rate, "chord_change"))
 
@@ -244,6 +302,7 @@ def render_stub(
     click_len = int(round(CLICK_SEC * sample_rate))
     click_t = np.arange(click_len) / sample_rate
     click_env = np.exp(-click_t / CLICK_DECAY_SEC)
+    click_sine = _SINE_TABLE[_table_index(CLICK_FREQ_HZ, click_t)]
     for f in sorted(set(beat_frames.tolist()) | down_frames):
         t_event = f / fr
         s_abs = round(t_event * sample_rate)
@@ -251,7 +310,7 @@ def render_stub(
             continue
         is_down = f in down_frames
         amp = CLICK_AMPLITUDE * (DOWNBEAT_GAIN if is_down else 1.0)
-        burst = amp * click_env * _table_sine(CLICK_FREQ_HZ, click_t)
+        burst = amp * click_env * click_sine
         local = s_abs - first_sample
         stop = min(local + click_len, n)
         out[local:stop] += burst[: stop - local]

@@ -924,6 +924,42 @@ def test_the_manifest_does_not_depend_on_the_checkout_directory(score_file, tmp_
     assert config["lyrics_sha256"] is None
 
 
+def test_the_manifest_hashes_the_inputs_the_run_read(score_file, tmp_path):
+    vocal = tmp_path / "vocal.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 4410))), vocal)
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), vocal_path=str(vocal))
+    read_score = hashlib.sha256(score_file.read_bytes()).hexdigest()
+    run_pipeline(config)
+    assert json.loads((out / "load.json").read_text()) == \
+        {"score_sha256": read_score, "lyrics_sha256": None}
+    # Another song overwrites the score; a resume from render does not read it.
+    score_file.write_bytes(score_io.write_smf(random_score(random.Random(3))))
+    manifest = run_pipeline(config, "render")
+    assert manifest["config"]["score_sha256"] == read_score
+    # A new vocal is read by mix, so the resume records its hash.
+    render.write_wav(render.AudioBuffer(44100, np.ones((1, 4410)) / 4), vocal)
+    manifest = run_pipeline(config, "mix")
+    assert manifest["config"]["vocal_sha256"] == hashlib.sha256(vocal.read_bytes()).hexdigest()
+    assert manifest["config"]["score_sha256"] == read_score
+    assert {"load_inputs", "mix_inputs"} <= set(manifest["artifacts"])
+
+
+def test_a_directory_without_input_hash_records_gives_null_hashes(score_file, tmp_path, caplog):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out))
+    run_pipeline(config)
+    (out / "load.json").unlink()
+    with caplog.at_level("WARNING", logger="songpipe.cli"):
+        manifest = run_pipeline(config, "report")
+    assert manifest["config"]["score_sha256"] is None
+    assert "no load.json" in caplog.text
+    (out / "mix.json").write_text('{"vocal_sha256": 7}\n')
+    with pytest.raises(StageError, match="mix.json does not record vocal_sha256") as err:
+        run_pipeline(config, "report")
+    assert err.value.stage == "report"
+
+
 def _stage_files(score_file, tmp_path):
     out = tmp_path / "out"
     run_pipeline(PipelineConfig(str(score_file), str(out)))

@@ -5,11 +5,12 @@ import os
 import random
 import struct
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from songpipe import render
@@ -449,9 +450,26 @@ def test_wav_writer_keeps_the_old_file_when_the_stream_fails(tmp_path):
 # render_stub reads only the rows of window_frames
 
 
+_ORACLE_TABLE_SIZE = 16384
+_ORACLE_TABLE = np.round(
+    np.sin(2.0 * np.pi * np.arange(_ORACLE_TABLE_SIZE) / _ORACLE_TABLE_SIZE), 9)
+_ORACLE_PAD_AMPLITUDE = 0.2
+
+
+def _oracle_index(freq_hz, times_sec):
+    """The sine-table index as a float remainder of the phase, then floor."""
+    phase = times_sec * freq_hz
+    return np.floor((phase % 1.0) * _ORACLE_TABLE_SIZE).astype(np.int64) % _ORACLE_TABLE_SIZE
+
+
+def _oracle_sine(freq_hz, times_sec):
+    return _ORACLE_TABLE[_oracle_index(freq_hz, times_sec)]
+
+
 def _render_stub_oracle(bundle, window, sample_rate):
     """render_stub as it was before it sliced the bundle: every chord run and
-    local maximum of the whole song, clipped to the window afterwards."""
+    local maximum of the whole song, clipped to the window afterwards, with
+    whole-run tone, envelope and product arrays and its own table lookup."""
     duration = bundle.duration_sec
     fr = bundle.frame_rate
     first_sample = round(window.start_sec * sample_rate)
@@ -471,7 +489,7 @@ def _render_stub_oracle(bundle, window, sample_rate):
         times = np.arange(a, b) / sample_rate
         seg = np.zeros(b - a)
         for pc in pcs:
-            seg += render.PAD_TONE_AMPLITUDE * render._table_sine(
+            seg += _ORACLE_PAD_AMPLITUDE * _oracle_sine(
                 midi_to_hz(render.PAD_OCTAVE_BASE_MIDI + pc), times)
         env = np.ones(b - a)
         true_start = round(seg_start * sample_rate)
@@ -494,7 +512,7 @@ def _render_stub_oracle(bundle, window, sample_rate):
         if not first_sample <= s_abs < last_sample:
             continue
         amp = CLICK_AMPLITUDE * (DOWNBEAT_GAIN if f in downs else 1.0)
-        burst = amp * click_env * render._table_sine(render.CLICK_FREQ_HZ, click_t)
+        burst = amp * click_env * _oracle_sine(render.CLICK_FREQ_HZ, click_t)
         local = s_abs - first_sample
         stop = min(local + click_len, n)
         out[local:stop] += burst[: stop - local]
@@ -529,8 +547,38 @@ def _bundles_and_windows(draw):
     return bundle, _window(start, end)
 
 
+def _silence_around(frame_rate, frames, run, pcs):
+    """A bundle silent but for one chord run of ``pcs`` over frames ``run``."""
+    chroma = np.zeros((frames, 12))
+    chroma[run[0]:run[1], list(pcs)] = 1.0
+    return ConditionBundle(frame_rate, np.zeros((frames, 2)), chroma,
+                           np.zeros(frames, dtype=np.int64), np.zeros(frames), ())
+
+
+# Ramps that overlap: runs of 5 and 15 ms against 10 ms fades, so the
+# envelope is the minimum of the two ramps over the whole run or its middle.
+_SHORT_RUNS = [(_silence_around(1000.0, 60, (20, 20 + ms), (0, 4, 7)), _window(0.0, 0.06))
+               for ms in (5, 15)]
+# The triad is negative at its onset (frame 8 at 50 fps, sample 7056 at
+# 44.1 kHz), where the fade-in gain is 0: the product is -0.0, the sum +0.0.
+_NEGATIVE_ONSET = (_silence_around(50.0, 50, (8, 50), (0, 4, 7)), _window(0.0, 1.0))
+# One chord run through a whole 47 s window, with clicks: no fade, 2,072,700 samples.
+_LONG_RUN = (
+    ConditionBundle(50.0, np.tile([[1.0, 0.0], [0.0, 0.0], [0.2, 0.0], [0.0, 1.0]], (625, 1)),
+                    np.tile(np.eye(12)[[0, 4, 7]].sum(axis=0), (2500, 1)),
+                    np.zeros(2500, dtype=np.int64), np.zeros(2500), ()),
+    _window(1.5, 48.5),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=_bundles_and_windows(), sample_rate=st.sampled_from((1, 37, 101, 997, 8000)))
+@given(case=_bundles_and_windows(),
+       sample_rate=st.sampled_from((1, 37, 101, 997, 8000, 44100, 48000)))
+@example(case=_SHORT_RUNS[0], sample_rate=44100)
+@example(case=_SHORT_RUNS[1], sample_rate=44100)
+@example(case=_SHORT_RUNS[1], sample_rate=48000)
+@example(case=_NEGATIVE_ONSET, sample_rate=44100)
+@example(case=_LONG_RUN, sample_rate=44100)
 def test_render_stub_on_its_window_frames_equals_the_whole_bundle_render(case, sample_rate):
     bundle, window = case
     audio, events = render_stub(bundle, window, sample_rate)
@@ -576,3 +624,61 @@ def test_window_fingerprint_changes_with_what_the_window_reads():
     assert render.window_fingerprint(beat_outside, window, SR) == base
     with mock.patch.object(render, "RENDER_VERSION", render.RENDER_VERSION + 1):
         assert render.window_fingerprint(bundle, window, SR) != base
+
+
+def test_a_negative_onset_at_gain_zero_renders_plus_zero():
+    bundle, window = _NEGATIVE_ONSET
+    onset = round(8 / 50 * SR)
+    times = np.array([onset / SR])
+    assert sum(_oracle_sine(midi_to_hz(60 + pc), times)[0] for pc in (0, 4, 7)) < 0.0
+    sample = render_stub(bundle, window, SR)[0].samples[0, onset]
+    assert sample == 0.0 and not np.signbit(sample)
+
+
+# ---------------------------------------------------------------------------
+# The integer table index equals the float-remainder formula
+
+_INDEX_FREQS = [midi_to_hz(render.PAD_OCTAVE_BASE_MIDI + pc) for pc in range(12)] + [
+    render.CLICK_FREQ_HZ]
+_FOUR_HOURS = 4 * 3600
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    freq=st.sampled_from(_INDEX_FREQS),
+    sample_rate=st.integers(8000, 96000),
+    start=st.floats(0.0, _FOUR_HOURS),
+    edge=st.floats(0.0, 1.0),
+)
+@example(freq=_INDEX_FREQS[0], sample_rate=44100, start=0.0, edge=0.0)
+@example(freq=_INDEX_FREQS[-1], sample_rate=96000, start=_FOUR_HOURS, edge=1.0)
+def test_table_index_equals_the_float_remainder_formula(freq, sample_rate, start, edge):
+    # 512 sample times from `start`, as render_stub forms them ...
+    first = round(start * sample_rate)
+    samples = np.arange(first, first + 512) / sample_rate
+    # ... and the times within 8 ulps of a table-cell edge up to four hours in.
+    cell = round(edge * _FOUR_HOURS * freq * _ORACLE_TABLE_SIZE)
+    below = above = cell / _ORACLE_TABLE_SIZE / freq
+    near = [below]
+    for _ in range(8):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        near += [below, above]
+    near = np.array([t for t in near if t >= 0.0])
+    on_edge = np.mod(near * freq * _ORACLE_TABLE_SIZE, 1.0) == 0.0
+    assume(on_edge.any())
+    times = np.concatenate([samples, near])
+    assert render._table_index(freq, times).tolist() == _oracle_index(freq, times).tolist()
+
+
+def test_render_stub_holds_little_more_than_its_window():
+    # 40 s at 44.1 kHz inside one chord run, with clicks: the output is one
+    # float64 copy of the window, and the rest must stay small.
+    bundle, _ = _LONG_RUN
+    tracemalloc.start()
+    try:
+        audio, _ = render_stub(bundle, _window(1.0, 41.0), SR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audio.samples.nbytes == 40 * SR * 8
+    assert peak <= 2.5 * audio.samples.nbytes
