@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -102,16 +102,25 @@ def _optional_path(value) -> str | None:
     return value
 
 
+def _exactly(kind: type):
+    """A converter that passes a JSON value of type ``kind`` (not a subtype) through."""
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {kind.__name__}")
+        return value
+    return check
+
+
 #: How a config-file value becomes a field value, for the fields whose JSON
 #: form differs from the field or that PipelineConfig does not check itself.
 _FROM_JSON = {
-    "score_path": str,
-    "output_dir": str,
+    "score_path": _exactly(str),
+    "output_dir": _exactly(str),
     "vocal_path": _optional_path,
     "lyrics_path": _optional_path,
     "reference_bank": _optional_path,
-    "reject_fewer_lines": bool,
-    "seed": int,
+    "reject_fewer_lines": _exactly(bool),
+    "seed": _exactly(int),
     "profiles": lambda profiles: tuple(
         SingerProfile(str(p["name"]), int(p["low"]), int(p["high"])) for p in profiles or ()
     ) or DEFAULT_PROFILES,
@@ -131,7 +140,6 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "score_path" not in doc:
         raise ValueError("config is missing 'score_path'")
-    doc["output_dir"] = output_dir or doc.get("output_dir") or "songpipe_out"
     for key, convert in _FROM_JSON.items():
         if key in doc:
             try:
@@ -140,6 +148,7 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
                 raise ValueError(
                     f"config key {key!r} cannot be {doc[key]!r} ({type(exc).__name__}: {exc})"
                 ) from exc
+    doc["output_dir"] = output_dir or doc.get("output_dir") or "songpipe_out"
     return PipelineConfig(**doc)
 
 
@@ -382,12 +391,7 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
             _write(outdir, "reference", {
                 "bank_index": index,
                 "bank_file": names[index],
-                "penalty": {
-                    "sentence": breakdown.sentence,
-                    "profile": breakdown.profile,
-                    "structure": breakdown.structure,
-                    "total": breakdown.total,
-                },
+                "penalty": asdict(breakdown),
             })
     _write(outdir, "load_inputs", hashes)
 
@@ -912,15 +916,10 @@ def _cmd_run(args) -> int:
         config = PipelineConfig(
             score_path=args.score, output_dir=args.output or "songpipe_out"
         )
-    overrides = {}
-    if args.score:
-        overrides["score_path"] = args.score
-    if args.vocal:
-        overrides["vocal_path"] = args.vocal
-    if args.lyrics:
-        overrides["lyrics_path"] = args.lyrics
-    if args.bank:
-        overrides["reference_bank"] = args.bank
+    overrides = {field: getattr(args, arg) for arg, field in (
+        ("score", "score_path"), ("vocal", "vocal_path"),
+        ("lyrics", "lyrics_path"), ("bank", "reference_bank"),
+    ) if getattr(args, arg)}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:

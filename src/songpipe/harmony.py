@@ -44,10 +44,10 @@ class HarmonizerWeights:
     chord_change_penalty: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.emission_weight < 0 or self.transition_weight < 0:
-            raise ValueError("weights must be non-negative")
-        if self.chord_change_penalty < 0:
-            raise ValueError("chord_change_penalty must be non-negative")
+        for name in ("emission_weight", "transition_weight", "chord_change_penalty"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def chord_index(root: int, quality: str) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .conditioning import KeyLabel
+from .render import AudioBuffer
 
 #: Beat-matching tolerance in seconds.
 RHYTHM_TOLERANCE_SEC = 0.07
@@ -62,7 +63,7 @@ def match_events(
     tolerance: float = RHYTHM_TOLERANCE_SEC,
 ) -> MatchReport:
     """Greedily match two sorted event lists one-to-one within a tolerance."""
-    if tolerance < 0:
+    if not tolerance >= 0:  # also true for NaN
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     ref = sorted(reference)
     est = sorted(estimate)
@@ -245,10 +246,12 @@ def chroma_from_audio(
     slice is essentially silent.  Designed as an independent check of the
     stub renderer's triad pad, not a general transcription tool.
 
-    ``samples`` is a 1-D or (channels, n) array, or a source with ``read``
-    and ``n_samples`` such as :class:`songpipe.render.WavReader`.  Channels
-    are averaged.  Frames are measured ``_CHROMA_CHUNK`` at a time, each
-    chunk from its own span of samples, so a file source is never read whole.
+    ``samples`` is a 1-D or (channels, n) array of 1 or 2 channels, a
+    :class:`songpipe.render.AudioBuffer`, or a :class:`songpipe.render.WavReader`;
+    an array is wrapped as an ``AudioBuffer``.  Channels are averaged, and
+    samples outside the signal read as zeros.  Frames are measured
+    ``_CHROMA_CHUNK`` at a time, each chunk from its own span of samples, so
+    a file source is never read whole.
 
     ``memo`` maps a chunk key to that chunk's rows.  A chunk's key is the
     SHA-256 of everything its rows depend on: the samples it reads, its frame
@@ -256,7 +259,8 @@ def chroma_from_audio(
     key is in ``memo`` is copied from it instead of measured.  On return
     ``memo`` holds the keys and rows of this call's chunks only.
     """
-    read, n_samples = _mono_source(samples)
+    source = samples if hasattr(samples, "read") else AudioBuffer(sample_rate, samples)
+    n_samples = source.n_samples
     if num_frames is None:
         num_frames = int(np.ceil(n_samples / sample_rate * frame_rate))
     n_fft = 4 * window_size
@@ -280,9 +284,10 @@ def chroma_from_audio(
         chunk_starts = starts[first : first + _CHROMA_CHUNK]
         rows = out[first : first + len(chunk_starts)]
         # The samples this chunk's rows read, clipped to the signal.
-        lo = min(max(int(chunk_starts[0]), 0), n_samples)
-        hi = max(min(int(chunk_starts[-1]) + span, n_samples), lo)
-        segment = np.ascontiguousarray(read(lo, hi), dtype=float)
+        begin, end = int(chunk_starts[0]), int(chunk_starts[-1]) + span
+        lo = min(max(begin, 0), n_samples)
+        hi = max(min(end, n_samples), lo)
+        segment = source.read(lo, hi).mean(axis=0)
         relative = chunk_starts - lo
         if memo is not None:
             digest = hashlib.sha256(params + repr((len(relative), len(segment))).encode("ascii"))
@@ -294,8 +299,13 @@ def chroma_from_audio(
                 rows[:] = cached
                 chunks[key] = cached
                 continue
-        slices = sliding_window_view(segment, span) if len(segment) >= span else None
-        frames = _frame_rows(segment, slices, relative, span, window_size)
+        if (lo, hi) != (begin, end):
+            padded = np.zeros(end - begin)
+            padded[lo - begin : hi - begin] = segment
+            segment = padded
+        frames = sliding_window_view(segment, span)[chunk_starts - begin]
+        if window_size > span:
+            frames = np.hstack([frames, np.zeros((len(frames), 1))])
         live = np.flatnonzero(~(np.sqrt((frames**2).mean(axis=1)) < silence_threshold))
         if live.size:
             if live.size < len(frames):
@@ -359,52 +369,9 @@ def memo_from_json(text: str) -> dict[str, np.ndarray]:
         raise ValueError(f"malformed {MEMO_FORMAT}: {exc!r}") from exc
 
 
-def _mono_source(samples) -> tuple:
-    """``(read, n)`` for :func:`chroma_from_audio`'s ``samples``.
-
-    ``read(lo, hi)`` is the float64 channel mean of samples ``[lo, hi)``.
-    """
-    if hasattr(samples, "read"):
-        return (lambda lo, hi: np.asarray(samples.read(lo, hi), dtype=float).mean(axis=0),
-                samples.n_samples)
-    array = np.asarray(samples, dtype=float)
-    if array.ndim == 1:
-        return (lambda lo, hi: array[lo:hi]), len(array)
-    if array.ndim == 2:
-        return (lambda lo, hi: array[:, lo:hi].mean(axis=0)), array.shape[1]
-    raise ValueError("samples must be 1-D or (channels, n)")
-
-
 def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:
     """Hann-weighted cos columns then sin columns of the given n_fft-point DFT bins."""
     # Reduce k*n modulo n_fft in integers so the phase stays exact for large n.
     phase = (np.outer(np.arange(window_size), bins) % n_fft) * (2.0 * np.pi / n_fft)
     hann = np.hanning(window_size)[:, None]
     return np.hstack([hann * np.cos(phase), hann * np.sin(phase)])
-
-
-def _frame_rows(
-    samples: np.ndarray,
-    slices: np.ndarray | None,
-    starts: np.ndarray,
-    span: int,
-    width: int,
-) -> np.ndarray:
-    """One row ``samples[s : s + span]`` per start, zero-extended to ``width``.
-
-    Rows that run past either end of the signal are zero there; only those
-    rows are built one by one, so no padded copy of the signal is made.
-    ``slices`` is the length-``span`` sliding-window view of ``samples``.
-    """
-    inside = (starts >= 0) & (starts + span <= len(samples))
-    if span == width and inside.all():
-        return slices[starts]
-    rows = np.zeros((len(starts), width))
-    if inside.any():
-        rows[inside, :span] = slices[starts[inside]]
-    for i in np.flatnonzero(~inside):
-        lo = starts[i]
-        src_lo, src_hi = max(lo, 0), min(lo + span, len(samples))
-        if src_hi > src_lo:
-            rows[i, src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-    return rows

@@ -286,6 +286,17 @@ def test_eval_command_requires_pairs(tmp_path, capsys):
     assert main(["eval"]) == 1
 
 
+def test_nan_weight_and_tolerance_flags_are_rejected(score_file, tmp_path, capsys):
+    # These used to exit 0: C:maj for every bar, and F1 0.0 for identical beat files.
+    assert main(["harmonize", str(score_file), "--emission-weight", "nan"]) == 1
+    beats = tmp_path / "a.beats"
+    beats.write_text("0.0 1\n0.5 2\n")
+    assert main(["eval", "--ref-beats", str(beats), "--est-beats", str(beats),
+                 "--tolerance", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "emission_weight must be finite" in err and "tolerance must be non-negative" in err
+
+
 def test_section_key_estimates_cover_empty_sections():
     notes = tuple(Note(i * 480, 480, p) for i, p in enumerate([60, 64, 67, 72]))
     score = VocalScore(
@@ -502,6 +513,14 @@ def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path
     ("section_keys", [1, 2]),
     ("profiles", [{"name": "a"}]),
     ("vocal_path", 5),
+    ("reject_fewer_lines", "false"),
+    ("reject_fewer_lines", 1),
+    ("seed", 1.9),
+    ("seed", True),
+    ("seed", "12"),
+    ("score_path", 5),
+    ("output_dir", 5),
+    ("output_dir", False),
 ])
 def test_config_rejects_wrong_typed_values(key, value):
     # Each of these used to escape run as a TypeError, KeyError or

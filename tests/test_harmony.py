@@ -206,6 +206,10 @@ def test_weights_must_be_non_negative():
         HarmonizerWeights(emission_weight=-1.0)
     with pytest.raises(ValueError):
         HarmonizerWeights(chord_change_penalty=-0.1)
+    for value in (float("nan"), float("inf")):
+        for name in ("emission_weight", "transition_weight", "chord_change_penalty"):
+            with pytest.raises(ValueError, match=name):
+                HarmonizerWeights(**{name: value})
 
 
 def test_harmonize_rejects_empty_score():

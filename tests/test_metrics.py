@@ -81,6 +81,8 @@ def test_greedy_matching_attains_the_maximum():
 def test_match_events_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         match_events([0.0], [0.0], -0.1)
+    with pytest.raises(ValueError):
+        match_events([0.0], [0.0], float("nan"))
 
 
 def test_match_report_rates():
@@ -439,6 +441,20 @@ def test_chroma_from_audio_reads_a_wav_file_as_it_reads_the_decoded_array(tmp_pa
         from_array = chroma_from_audio(render.read_wav(out / "accompaniment.wav").samples, *rest)
     assert from_file.any()
     assert np.array_equal(from_file, from_array)
+    # Every kind of source is read one way: the same rows and the same memo keys.
+    buffer = render.read_wav(out / "accompaniment.wav")
+    assert buffer.channels == 1
+    sources = (reader, buffer, buffer.samples, buffer.samples[0])
+    memos: list[dict] = [{} for _ in sources]
+    with mock.patch.object(metrics, "_CHROMA_CHUNK", chunk):
+        for source, memo in zip(sources, memos):
+            assert np.array_equal(chroma_from_audio(source, *rest, memo=memo), from_file)
+    assert memos[0] and all(list(memo) == list(memos[0]) for memo in memos[1:])
+
+
+def test_chroma_from_audio_rejects_more_than_two_channels():
+    with pytest.raises(ValueError, match="1 or 2 channels"):
+        chroma_from_audio(np.zeros((3, 44100)), 44100, frame_rate=50)
 
 
 @settings(max_examples=40, deadline=None)
