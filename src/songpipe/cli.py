@@ -111,6 +111,13 @@ def _exactly(kind: type):
     return check
 
 
+def _profiles(value) -> tuple[SingerProfile, ...]:
+    if not _exactly(list)(value):
+        raise ValueError("expected at least one profile")
+    name, pitch = _exactly(str), _exactly(int)
+    return tuple(SingerProfile(name(p["name"]), pitch(p["low"]), pitch(p["high"])) for p in value)
+
+
 #: How a config-file value becomes a field value, for the fields whose JSON
 #: form differs from the field or that PipelineConfig does not check itself.
 _FROM_JSON = {
@@ -121,9 +128,7 @@ _FROM_JSON = {
     "reference_bank": _optional_path,
     "reject_fewer_lines": _exactly(bool),
     "seed": _exactly(int),
-    "profiles": lambda profiles: tuple(
-        SingerProfile(str(p["name"]), int(p["low"]), int(p["high"])) for p in profiles or ()
-    ) or DEFAULT_PROFILES,
+    "profiles": _profiles,
 }
 
 
@@ -448,13 +453,12 @@ def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:
     Sections without any notes (instrumental intros, breaks) fall back to
     the whole-score histogram.
     """
-    per_section = np.zeros((len(score.sections), 12))
-    for note in score.notes:
-        for i, sec in enumerate(score.sections):
-            lo = max(note.onset_tick, sec.start_tick)
-            hi = min(note.end_tick, sec.end_tick)
-            if hi > lo:
-                per_section[i, note.pitch % 12] += hi - lo
+    on, off, pc = np.array([(n.onset_tick, n.end_tick, n.pitch % 12) for n in score.notes],
+                           dtype=np.int64).reshape(-1, 3).T
+    # Tick overlaps are integers, so these float64 sums are exact in any order.
+    per_section = np.array([np.bincount(
+        pc, np.maximum(np.minimum(off, s.end_tick) - np.maximum(on, s.start_tick), 0), minlength=12
+    ) for s in score.sections]).reshape(-1, 12)
     overall = per_section.sum(axis=0)
     if not overall.any():
         raise ValueError("score has no notes; cannot estimate keys")

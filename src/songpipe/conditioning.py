@@ -496,27 +496,33 @@ def build_condition_bundle(
 def bundle_to_json(bundle: ConditionBundle) -> str:
     """Serialize a bundle as the canonical versioned JSON document.
 
-    ``tolist()`` yields the same Python floats and ints as ``float(x)`` and
-    ``int(x)`` on every element; chroma and structure values are truncated
-    to int.  Chroma is binary and goes through int8, so its values must
-    truncate into [-128, 127].
+    The text is ``json.dumps(doc, sort_keys=True)`` and a newline, over the
+    arrays' ``tolist()`` values; chroma and structure values truncate to int.
+    Chroma is binary and goes through int8, so its values must truncate into
+    [-128, 127].  Rhythm rows are nearly all distinct, so they skip _rows_json.
     """
-    doc = {
-        "format": CONDITIONS_JSON_FORMAT,
-        "version": CONDITIONS_JSON_VERSION,
-        "frame_rate": bundle.frame_rate,
-        "num_frames": bundle.num_frames,
-        "rhythm": bundle.rhythm.astype(float, copy=False).tolist(),
-        # int8 holds a binary chroma; a freed (T, 12) int64 copy raised glibc's
-        # mmap threshold and, with it, a six-song batch's peak RSS by 5 MB.
-        "chroma": bundle.chroma.astype(np.int8).tolist(),
-        "structure": bundle.structure.astype(np.int64, copy=False).tolist(),
-        "pitch_contour": bundle.pitch_contour.astype(float, copy=False).tolist(),
-        "keys": [
-            {"section": i, "tonic": k.tonic, "mode": k.mode} for i, k in bundle.keys
-        ],
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    keys = [{"section": i, "tonic": k.tonic, "mode": k.mode} for i, k in bundle.keys]
+    return "".join([
+        # int8: a freed (T, 12) int64 copy raised a six-song batch's peak RSS by 5 MB.
+        '{"chroma": ', _rows_json(bundle.chroma.astype(np.int8)),
+        ', "format": ', json.dumps(CONDITIONS_JSON_FORMAT),
+        ', "frame_rate": ', json.dumps(bundle.frame_rate),
+        ', "keys": ', json.dumps(keys, sort_keys=True),
+        ', "num_frames": ', json.dumps(bundle.num_frames),
+        ', "pitch_contour": ', _rows_json(bundle.pitch_contour.astype(float, copy=False)),
+        ', "rhythm": ', json.dumps(bundle.rhythm.astype(float, copy=False).tolist()),
+        ', "structure": ', _rows_json(bundle.structure.astype(np.int64, copy=False)),
+        ', "version": ', json.dumps(CONDITIONS_JSON_VERSION), "}\n",
+    ])
+
+
+def _rows_json(rows: np.ndarray) -> str:
+    """``json.dumps(rows.tolist())``; each row, by its bytes (-0.0 is not 0.0), formatted once."""
+    rows = np.ascontiguousarray(rows)
+    by_bytes = rows.view(f"V{rows.itemsize * math.prod(rows.shape[1:])}").ravel()
+    _, first, inverse = np.unique(by_bytes, return_index=True, return_inverse=True)
+    texts = [json.dumps(row) for row in rows[first].tolist()]
+    return "[" + ", ".join([texts[i] for i in inverse.tolist()]) + "]"
 
 
 def bundle_from_json(text: str | bytes) -> ConditionBundle:

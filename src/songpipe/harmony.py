@@ -121,12 +121,12 @@ def harmonize(
         raise ValueError("score is empty; nothing to harmonize")
     emis = weights.emission_weight * emission_matrix(bar_pitch_class_weights(score))
     path = viterbi_path(emis, transition_matrix(weights))
-    bar_len = score.ticks_per_bar
+    bar_len, end_tick = score.ticks_per_bar, score.end_tick
     entries = []
     for bar, c in enumerate(path):
         root, quality = CHORDS[c]
         start = tick_to_seconds(score, bar * bar_len)
-        end = tick_to_seconds(score, min((bar + 1) * bar_len, score.end_tick))
+        end = tick_to_seconds(score, min((bar + 1) * bar_len, end_tick))
         if end <= start:  # final partial bar may collapse on pathological maps
             continue
         entries.append(ChordSpan(start, end, root, quality))

@@ -188,25 +188,29 @@ def estimate_key(chroma: np.ndarray) -> KeyLabel:
     profile = chroma.sum(axis=0)
     if not np.any(profile):
         raise ValueError("chromagram is all-zero; key is undefined")
+    da, da_squares = _centred(profile)
     best: tuple[float, int, int] | None = None
-    for tonic in range(12):
-        for mode_index, template in enumerate((KS_MAJOR_PROFILE, KS_MINOR_PROFILE)):
-            rotated = np.roll(np.asarray(template), tonic)
-            score = _pearson(profile, rotated)
-            key = (-score, tonic, mode_index)
-            if best is None or key < best:
-                best = key
+    for tonic, mode_index, db, db_squares in _KS_TEMPLATES:
+        denom = np.sqrt(da_squares * db_squares)
+        score = 0.0 if denom == 0.0 else float((da * db).sum() / denom)
+        key = (-score, tonic, mode_index)
+        if best is None or key < best:
+            best = key
     assert best is not None
     return KeyLabel(best[1], "major" if best[2] == 0 else "minor")
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt((da**2).sum() * (db**2).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((da * db).sum() / denom)
+def _centred(values: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    d = values - values.mean()
+    return d, (d**2).sum()
+
+
+#: The 24 rotated profiles' (tonic, mode index, _centred parts), in tie order.
+_KS_TEMPLATES = tuple(
+    (tonic, mode_index, *_centred(np.roll(np.asarray(template), tonic)))
+    for tonic in range(12)
+    for mode_index, template in enumerate((KS_MAJOR_PROFILE, KS_MINOR_PROFILE))
+)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,56 @@ def test_section_key_estimates_cover_empty_sections():
         section_key_estimates(silent)
 
 
+def _section_histograms_loop_oracle(score):
+    """Reference per-section pitch-class histograms: one Python add per note and section."""
+    per_section = np.zeros((len(score.sections), 12))
+    for note in score.notes:
+        for i, sec in enumerate(score.sections):
+            lo = max(note.onset_tick, sec.start_tick)
+            hi = min(note.end_tick, sec.end_tick)
+            if hi > lo:
+                per_section[i, note.pitch % 12] += hi - lo
+    return per_section
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_section_key_estimates_equal_the_loop_oracle(seed):
+    # Notes start anywhere and may run across one or more section edges; the
+    # sections past the last note, and a gap in the melody, hold no notes.
+    rng = random.Random(seed)
+    edges = sorted(rng.sample(range(1, 20_000), rng.randint(0, 6)))
+    edges = [0, *edges, edges[-1] + rng.randint(1, 5_000) if edges else 5_000]
+    sections = tuple(Section("verse", a, b) for a, b in zip(edges, edges[1:]))
+    gap = sorted(rng.sample(range(edges[-1]), 2))
+    notes = tuple(
+        Note(onset, rng.randint(1, 3_000), rng.randint(0, 127))
+        for onset in sorted(rng.sample(range(edges[-1]), rng.randint(0, 40)))
+        if not gap[0] <= onset < gap[1]
+    )
+    score = VocalScore(notes=notes, sections=sections)
+    expected = _section_histograms_loop_oracle(score)
+    seen = []
+
+    def record(hist):
+        seen.append(np.array(hist[0]))
+        return conditioning.KeyLabel(0, "major")
+
+    if not expected.any():
+        with pytest.raises(ValueError, match="no notes"):
+            section_key_estimates(score)
+        return
+    with mock.patch.object(metrics, "estimate_key", side_effect=record):
+        section_key_estimates(score)
+    fallback = expected.sum(axis=0)
+    assert len(seen) == len(sections)
+    for i, hist in enumerate(seen):
+        np.testing.assert_array_equal(hist, expected[i] if expected[i].any() else fallback)
+    assert section_key_estimates(score) == [
+        (i, metrics.estimate_key(h if h.any() else fallback)) for i, h in enumerate(expected)
+    ]
+
+
 @pytest.mark.parametrize(
     "name, garbage",
     [("conditions.json", '{"format": "conditions", "num_frames": "many"}'),
@@ -512,6 +562,11 @@ def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path
     ("section_keys", 5),
     ("section_keys", [1, 2]),
     ("profiles", [{"name": "a"}]),
+    ("profiles", [{"name": 5, "low": 50, "high": 69}]),
+    ("profiles", [{"name": "alto", "low": "50", "high": 69}]),
+    ("profiles", [{"name": "alto", "low": 50, "high": 69.9}]),
+    ("profiles", [{"name": "alto", "low": True, "high": 69}]),
+    ("profiles", []),
     ("vocal_path", 5),
     ("reject_fewer_lines", "false"),
     ("reject_fewer_lines", 1),

@@ -8,11 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from songpipe.conditioning import (
     ChordSequence,
     ChordSpan,
+    ConditionBundle,
     KeyLabel,
     beat_downbeat_events,
     build_condition_bundle,
@@ -501,6 +502,50 @@ def test_bundle_to_json_equals_the_loop_oracle(seed, sigma, frame_rate, odd):
         rhythm[:: 7] = rng.choice(_ODD_FLOATS)
         bundle = replace(bundle, rhythm=rhythm)
     assert _first_difference(bundle_to_json(bundle), _bundle_to_json_loop_oracle(bundle)) is None
+
+
+_CHROMA_VALUES = (0.0, 1.0, 2.0, -1.0, 1.9, -0.0)
+_CONTOUR_VALUES = (0.0, -0.0, 60.0, 61.5, math.nan, math.inf, -math.inf, 5e-324)
+
+
+@st.composite
+def _bundles(draw):
+    """Bundles whose rows are all repeated, all distinct by bytes, or drawn from a small pool."""
+    t = draw(st.integers(0, 40))
+    layout = draw(st.sampled_from(("pool", "repeated", "distinct")))
+    values = lambda elements, size: draw(st.lists(elements, min_size=size, max_size=size))
+    chroma = np.array(values(st.sampled_from(_CHROMA_VALUES), 12 * t)).reshape(t, 12)
+    structure = np.array(values(st.integers(0, len(SECTION_LABELS) - 1), t), dtype=np.int64)
+    contour = np.array(values(st.sampled_from(_CONTOUR_VALUES), t), dtype=float)
+    if layout == "repeated":
+        chroma[:], structure[:], contour[:] = chroma[:1], structure[:1], contour[:1]
+    elif layout == "distinct":
+        frames = np.arange(t)
+        chroma = ((frames[:, None] >> np.arange(12)) & 1).astype(float)
+        chroma[:, 11] = np.where(frames % 2, 2.0, -1.0)
+        structure = frames.astype(np.int64)
+        contour = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, *(60 + frames / 8)][:t])
+    rhythm = np.array(values(st.floats(width=64), 2 * t), dtype=float).reshape(t, 2)
+    keys = [(i, KeyLabel(draw(st.integers(0, 11)), draw(st.sampled_from(("major", "minor")))))
+            for i in range(draw(st.integers(0, 3)))]
+    frame_rate = draw(st.sampled_from((50.0, 37.5, 100.0, 1e-3)))
+    return ConditionBundle(frame_rate, rhythm, chroma, structure, contour, keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bundles())
+@example(ConditionBundle(50.0, np.zeros((0, 2)), np.zeros((0, 12)), np.zeros(0, np.int64),
+                         np.zeros(0), ()))
+@example(ConditionBundle(50.0, np.array([[-0.0, 1.0]]), np.array([[2.0, -1.0, 1.9] + [0.0] * 9]),
+                         np.array([3]), np.array([math.nan]), ((0, KeyLabel(9, "minor")),)))
+@example(ConditionBundle(50.0, np.zeros((4, 2)), np.ones((4, 12)), np.zeros(4, np.int64),
+                         np.array([0.0, -0.0, -0.0, 0.0]), ()))
+def test_bundle_to_json_equals_the_loop_oracle_on_drawn_bundles(bundle):
+    # Rows are formatted once per distinct byte pattern: -0.0 and 0.0 in one
+    # column, NaN and infinities, truncated non-binary chroma and T of 0 or 1
+    # must all come out as one json.dumps of the whole document writes them.
+    text = bundle_to_json(bundle)
+    assert _first_difference(text, _bundle_to_json_loop_oracle(bundle)) is None
 
 
 def test_bundle_to_json_writes_negative_zero_and_subnormals():

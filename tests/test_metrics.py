@@ -247,6 +247,52 @@ def test_estimate_key_rejects_silence_and_bad_shapes():
         estimate_key(np.zeros((4, 13)))
 
 
+def _estimate_key_pearson_oracle(profile):
+    """Reference key estimate: one Pearson correlation per rotated template."""
+    def pearson(a, b):
+        da = a - a.mean()
+        db = b - b.mean()
+        denom = np.sqrt((da**2).sum() * (db**2).sum())
+        if denom == 0.0:
+            return 0.0
+        return float((da * db).sum() / denom)
+
+    scores = {
+        (tonic, mode): pearson(profile, np.roll(np.asarray(template), tonic))
+        for tonic in range(12)
+        for mode, template in (("major", metrics.KS_MAJOR_PROFILE),
+                               ("minor", metrics.KS_MINOR_PROFILE))
+    }
+    best = max(scores.values())
+    tied = [key for key, score in scores.items() if score == best]
+    return KeyLabel(*tied[0]), len({tonic for tonic, _ in tied}) > 1
+
+
+# Period-6 profiles whose best score is an exact tie between two tonics six
+# semitones apart; the flat one makes every denominator 0.
+_TIED_PROFILES = (
+    [3, 3, 0, 2, 4, 3] * 2,
+    [3, 2, 3, 2, 4, 1] * 2,
+    [0, 2, 0, 0, 4, 0] * 2,
+    [1.0] * 12,
+)
+
+
+@pytest.mark.parametrize("profile", _TIED_PROFILES)
+def test_estimate_key_breaks_exact_ties_as_the_oracle_does(profile):
+    profile = np.asarray(profile, dtype=float)
+    expected, tied = _estimate_key_pearson_oracle(profile)
+    assert tied  # the case under test really is a tie between tonics
+    assert estimate_key(profile[None, :]) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=12, max_size=12).filter(any))
+def test_estimate_key_equals_the_pearson_oracle(profile):
+    profile = np.asarray(profile)
+    assert estimate_key(profile[None, :]) == _estimate_key_pearson_oracle(profile)[0]
+
+
 def _sines(freqs, duration, sr, amp=0.2):
     t = np.arange(int(duration * sr)) / sr
     return sum(amp * np.sin(2 * np.pi * f * t) for f in freqs)
