@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,36 +49,108 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _exactly(kind: type):
+    """A parser that passes a JSON value of type ``kind`` (not a subtype) through."""
+    def check(name: str, value):
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {kind.__name__}")
+        return value
+    return check
+
+
+def _optional_path(name: str, value) -> str | None:
+    # open() takes an int as a file descriptor, so a number here is refused.
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a path or null")
+    return value
+
+
+def _profiles(name: str, value) -> tuple[SingerProfile, ...]:
+    """Singer profiles, each a :class:`SingerProfile` or a JSON object of its fields."""
+    if type(value) not in (list, tuple):
+        raise TypeError("expected a JSON list")
+    if not value:
+        raise ValueError(f"{name} must hold at least one profile, got {value!r}")
+    text, pitch = _exactly(str), _exactly(int)
+    return tuple(p if type(p) is SingerProfile else SingerProfile(
+        text(name, p["name"]), pitch(name, p["low"]), pitch(name, p["high"])) for p in value)
+
+
+def _number(*rules: tuple, kind: type = float):
+    """A parser of a JSON number, returned as ``kind``, that passes each ``(test, rule)``.
+
+    ``test`` sees the number as a float (NaN for an int beyond the float range)
+    and ``rule`` words it.  Strings and booleans are refused.
+    """
+    def parse(name: str, value):
+        if type(value) not in (int, float):
+            raise TypeError("expected a JSON number")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.nan
+        for test, rule in rules:
+            if not test(number):
+                raise ValueError(f"{name} must {rule}, got {value}")
+        return kind(value)
+    return parse
+
+
+_WHOLE = (float.is_integer, "be a whole number")
+
+
+def _section_keys(name: str, keys) -> tuple[str, ...] | None:
+    """One key name per section, such as ``"C:maj"``; None or empty means estimated keys."""
+    if keys is not None and not (
+        isinstance(keys, (list, tuple)) and all(isinstance(k, str) for k in keys)
+    ):
+        raise ValueError(f'{name} must be a list of key names such as "C:maj", got {keys!r}')
+    return tuple(keys) if keys else None
+
+
+def _field(parse, default=MISSING, flag: str | None = None):
+    """A config field whose every value goes through ``parse(name, value)``; ``flag`` sets it."""
+    return field(default=default, metadata={"parse": parse, "flag": flag})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything ``run`` needs; file paths plus all tunable parameters."""
 
-    score_path: str
-    output_dir: str
-    vocal_path: str | None = None
-    lyrics_path: str | None = None
-    reference_bank: str | None = None
-    reject_fewer_lines: bool = False
-    profiles: tuple[SingerProfile, ...] = DEFAULT_PROFILES
-    frame_rate: float = conditioning.DEFAULT_FRAME_RATE
-    sigma: float = conditioning.DEFAULT_SIGMA
-    max_window_sec: float = planner.MAX_WINDOW_SEC
-    intro_bars: int = harmony.DEFAULT_INTRO_BARS
-    sample_rate: int = render.DEFAULT_SAMPLE_RATE
-    seed: int = 0
-    section_keys: tuple[str, ...] | None = None
+    score_path: str = _field(_exactly(str))
+    output_dir: str = _field(_exactly(str))
+    vocal_path: str | None = _field(_optional_path, None)
+    lyrics_path: str | None = _field(_optional_path, None)
+    reference_bank: str | None = _field(_optional_path, None)
+    reject_fewer_lines: bool = _field(_exactly(bool), False)
+    profiles: tuple[SingerProfile, ...] = _field(_profiles, DEFAULT_PROFILES)
+    frame_rate: float = _field(_number((lambda x: 0.0 < x < math.inf, "be finite and > 0 fps")),
+                               conditioning.DEFAULT_FRAME_RATE, "--frame-rate")
+    sigma: float = _field(_number(
+        (lambda x: 0.0 < x < math.inf, "be finite and > 0 s"),
+        (lambda x: 2.0 * x * x > 0.0,  # rhythm_activation divides by 2*sigma*sigma
+         "be > 2**-538 s (about 1.1e-162 s) so that 2*sigma*sigma > 0"),
+    ), conditioning.DEFAULT_SIGMA, "--sigma")
+    max_window_sec: float = _field(_number((lambda x: 0.0 < x <= planner.MAX_WINDOW_SEC,
+                                            f"be > 0 and at most {planner.MAX_WINDOW_SEC} s")),
+                                   planner.MAX_WINDOW_SEC, "--max-window")
+    intro_bars: int = _field(_number((lambda x: x >= 0.0, "be >= 0"), _WHOLE, kind=int),
+                             harmony.DEFAULT_INTRO_BARS, "--intro-bars")
+    sample_rate: int = _field(
+        _number((lambda x: 1.0 <= x < math.inf, "be finite and >= 1 Hz"), _WHOLE, kind=int),
+        render.DEFAULT_SAMPLE_RATE, "--sample-rate")
+    seed: int = _field(_exactly(int), 0)
+    section_keys: tuple[str, ...] | None = _field(_section_keys, None)
 
     def __post_init__(self) -> None:
         # A config built in code passes the same checks as a config file.
-        for name, parse in (
-            ("frame_rate", _frame_rate),
-            ("sigma", _sigma),
-            ("max_window_sec", _max_window_sec),
-            ("intro_bars", _intro_bars),
-            ("sample_rate", _sample_rate),
-            ("section_keys", _section_keys),
-        ):
-            object.__setattr__(self, name, parse(getattr(self, name)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, f.metadata["parse"](f.name, value))
+            except (TypeError, KeyError) as exc:
+                raise ValueError(f"config key {f.name!r} cannot be {value!r} "
+                                 f"({type(exc).__name__}: {exc})") from exc
 
     def to_manifest_dict(self, input_hashes: dict) -> dict:
         # output_dir is omitted and input paths are reduced to their base
@@ -90,46 +162,8 @@ class PipelineConfig:
             if doc[name] is not None:
                 doc[name] = os.path.basename(os.path.normpath(doc[name]))
         doc.update(input_hashes)
-        doc["profiles"] = [{"name": p.name, "low": p.low, "high": p.high} for p in self.profiles]
-        doc["section_keys"] = list(self.section_keys) if self.section_keys else None
+        doc["profiles"] = [asdict(p) for p in self.profiles]
         return doc
-
-
-def _optional_path(value) -> str | None:
-    # open() takes an int as a file descriptor, so a number here is refused.
-    if value is not None and not isinstance(value, str):
-        raise TypeError("expected a path or null")
-    return value
-
-
-def _exactly(kind: type):
-    """A converter that passes a JSON value of type ``kind`` (not a subtype) through."""
-    def check(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected a JSON {kind.__name__}")
-        return value
-    return check
-
-
-def _profiles(value) -> tuple[SingerProfile, ...]:
-    if not _exactly(list)(value):
-        raise ValueError("expected at least one profile")
-    name, pitch = _exactly(str), _exactly(int)
-    return tuple(SingerProfile(name(p["name"]), pitch(p["low"]), pitch(p["high"])) for p in value)
-
-
-#: How a config-file value becomes a field value, for the fields whose JSON
-#: form differs from the field or that PipelineConfig does not check itself.
-_FROM_JSON = {
-    "score_path": _exactly(str),
-    "output_dir": _exactly(str),
-    "vocal_path": _optional_path,
-    "lyrics_path": _optional_path,
-    "reference_bank": _optional_path,
-    "reject_fewer_lines": _exactly(bool),
-    "seed": _exactly(int),
-    "profiles": _profiles,
-}
 
 
 def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig:
@@ -145,94 +179,29 @@ def config_from_json(text: str, output_dir: str | None = None) -> PipelineConfig
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "score_path" not in doc:
         raise ValueError("config is missing 'score_path'")
-    for key, convert in _FROM_JSON.items():
-        if key in doc:
-            try:
-                doc[key] = convert(doc[key])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise ValueError(
-                    f"config key {key!r} cannot be {doc[key]!r} ({type(exc).__name__}: {exc})"
-                ) from exc
-    doc["output_dir"] = output_dir or doc.get("output_dir") or "songpipe_out"
+    if output_dir or doc.get("output_dir", "") == "":
+        doc["output_dir"] = output_dir or "songpipe_out"
     return PipelineConfig(**doc)
 
 
-def _number(convert, value, otherwise):
-    """``convert(value)``, or ``otherwise`` if ``value`` is not a number ``convert`` takes."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):  # wrong type, NaN, infinite or too large
-        return otherwise
+def _add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """Add config field ``name``'s flag, by default with the field's default.
 
+    Its text is read as a number (an int if it is one) for the field's parser.
+    """
+    f = next(f for f in fields(PipelineConfig) if f.name == name)
 
-def _max_window_sec(value) -> float:
-    """A window-length limit in seconds; must lie in (0, planner.MAX_WINDOW_SEC]."""
-    seconds = _number(float, value, math.nan)
-    if not 0.0 < seconds <= planner.MAX_WINDOW_SEC:
-        raise ValueError(
-            f"max_window_sec must be > 0 and at most {planner.MAX_WINDOW_SEC} s, "
-            f"got {value}"
-        )
-    return seconds
-
-
-def _positive(key: str, value, unit: str) -> float:
-    """``value`` as a float; it must be finite and > 0."""
-    number = _number(float, value, math.nan)
-    if not (math.isfinite(number) and number > 0.0):
-        raise ValueError(f"{key} must be finite and > 0 {unit}, got {value}")
-    return number
-
-
-def _frame_rate(value) -> float:
-    """Conditioning frames per second; must be finite and > 0."""
-    return _positive("frame_rate", value, "fps")
-
-
-def _sigma(value) -> float:
-    """Rhythm-activation width in seconds; ``2*sigma*sigma`` must not underflow to 0."""
-    sigma = _positive("sigma", value, "s")
-    if 2.0 * sigma * sigma == 0.0:
-        raise ValueError(
-            f"sigma must be > 2**-538 s (about 1.1e-162 s) so that 2*sigma*sigma > 0, "
-            f"got {value}"
-        )
-    return sigma
-
-
-def _sample_rate(value) -> int:
-    """An audio sample rate in Hz, truncated to an int; must be finite and >= 1."""
-    rate = _number(int, value, 0)
-    if rate < 1:
-        raise ValueError(f"sample_rate must be finite and >= 1 Hz, got {value}")
-    return rate
-
-
-def _intro_bars(value) -> int:
-    """A count of instrumental intro bars; must not be negative."""
-    bars = _number(int, value, -1)
-    if bars < 0:
-        raise ValueError(f"intro_bars must be >= 0, got {value}")
-    return bars
-
-
-def _section_keys(keys) -> tuple[str, ...] | None:
-    """One key name per section, such as ``"C:maj"``; None or empty means estimated keys."""
-    if keys is not None and not (
-        isinstance(keys, (list, tuple)) and all(isinstance(k, str) for k in keys)
-    ):
-        raise ValueError(f'section_keys must be a list of key names such as "C:maj", got {keys!r}')
-    return tuple(keys) if keys else None
-
-
-def _argument(parse):
-    """Wrap a config value parser as an argparse ``type`` that reports its error."""
-    def convert(text: str):
+    def number(text: str):
         try:
-            return parse(text)
+            value = int(text)
+        except ValueError:
+            value = float(text)  # a ValueError here is argparse's "invalid number value"
+        try:
+            return f.metadata["parse"](name, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
-    return convert
+    kwargs.setdefault("default", f.default)
+    parser.add_argument(f.metadata["flag"], type=number, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -831,49 +800,60 @@ def _cmd_mix(args) -> int:
     return 0
 
 
+def _parse_chroma(text: str) -> np.ndarray:
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or "chroma" not in doc:
+        raise ValueError("expected a JSON object with a 'chroma' key")
+    return np.asarray(doc["chroma"], dtype=float).reshape(-1, 12)
+
+
+def _lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are not blank."""
+    return [line for line in map(str.strip, text.splitlines()) if line]
+
+
+def _parse_keys(text: str) -> list[KeyLabel]:
+    return [KeyLabel.parse(line) for line in _lines(text) if not line.startswith("#")]
+
+
+def _text_tokens(lines: list[str], dedup: bool) -> list[str]:
+    return [token for line in (metrics.dedup_lines(lines) if dedup else lines)
+            for token in prep.tokenize_lyric_text(line)]
+
+
+def _beat_rows(args, ref: beatgrid.BeatGrid, est: beatgrid.BeatGrid) -> list[tuple[str, float]]:
+    rows = [("rhythm_f1", metrics.rhythm_f1(list(ref.beats), list(est.beats), args.tolerance))]
+    if ref.downbeats and est.downbeats:
+        rows.append(("downbeat_f1", metrics.rhythm_f1(
+            list(ref.downbeats), list(est.downbeats), args.tolerance)))
+    return rows
+
+
+#: ``eval``'s file pairs: the reference and estimate options, the parser of
+#: either file, and the result rows of the two parsed files.  The rows look
+#: ``metrics`` up at call time, so that a wrapped metric is the one used.
+_EVAL_PAIRS = (
+    ("ref_beats", "est_beats", beatgrid.parse_beat_grid, _beat_rows),
+    ("ref_chroma", "est_chroma", _parse_chroma,
+     lambda args, ref, est: [("chord_f1", metrics.chord_f1(ref, est))]),
+    ("ref_keys", "est_keys", _parse_keys,
+     lambda args, ref, est: [("key_accuracy", metrics.key_accuracy(ref, est))]),
+    ("ref_text", "hyp_text", _lines,
+     lambda args, ref, est: [("per", metrics.per(_text_tokens(ref, args.dedup),
+                                                 _text_tokens(est, args.dedup)))]),
+)
+
+
 def _cmd_eval(args) -> int:
     rows: list[tuple[str, float]] = []
-    if args.ref_beats or args.est_beats:
-        if not (args.ref_beats and args.est_beats):
-            raise ValueError("--ref-beats and --est-beats must be given together")
-        ref = _read_parsed(args.ref_beats, beatgrid.parse_beat_grid)
-        est = _read_parsed(args.est_beats, beatgrid.parse_beat_grid)
-        rows.append(
-            ("rhythm_f1", metrics.rhythm_f1(list(ref.beats), list(est.beats), args.tolerance))
-        )
-        if ref.downbeats and est.downbeats:
-            rows.append(
-                (
-                    "downbeat_f1",
-                    metrics.rhythm_f1(
-                        list(ref.downbeats), list(est.downbeats), args.tolerance
-                    ),
-                )
-            )
-    if args.ref_chroma or args.est_chroma:
-        if not (args.ref_chroma and args.est_chroma):
-            raise ValueError("--ref-chroma and --est-chroma must be given together")
-        rows.append(
-            (
-                "chord_f1",
-                metrics.chord_f1(
-                    _read_parsed(args.ref_chroma, _parse_chroma),
-                    _read_parsed(args.est_chroma, _parse_chroma),
-                ),
-            )
-        )
-    if args.ref_keys or args.est_keys:
-        if not (args.ref_keys and args.est_keys):
-            raise ValueError("--ref-keys and --est-keys must be given together")
-        ref_keys = _read_parsed(args.ref_keys, _parse_keys)
-        est_keys = _read_parsed(args.est_keys, _parse_keys)
-        rows.append(("key_accuracy", metrics.key_accuracy(ref_keys, est_keys)))
-    if args.ref_text or args.hyp_text:
-        if not (args.ref_text and args.hyp_text):
-            raise ValueError("--ref-text and --hyp-text must be given together")
-        ref_tokens = _text_tokens(args.ref_text, args.dedup)
-        hyp_tokens = _text_tokens(args.hyp_text, args.dedup)
-        rows.append(("per", metrics.per(ref_tokens, hyp_tokens)))
+    for ref_option, est_option, parse, pair_rows in _EVAL_PAIRS:
+        ref, est = getattr(args, ref_option), getattr(args, est_option)
+        if not (ref or est):
+            continue
+        if not (ref and est):
+            flags = [f"--{o.replace('_', '-')}" for o in (ref_option, est_option)]
+            raise ValueError(f"{flags[0]} and {flags[1]} must be given together")
+        rows += pair_rows(args, _read_parsed(ref, parse), _read_parsed(est, parse))
     if not rows:
         raise ValueError("nothing to evaluate; pass at least one file pair")
 
@@ -885,49 +865,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_chroma(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "chroma" not in doc:
-        raise ValueError("expected a JSON object with a 'chroma' key")
-    return np.asarray(doc["chroma"], dtype=float).reshape(-1, 12)
-
-
-def _parse_keys(text: str) -> list[KeyLabel]:
-    keys = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            keys.append(KeyLabel.parse(line))
-    return keys
-
-
-def _text_tokens(path: str, dedup: bool) -> list[str]:
-    lines = _read_parsed(path, lambda text: [l.strip() for l in text.splitlines() if l.strip()])
-    if dedup:
-        lines = metrics.dedup_lines(lines)
-    tokens: list[str] = []
-    for line in lines:
-        tokens.extend(prep.tokenize_lyric_text(line))
-    return tokens
-
-
 def _cmd_run(args) -> int:
     if args.config:
         config = _read_parsed(args.config, lambda text: config_from_json(text, args.output))
+    elif args.score:
+        config = PipelineConfig(args.score, args.output or "songpipe_out")
     else:
-        if not args.score:
-            raise ValueError("either --config or --score is required")
-        config = PipelineConfig(
-            score_path=args.score, output_dir=args.output or "songpipe_out"
-        )
-    overrides = {field: getattr(args, arg) for arg, field in (
+        raise ValueError("either --config or --score is required")
+    overrides = {name: getattr(args, arg) for arg, name in (
         ("score", "score_path"), ("vocal", "vocal_path"),
         ("lyrics", "lyrics_path"), ("bank", "reference_bank"),
     ) if getattr(args, arg)}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
+    config = replace(config, **overrides)
     try:
         manifest = run_pipeline(config, args.from_stage)
     except StageError as exc:
@@ -958,11 +909,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("harmonize", help="choose one chord per bar for a melody")
     p.add_argument("score")
     p.add_argument("-o", "--output", help="write chords here instead of stdout")
-    p.add_argument("--intro-bars", type=_argument(_intro_bars), default=0,
-                   help="prepend this many bars of duplicated opening chords")
-    p.add_argument("--emission-weight", type=float, default=1.0)
-    p.add_argument("--transition-weight", type=float, default=0.1)
-    p.add_argument("--change-penalty", type=float, default=0.05)
+    _add_flag(p, "intro_bars", default=0,
+              help="prepend this many bars of duplicated opening chords")
+    weights = harmony.HarmonizerWeights()
+    p.add_argument("--emission-weight", type=float, default=weights.emission_weight)
+    p.add_argument("--transition-weight", type=float, default=weights.transition_weight)
+    p.add_argument("--change-penalty", type=float, default=weights.chord_change_penalty)
     p.set_defaults(func=_cmd_harmonize)
 
     p = sub.add_parser("register", help="pick a singer profile and octave shift")
@@ -977,24 +929,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chords", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--keys", help="comma-separated per-section keys, e.g. C:maj,A:min")
-    p.add_argument("--frame-rate", type=_argument(_frame_rate),
-                   default=conditioning.DEFAULT_FRAME_RATE)
-    p.add_argument("--sigma", type=_argument(_sigma), default=conditioning.DEFAULT_SIGMA)
+    _add_flag(p, "frame_rate")
+    _add_flag(p, "sigma")
     p.set_defaults(func=_cmd_condition)
 
     p = sub.add_parser("plan", help="tile a score into ordered generation windows")
     p.add_argument("score")
     p.add_argument("-o", "--output", help="also write the plan as JSON")
-    p.add_argument("--max-window", type=_argument(_max_window_sec),
-                   default=planner.MAX_WINDOW_SEC)
+    _add_flag(p, "max_window_sec")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("render", help="render conditions to audio with the stub generator")
     p.add_argument("--conditions", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("-o", "--output-dir", required=True)
-    p.add_argument("--sample-rate", type=_argument(_sample_rate),
-                   default=render.DEFAULT_SAMPLE_RATE)
+    _add_flag(p, "sample_rate")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("mix", help="sum vocal and accompaniment, peak-normalized")

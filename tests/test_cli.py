@@ -16,9 +16,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from songpipe import cli, conditioning, metrics, planner, render, score_io
+from songpipe import cli, conditioning, harmony, metrics, planner, render, score_io
 from songpipe.cli import (
     _STAGE_FUNCS,
     ART,
@@ -400,7 +400,7 @@ def test_config_rejects_out_of_range_max_window(bad):
     ).max_window_sec == 47.0
 
 
-@pytest.mark.parametrize("bad", ["60", "0", "-1"])
+@pytest.mark.parametrize("bad", ["60", "0", "-1", "47.5", "nan"])
 def test_plan_command_rejects_out_of_range_max_window(score_file, capsys, bad):
     with pytest.raises(SystemExit) as exc:
         main(["plan", str(score_file), "--max-window", bad])
@@ -476,6 +476,8 @@ def test_config_keys_are_the_config_fields():
     ("--frame-rate", "0", "frame_rate must be finite and > 0 fps, got 0"),
     ("--sigma", "nan", "sigma must be finite and > 0 s, got nan"),
     ("--sigma", "1e-300", "so that 2*sigma*sigma > 0, got 1e-300"),
+    ("--frame-rate", "Infinity", "frame_rate must be finite and > 0 fps, got inf"),
+    ("--sigma", "0.05s", "argument --sigma: invalid number value: '0.05s'"),
 ])
 def test_condition_command_rejects_out_of_range_rates(score_file, tmp_path, capsys,
                                                       flag, value, message):
@@ -489,7 +491,7 @@ def test_condition_command_rejects_out_of_range_rates(score_file, tmp_path, caps
     assert main(argv + [flag, "43"]) == 0
 
 
-@pytest.mark.parametrize("value", ["0", "inf", "-8000"])
+@pytest.mark.parametrize("value", ["0", "inf", "-8000", "0.5", "nan"])
 def test_render_command_rejects_out_of_range_sample_rate(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["render", "--conditions", "c.json", "--plan", "p.json",
@@ -507,6 +509,14 @@ def test_render_command_rejects_out_of_range_sample_rate(tmp_path, capsys, value
     ("intro_bars", -2),
     ("sample_rate", 0.5),
     ("sample_rate", -math.inf),
+    ("sample_rate", 44100.5),
+    ("intro_bars", 2.9),
+    ("sample_rate", "44100"),
+    ("frame_rate", True),
+    ("profiles", []),
+    ("seed", "zz"),
+    ("reject_fewer_lines", "yes"),
+    ("vocal_path", 5),
 ])
 def test_config_built_in_code_is_checked_like_a_config_file(key, value):
     # A config built in code used to skip these checks: frame_rate inf escaped
@@ -576,12 +586,86 @@ def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path
     ("score_path", 5),
     ("output_dir", 5),
     ("output_dir", False),
+    ("sample_rate", "44100"),
+    ("sample_rate", False),
+    ("frame_rate", True),
+    ("sigma", "0.1"),
+    ("max_window_sec", "30"),
+    ("intro_bars", "3"),
+    ("intro_bars", 2.9),
 ])
 def test_config_rejects_wrong_typed_values(key, value):
     # Each of these used to escape run as a TypeError, KeyError or
     # AttributeError, or (a number as a path) to open a file descriptor.
     with pytest.raises(ValueError, match=key):
         config_from_json(json.dumps({"score_path": "s", key: value}))
+
+
+def test_config_built_in_code_rejects_a_number_as_the_score_path():
+    # open(5) would read file descriptor 5.
+    with pytest.raises(ValueError) as from_json:
+        config_from_json(json.dumps({"score_path": 5}))
+    with pytest.raises(ValueError) as built:
+        PipelineConfig(5, "o")
+    assert str(built.value) == str(from_json.value)
+    assert "score_path" in str(built.value)
+    with pytest.raises(ValueError, match="score_path"):
+        replace(PipelineConfig("s", "o"), score_path=5)
+
+
+#: Config key: the arguments of a subcommand that has the key's flag, the
+#: flag, and the argparse destination of its value.
+_FLAGS = {
+    "frame_rate": (["condition", "s", "--chords", "c", "-o", "o"], "--frame-rate", "frame_rate"),
+    "sigma": (["condition", "s", "--chords", "c", "-o", "o"], "--sigma", "sigma"),
+    "max_window_sec": (["plan", "s"], "--max-window", "max_window"),
+    "intro_bars": (["harmonize", "s"], "--intro-bars", "intro_bars"),
+    "sample_rate": (["render", "--conditions", "c", "--plan", "p", "-o", "o"],
+                    "--sample-rate", "sample_rate"),
+}
+
+
+@pytest.mark.parametrize("key, text", [
+    ("sample_rate", "22050.0"),
+    ("sample_rate", "22050"),
+    ("sample_rate", "44100.5"),
+    ("sample_rate", "0.5"),
+    ("sample_rate", "1e400"),
+    ("intro_bars", "2.9"),
+    ("intro_bars", "2.0"),
+    ("intro_bars", "-2"),
+    ("frame_rate", "43"),
+    ("frame_rate", "0"),
+    ("sigma", "0.04"),
+    ("sigma", "1e-300"),
+    ("max_window_sec", "30"),
+    ("max_window_sec", "47.5"),
+])
+def test_a_flag_takes_what_its_config_key_takes(capsys, key, text):
+    # render --sample-rate 22050.0 used to exit 2 while the config key took
+    # it, and harmonize --intro-bars 2.9 was refused while the key truncated it.
+    argv, flag, dest = _FLAGS[key]
+    try:
+        expected = getattr(config_from_json(f'{{"score_path": "s", "{key}": {text}}}'), key)
+    except ValueError as exc:
+        with pytest.raises(SystemExit) as code:
+            cli.build_parser().parse_args(argv + [flag, text])
+        assert code.value.code == 2
+        assert f"argument {flag}: {exc}" in capsys.readouterr().err
+    else:
+        value = getattr(cli.build_parser().parse_args(argv + [flag, text]), dest)
+        assert (value, type(value)) == (expected, type(expected))
+
+
+def test_flag_defaults_are_the_config_and_weight_defaults():
+    config = PipelineConfig("s", "o")
+    for key, (argv, _, dest) in _FLAGS.items():
+        value = getattr(cli.build_parser().parse_args(argv), dest)
+        # harmonize prepends no intro unless asked; run's default is 4 bars.
+        assert value == (0 if key == "intro_bars" else getattr(config, key)), key
+    args = cli.build_parser().parse_args(["harmonize", "s"])
+    weights = (args.emission_weight, args.transition_weight, args.change_penalty)
+    assert harmony.HarmonizerWeights(*weights) == harmony.HarmonizerWeights()
 
 
 def test_config_built_in_code_rejects_wrong_typed_section_keys():
@@ -839,6 +923,7 @@ def _seam_bars(out) -> list[int]:
 def test_a_cached_resume_equals_an_uncached_one(seed, max_window, where, pick, root,
                                                 quality, replan):
     score = random_score(random.Random(seed), max_bars=6, min_bpm=100.0, max_bpm=160.0)
+    assume(score.notes)  # 13 seeds give no notes, which register rightly refuses
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         (tmp / "song.mid").write_bytes(score_io.write_smf(score))
