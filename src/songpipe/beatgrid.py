@@ -20,6 +20,8 @@ from statistics import median
 
 import numpy as np
 
+from .formats import data_lines
+
 _EPS = 1e-9
 
 #: Voiced segments closer than this (seconds) are merged into one.
@@ -250,16 +252,10 @@ def parse_beat_grid(text: str) -> BeatGrid:
     """Parse the two-column beat text; lines starting with '#' are comments."""
     beats: list[float] = []
     downbeats: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"beat line {lineno}: expected 2 columns, got {len(parts)}")
+    for lineno, (time, pos) in data_lines(text, "beat", 2):
         try:
-            time, pos = float(parts[0]), int(float(parts[1]))
-        except ValueError:
+            time, pos = float(time), int(float(pos))
+        except (ValueError, OverflowError):  # int(float("1e400")) overflows
             raise ValueError(f"beat line {lineno}: bad time or position column") from None
         beats.append(time)
         if pos == 1:

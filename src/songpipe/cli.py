@@ -18,22 +18,23 @@ The remaining subcommands expose the individual stages over explicit files:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
 import os
-import re
 import sys
-from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import beatgrid, conditioning, harmony, metrics, planner, prep, render, score_io
 from .conditioning import ChordSequence, KeyLabel
+from .formats import read_file
+from .harmony import harmonize_song, section_key_estimates, section_keys  # noqa: F401
+from .metrics import self_report, steady_frames  # noqa: F401
 from .prep import DEFAULT_PROFILES, SingerProfile
-from .score import VocalScore, prepend_instrumental, tick_to_seconds, validate_score
+from .render import file_sha256, render_windows, window_file
+from .score import VocalScore, validate_score
 
 LOGGER = logging.getLogger(__name__)
 
@@ -221,8 +222,8 @@ ART = {
     "harmonize_meta": "harmonize.json",
     "conditions": "conditions.json",
     "plan": "plan.json",
-    "accompaniment": "accompaniment.wav",
-    "events": "events.txt",
+    "accompaniment": render.ACCOMPANIMENT_FILE,
+    "events": render.EVENTS_FILE,
     "render_record": "render.json",
     "mix": "mix.wav",
     "mix_inputs": "mix.json",
@@ -234,27 +235,6 @@ ART = {
 
 def _art(outdir: str, key: str) -> str:
     return os.path.join(outdir, ART[key])
-
-
-def _read_parsed(path: str, parse):
-    """``parse`` of the UTF-8 text of the file ``path``; a format error names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-
-
-def _file_sha256(path: str) -> str | None:
-    """SHA-256 of a file, read 1 MiB at a time; None if there is no such file."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    except FileNotFoundError:
-        return None
-    return digest.hexdigest()
 
 
 def _write_file(path: str, data: str | bytes) -> None:
@@ -354,10 +334,10 @@ def _input_hashes(outdir: str) -> dict:
 
 def _stage_load(config: PipelineConfig, outdir: str) -> None:
     _write(outdir, "input_score", score_io.load_score(config.score_path))
-    hashes = {"score_sha256": _file_sha256(config.score_path), "lyrics_sha256": None}
+    hashes = {"score_sha256": file_sha256(config.score_path), "lyrics_sha256": None}
     if config.lyrics_path:
         sheet = prep.load_lyrics(config.lyrics_path)
-        hashes["lyrics_sha256"] = _file_sha256(config.lyrics_path)
+        hashes["lyrics_sha256"] = file_sha256(config.lyrics_path)
         _write(outdir, "lyrics", sheet)
         if config.reference_bank:
             names, bank = prep.load_reference_bank(config.reference_bank)
@@ -391,60 +371,12 @@ def _stage_register(config: PipelineConfig, outdir: str, score: VocalScore) -> N
     _write(outdir, "registered_score", registered)
 
 
-def harmonize_song(
-    score: VocalScore, intro_bars: int, weights: harmony.HarmonizerWeights | None = None
-) -> tuple[VocalScore, ChordSequence]:
-    """The song to accompany and its chords, one span per bar.
-
-    An instrumental intro of ``intro_bars`` bars, copying the opening chords,
-    is prepended only when the score has no ``intro`` section and
-    ``0 < intro_bars <= score.num_bars``; otherwise ``score`` itself is returned.
-    """
-    chords = harmony.harmonize(score, weights)
-    if any(s.label == "intro" for s in score.sections) or not 0 < intro_bars <= score.num_bars:
-        return score, chords
-    bar_duration = tick_to_seconds(score, score.ticks_per_bar)
-    chords = harmony.prepend_intro_chords(chords, bar_duration, intro_bars)
-    return prepend_instrumental(score, intro_bars), chords
-
-
 def _stage_harmonize(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
     song, chords = harmonize_song(score, config.intro_bars)
     _write(outdir, "song_score", song)
     _write(outdir, "chords", chords)
     _write(outdir, "harmonize_meta",
            {"intro_prepended": song is not score, "intro_bars": config.intro_bars})
-
-
-def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:
-    """Per-section key labels from duration-weighted pitch-class histograms.
-
-    Sections without any notes (instrumental intros, breaks) fall back to
-    the whole-score histogram.
-    """
-    on, off, pc = np.array([(n.onset_tick, n.end_tick, n.pitch % 12) for n in score.notes],
-                           dtype=np.int64).reshape(-1, 3).T
-    # Tick overlaps are integers, so these float64 sums are exact in any order.
-    per_section = np.array([np.bincount(
-        pc, np.maximum(np.minimum(off, s.end_tick) - np.maximum(on, s.start_tick), 0), minlength=12
-    ) for s in score.sections]).reshape(-1, 12)
-    overall = per_section.sum(axis=0)
-    if not overall.any():
-        raise ValueError("score has no notes; cannot estimate keys")
-    keys = []
-    for i in range(len(score.sections)):
-        hist = per_section[i] if per_section[i].any() else overall
-        keys.append((i, metrics.estimate_key(hist[None, :])))
-    return keys
-
-
-def section_keys(score: VocalScore, labels: Sequence[str] | None) -> list[tuple[int, KeyLabel]]:
-    """One key per section: ``labels`` parsed in section order, or estimated if None."""
-    if labels is None:
-        return section_key_estimates(score)
-    if len(labels) != len(score.sections):
-        raise ValueError(f"{len(labels)} section keys given for {len(score.sections)} sections")
-    return [(i, KeyLabel.parse(k)) for i, k in enumerate(labels)]
 
 
 def _stage_condition(
@@ -458,100 +390,6 @@ def _stage_condition(
 
 def _stage_plan(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
     _write(outdir, "plan", planner.plan_inference(score, config.max_window_sec))
-
-
-#: Window WAVs written by render, ``window_NNN.wav`` by plan order.
-_WINDOW_FILE = re.compile(r"window_\d{3,}\.wav")
-
-
-def _window_name(order: int) -> str:
-    return f"window_{order:03d}.wav"
-
-
-#: Format name and version of the render record (``render.json``).
-RENDER_RECORD = ("render", 1)
-
-
-def render_windows(
-    bundle: conditioning.ConditionBundle,
-    windows: list[planner.GenerationWindow],
-    sample_rate: int,
-    outdir: str,
-    record: dict | None = None,
-) -> dict:
-    """Render every window of a plan into ``outdir``, then the whole song.
-
-    Window files the plan does not own are removed first.  Each window goes
-    to ``window_NNN.wav``, unless ``record`` (what an earlier call returned
-    for ``outdir``) shows that the file holds it already: the same
-    :func:`render.window_fingerprint` and the same file SHA-256.  The
-    windows' float32 payloads spliced in time order go to
-    ``accompaniment.wav`` and their events, sorted, to ``events.txt``.  One
-    window's audio is in memory at a time.
-
-    Returns the render record: per window in plan order, its file name,
-    fingerprint, file SHA-256 and events.
-    """
-    if not windows:
-        raise ValueError("the plan has no windows")
-    owned = {_window_name(w.order) for w in windows}
-    for name in os.listdir(outdir):
-        if _WINDOW_FILE.fullmatch(name) and name not in owned:
-            os.remove(os.path.join(outdir, name))
-    recorded = _recorded_windows(record)
-    entries: list[dict] = []
-    events: list[render.RenderEvent] = []
-    for window in sorted(windows, key=lambda w: w.order):
-        name = _window_name(window.order)
-        path = os.path.join(outdir, name)
-        fingerprint = render.window_fingerprint(bundle, window, sample_rate)
-        entry = recorded.get(name)
-        if not (entry and entry["fingerprint"] == fingerprint
-                and _file_sha256(path) == entry["sha256"]):
-            audio, window_events = render.render_stub(bundle, window, sample_rate)
-            render.write_wav(audio, path)
-            del audio  # freed before the next window renders
-            entry = {"file": name, "fingerprint": fingerprint, "sha256": _file_sha256(path),
-                     "events": [[e.time_sec, e.kind] for e in window_events]}
-        entries.append(entry)
-        events.extend(render.RenderEvent(t, kind) for t, kind in entry["events"])
-    # The float32 cast of a concatenation is the concatenation of the casts,
-    # so re-encoding each window file's frames in time order gives the bytes
-    # of the whole song cast at once.  render_stub renders mono.
-    frames = sum(round(w.end_sec * sample_rate) - round(w.start_sec * sample_rate)
-                 for w in windows)
-    with render.wav_writer(_art(outdir, "accompaniment"), sample_rate, 1, frames) as write:
-        for window in sorted(windows, key=lambda w: (w.start_sec, w.order)):
-            piece = render.WavReader(os.path.join(outdir, _window_name(window.order)))
-            for lo in range(0, piece.n_samples, render.STREAM_FRAMES):
-                write(piece.read(lo, lo + render.STREAM_FRAMES))
-    events.sort(key=lambda e: (e.time_sec, e.kind))
-    _write(outdir, "events", events)
-    format_name, version = RENDER_RECORD
-    return {"format": format_name, "version": version, "windows": entries}
-
-
-def _recorded_windows(record) -> dict[str, dict]:
-    """The well-formed window entries of a render record, by file name."""
-    try:
-        if (record["format"], record["version"]) != RENDER_RECORD:
-            return {}
-        windows = list(record["windows"])
-    except (KeyError, TypeError):
-        return {}
-    entries = {}
-    for entry in windows:
-        try:
-            name, fingerprint, sha256 = entry["file"], entry["fingerprint"], entry["sha256"]
-            events = [[t, kind] for t, kind in entry["events"]]
-        except (KeyError, TypeError, ValueError):
-            continue
-        if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
-            type(t) is float and isinstance(kind, str) for t, kind in events
-        ):  # rebuilt from its fields, so a reused entry is written as a new one is
-            entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
-                             "events": events}
-    return entries
 
 
 def _stage_render(
@@ -570,69 +408,7 @@ def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) ->
         vocal = render.AudioBuffer(accomp.sample_rate, np.zeros((1, 0)))
     render.mix(vocal, accomp, _art(outdir, "mix"))
     _write(outdir, "mix_inputs",
-           {"vocal_sha256": _file_sha256(config.vocal_path) if config.vocal_path else None})
-
-
-def steady_frames(chroma: np.ndarray, radius: int) -> np.ndarray:
-    """Frames whose neighbours within ``radius`` frames all share their chroma row.
-
-    A frame near a chord change is not steady: an analysis window centred
-    on it straddles two chords.
-    """
-    t = len(chroma)
-    run = np.zeros(t, dtype=np.int64)
-    run[1:] = np.cumsum(np.any(chroma[1:] != chroma[:-1], axis=1))
-    frames = np.arange(t)
-    return run[np.maximum(frames - radius, 0)] == run[np.minimum(frames + radius, t - 1)]
-
-
-def self_report(
-    bundle: conditioning.ConditionBundle,
-    events: list[render.RenderEvent],
-    accompaniment: render.AudioBuffer | render.WavReader,
-    memo: dict | None = None,
-) -> dict:
-    """Closed-loop metrics of rendered audio against its own conditions.
-
-    ``memo`` is passed to :func:`metrics.chroma_from_audio`.  Keys are
-    estimated only on frames whose chroma analysis window lies inside one
-    chord run, so that a window straddling two chords cannot tip a near-tie.
-    """
-    beat_frames = render.local_maxima(bundle.rhythm[:, 0], render.CLICK_THRESHOLD)
-    expected_beats = [f / bundle.frame_rate for f in beat_frames]
-    logged_beats = [e.time_sec for e in events if e.kind in ("beat", "downbeat")]
-    beat_f1 = metrics.rhythm_f1(expected_beats, logged_beats)
-
-    audio_chroma = metrics.chroma_from_audio(
-        accompaniment,
-        accompaniment.sample_rate,
-        bundle.frame_rate,
-        bundle.num_frames,
-        memo=memo,
-    )
-    chord = metrics.chord_f1(bundle.chroma, audio_chroma)
-
-    hop = accompaniment.sample_rate / bundle.frame_rate
-    steady = steady_frames(bundle.chroma, math.ceil(metrics.CHROMA_WINDOW // 2 / hop))
-    ref_keys: list[KeyLabel] = []
-    est_keys: list[KeyLabel] = []
-    for sec in sorted(set(bundle.structure.tolist())):
-        mask = (bundle.structure == sec) & bundle.chroma.any(axis=1) & steady
-        if not mask.any() or not audio_chroma[mask].any():
-            continue
-        ref_keys.append(metrics.estimate_key(bundle.chroma[mask]))
-        est_keys.append(metrics.estimate_key(audio_chroma[mask]))
-    key_acc = metrics.key_accuracy(ref_keys, est_keys) if ref_keys else None
-
-    return {
-        "rhythm_f1_log_vs_conditions": beat_f1,
-        "chord_f1_audio_vs_conditions": chord,
-        "key_accuracy_audio_vs_conditions": key_acc,
-        "num_expected_beats": len(expected_beats),
-        "num_logged_beats": len(logged_beats),
-        "num_key_segments": len(ref_keys),
-        "num_key_masked_frames": int(bundle.num_frames - steady.sum()),
-    }
+           {"vocal_sha256": file_sha256(config.vocal_path) if config.vocal_path else None})
 
 
 def _stage_report(
@@ -653,7 +429,7 @@ def _stage_report(
         "version": MANIFEST_VERSION,
         "config": config.to_manifest_dict(_input_hashes(outdir)),
         "artifacts": artifacts,
-        "window_files": sorted(_window_name(w.order) for w in windows),
+        "window_files": sorted(window_file(w.order) for w in windows),
         "report": report,
     })
 
@@ -765,7 +541,7 @@ def _cmd_register(args) -> int:
 
 def _cmd_condition(args) -> int:
     score = score_io.load_score(args.score)
-    chords = _read_parsed(args.chords, conditioning.parse_chords)
+    chords = read_file(args.chords, conditioning.parse_chords)
     labels = [k.strip() for k in args.keys.split(",")] if args.keys else None
     bundle = conditioning.build_condition_bundle(
         score, chords, section_keys(score, labels), args.frame_rate, args.sigma
@@ -785,8 +561,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    bundle = _read_parsed(args.conditions, conditioning.bundle_from_json)
-    windows = _read_parsed(args.plan, planner.plan_from_json)
+    bundle = read_file(args.conditions, conditioning.bundle_from_json)
+    windows = read_file(args.plan, planner.plan_from_json)
     os.makedirs(args.output_dir, exist_ok=True)
     render_windows(bundle, windows, args.sample_rate, args.output_dir)
     print(f"rendered {len(windows)} windows into {args.output_dir}")
@@ -853,7 +629,7 @@ def _cmd_eval(args) -> int:
         if not (ref and est):
             flags = [f"--{o.replace('_', '-')}" for o in (ref_option, est_option)]
             raise ValueError(f"{flags[0]} and {flags[1]} must be given together")
-        rows += pair_rows(args, _read_parsed(ref, parse), _read_parsed(est, parse))
+        rows += pair_rows(args, read_file(ref, parse), read_file(est, parse))
     if not rows:
         raise ValueError("nothing to evaluate; pass at least one file pair")
 
@@ -867,7 +643,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.config:
-        config = _read_parsed(args.config, lambda text: config_from_json(text, args.output))
+        config = read_file(args.config, lambda text: config_from_json(text, args.output))
     elif args.score:
         config = PipelineConfig(args.score, args.output or "songpipe_out")
     else:

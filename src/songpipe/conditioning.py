@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import data_lines, read_document
 from .score import SECTION_LABELS, VocalScore, tick_to_seconds
 
 DEFAULT_FRAME_RATE = 50.0
@@ -153,18 +154,12 @@ def format_chords(chords: ChordSequence) -> str:
 def parse_chords(text: str) -> ChordSequence:
     """Parse the three-column chord text format; '#' starts a comment line."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"chord line {lineno}: expected 3 columns, got {len(parts)}")
+    for lineno, (start, end, chord) in data_lines(text, "chord", 3):
         try:
-            start, end = float(parts[0]), float(parts[1])
+            start, end = float(start), float(end)
         except ValueError:
             raise ValueError(f"chord line {lineno}: bad time columns") from None
-        name, sep, quality = parts[2].partition(":")
+        name, sep, quality = chord.partition(":")
         if not sep or quality not in ("maj", "min"):
             raise ValueError(f"chord line {lineno}: chord must look like 'C:maj'")
         entries.append(ChordSpan(start, end, parse_pitch_class(name), quality))
@@ -526,16 +521,8 @@ def _rows_json(rows: np.ndarray) -> str:
 
 
 def bundle_from_json(text: str | bytes) -> ConditionBundle:
-    try:
-        doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CONDITIONS_JSON_FORMAT:
-        raise ValueError("missing or wrong format tag, expected 'conditions'")
-    if doc.get("version") != CONDITIONS_JSON_VERSION:
-        raise ValueError(f"unsupported conditions version {doc.get('version')!r}")
-    try:
-        bundle = ConditionBundle(
+    def build(doc: dict) -> tuple[ConditionBundle, int]:
+        return ConditionBundle(
             frame_rate=float(doc["frame_rate"]),
             rhythm=np.asarray(doc["rhythm"], dtype=float).reshape(-1, 2),
             chroma=np.asarray(doc["chroma"], dtype=float).reshape(-1, 12),
@@ -545,10 +532,10 @@ def bundle_from_json(text: str | bytes) -> ConditionBundle:
                 (int(k["section"]), KeyLabel(int(k["tonic"]), str(k["mode"])))
                 for k in doc["keys"]
             ),
-        )
-        num_frames = int(doc["num_frames"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed conditions document: {exc}") from exc
+        ), int(doc["num_frames"])
+
+    bundle, num_frames = read_document(text, CONDITIONS_JSON_FORMAT, CONDITIONS_JSON_VERSION,
+                                       build)
     if bundle.num_frames != num_frames:
         raise ValueError("num_frames does not match matrix length")
     return bundle

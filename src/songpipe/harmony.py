@@ -14,15 +14,21 @@ root C..B with major before minor at each root, so the ordering is
 C:maj, C:min, C#:maj, ... B:min.  With the default weights an all-rest bar
 holds the previous bar's chord, because staying put keeps all three common
 tones and avoids the change penalty.
+
+The harmonize stage's song (:func:`harmonize_song`, which may prepend an
+intro) and the condition stage's section keys (:func:`section_keys`) are
+built here too.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import ChordSequence, ChordSpan, triad_pitch_classes
-from .score import VocalScore, tick_to_seconds
+from . import metrics
+from .conditioning import ChordSequence, ChordSpan, KeyLabel, triad_pitch_classes
+from .score import VocalScore, prepend_instrumental, tick_to_seconds
 
 #: All 24 candidate chords in tie-break order.
 CHORDS: tuple[tuple[int, str], ...] = tuple(
@@ -207,3 +213,51 @@ def prepend_intro_chords(
             ChordSpan(c.start_sec, min(c.end_sec, intro_len), c.root, c.quality)
         )
     return ChordSequence(tuple(intro) + chords.shifted(intro_len).entries)
+
+
+def harmonize_song(
+    score: VocalScore, intro_bars: int, weights: HarmonizerWeights | None = None
+) -> tuple[VocalScore, ChordSequence]:
+    """The song to accompany and its chords, one span per bar.
+
+    An instrumental intro of ``intro_bars`` bars, copying the opening chords,
+    is prepended only when the score has no ``intro`` section and
+    ``0 < intro_bars <= score.num_bars``; otherwise ``score`` itself is returned.
+    """
+    chords = harmonize(score, weights)
+    if any(s.label == "intro" for s in score.sections) or not 0 < intro_bars <= score.num_bars:
+        return score, chords
+    bar_duration = tick_to_seconds(score, score.ticks_per_bar)
+    chords = prepend_intro_chords(chords, bar_duration, intro_bars)
+    return prepend_instrumental(score, intro_bars), chords
+
+
+def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:
+    """Per-section key labels from duration-weighted pitch-class histograms.
+
+    Sections without any notes (instrumental intros, breaks) fall back to
+    the whole-score histogram.
+    """
+    on, off, pc = np.array([(n.onset_tick, n.end_tick, n.pitch % 12) for n in score.notes],
+                           dtype=np.int64).reshape(-1, 3).T
+    # Tick overlaps are integers, so these float64 sums are exact in any order.
+    per_section = np.array([np.bincount(
+        pc, np.maximum(np.minimum(off, s.end_tick) - np.maximum(on, s.start_tick), 0), minlength=12
+    ) for s in score.sections]).reshape(-1, 12)
+    overall = per_section.sum(axis=0)
+    if not overall.any():
+        raise ValueError("score has no notes; cannot estimate keys")
+    keys = []
+    for i in range(len(score.sections)):
+        hist = per_section[i] if per_section[i].any() else overall
+        keys.append((i, metrics.estimate_key(hist[None, :])))
+    return keys
+
+
+def section_keys(score: VocalScore, labels: Sequence[str] | None) -> list[tuple[int, KeyLabel]]:
+    """One key per section: ``labels`` parsed in section order, or estimated if None."""
+    if labels is None:
+        return section_key_estimates(score)
+    if len(labels) != len(score.sections):
+        raise ValueError(f"{len(labels)} section keys given for {len(score.sections)} sections")
+    return [(i, KeyLabel.parse(k)) for i, k in enumerate(labels)]

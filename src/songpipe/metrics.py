@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conditioning import KeyLabel
-from .render import AudioBuffer
+from .conditioning import ConditionBundle, KeyLabel
+from .formats import read_document
+from .render import CLICK_THRESHOLD, AudioBuffer, RenderEvent, WavReader, local_maxima
 
 #: Beat-matching tolerance in seconds.
 RHYTHM_TOLERANCE_SEC = 0.07
@@ -356,10 +358,7 @@ def memo_to_json(memo: dict[str, np.ndarray]) -> str:
 
 def memo_from_json(text: str) -> dict[str, np.ndarray]:
     """Parse :func:`memo_to_json` output; raises ``ValueError`` if malformed."""
-    try:
-        doc = json.loads(text)
-        if doc["format"] != MEMO_FORMAT or doc["version"] != MEMO_VERSION:
-            raise ValueError(f"not a {MEMO_FORMAT} version {MEMO_VERSION} document")
+    def build(doc: dict) -> dict[str, np.ndarray]:
         memo = {}
         for key, packed in doc["chunks"]:
             if not (isinstance(key, str) and isinstance(packed, str)
@@ -369,8 +368,7 @@ def memo_from_json(text: str) -> dict[str, np.ndarray]:
                               dtype=np.int64)
             memo[key] = ((values[:, None] & _ROW_BITS) != 0).astype(float).reshape(-1, 12)
         return memo
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {MEMO_FORMAT}: {exc!r}") from exc
+    return read_document(text, MEMO_FORMAT, MEMO_VERSION, build)
 
 
 def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:
@@ -379,3 +377,64 @@ def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarra
     phase = (np.outer(np.arange(window_size), bins) % n_fft) * (2.0 * np.pi / n_fft)
     hann = np.hanning(window_size)[:, None]
     return np.hstack([hann * np.cos(phase), hann * np.sin(phase)])
+
+
+# ---------------------------------------------------------------------------
+# Closed-loop report: rendered audio against the conditions it was rendered from
+
+
+def steady_frames(chroma: np.ndarray, radius: int) -> np.ndarray:
+    """Frames whose neighbours within ``radius`` frames all share their chroma row.
+
+    A frame near a chord change is not steady: an analysis window centred
+    on it straddles two chords.
+    """
+    t = len(chroma)
+    run = np.zeros(t, dtype=np.int64)
+    run[1:] = np.cumsum(np.any(chroma[1:] != chroma[:-1], axis=1))
+    frames = np.arange(t)
+    return run[np.maximum(frames - radius, 0)] == run[np.minimum(frames + radius, t - 1)]
+
+
+def self_report(
+    bundle: ConditionBundle,
+    events: list[RenderEvent],
+    accompaniment: AudioBuffer | WavReader,
+    memo: dict | None = None,
+) -> dict:
+    """Closed-loop metrics of rendered audio against its own conditions.
+
+    ``memo`` is passed to :func:`chroma_from_audio`.  Keys are estimated only
+    on frames whose chroma analysis window lies inside one chord run, so
+    that a window straddling two chords cannot tip a near-tie.
+    """
+    beat_frames = local_maxima(bundle.rhythm[:, 0], CLICK_THRESHOLD)
+    expected_beats = [f / bundle.frame_rate for f in beat_frames]
+    logged_beats = [e.time_sec for e in events if e.kind in ("beat", "downbeat")]
+    beat_f1 = rhythm_f1(expected_beats, logged_beats)
+
+    audio_chroma = chroma_from_audio(accompaniment, accompaniment.sample_rate,
+                                     bundle.frame_rate, bundle.num_frames, memo=memo)
+    chord = chord_f1(bundle.chroma, audio_chroma)
+
+    hop = accompaniment.sample_rate / bundle.frame_rate
+    steady = steady_frames(bundle.chroma, math.ceil(CHROMA_WINDOW // 2 / hop))
+    ref_keys: list[KeyLabel] = []
+    est_keys: list[KeyLabel] = []
+    for sec in sorted(set(bundle.structure.tolist())):
+        mask = (bundle.structure == sec) & bundle.chroma.any(axis=1) & steady
+        if not mask.any() or not audio_chroma[mask].any():
+            continue
+        ref_keys.append(estimate_key(bundle.chroma[mask]))
+        est_keys.append(estimate_key(audio_chroma[mask]))
+    key_acc = key_accuracy(ref_keys, est_keys) if ref_keys else None
+
+    return {
+        "rhythm_f1_log_vs_conditions": beat_f1,
+        "chord_f1_audio_vs_conditions": chord,
+        "key_accuracy_audio_vs_conditions": key_acc,
+        "num_expected_beats": len(expected_beats),
+        "num_logged_beats": len(logged_beats),
+        "num_key_segments": len(ref_keys),
+        "num_key_masked_frames": int(bundle.num_frames - steady.sum()),
+    }

@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .conditioning import beat_downbeat_events
+from .formats import read_document
 from .score import VocalScore, tick_to_seconds
 
 #: Longest span the downstream generator can produce in one call, seconds.
@@ -224,32 +225,19 @@ def plan_to_json(windows: list[GenerationWindow]) -> str:
 
 
 def plan_from_json(text: str | bytes) -> list[GenerationWindow]:
-    try:
-        doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != PLAN_JSON_FORMAT:
-        raise ValueError("missing or wrong format tag, expected 'plan'")
-    if doc.get("version") != PLAN_JSON_VERSION:
-        raise ValueError(f"unsupported plan version {doc.get('version')!r}")
-    try:
-        windows = [
-            GenerationWindow(
-                float(w["start_sec"]),
-                float(w["end_sec"]),
-                int(w["anchor_section"]),
-                int(w["order"]),
-                WindowReference(
-                    str(w["reference"]["kind"]),
-                    None
-                    if w["reference"]["section"] is None
-                    else int(w["reference"]["section"]),
-                ),
-            )
-            for w in doc["windows"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed plan document: {exc}") from exc
+    windows = read_document(text, PLAN_JSON_FORMAT, PLAN_JSON_VERSION, lambda doc: [
+        GenerationWindow(
+            float(w["start_sec"]),
+            float(w["end_sec"]),
+            int(w["anchor_section"]),
+            int(w["order"]),
+            WindowReference(
+                str(w["reference"]["kind"]),
+                None if w["reference"]["section"] is None else int(w["reference"]["section"]),
+            ),
+        )
+        for w in doc["windows"]
+    ])
     orders = sorted(w.order for w in windows)
     if orders != list(range(len(windows))):
         raise ValueError("window orders must be a permutation of 0..n-1")

@@ -9,12 +9,12 @@ comfortable range by trying whole-octave shifts.
 from __future__ import annotations
 
 import math
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 
-from dataclasses import replace
-
+from .formats import read_file
 from .score import SECTION_LABELS, LyricLine, LyricsSheet, VocalScore
 
 #: Relative weights of the three penalty components.
@@ -213,22 +213,15 @@ def apply_transpose(score: VocalScore, shift: int) -> VocalScore:
 # Lyric tokenization and file formats
 
 
-def is_cjk(char: str) -> bool:
-    """True for CJK ideographs (including extensions) and kana."""
-    cp = ord(char)
-    return (
-        0x4E00 <= cp <= 0x9FFF
-        or 0x3400 <= cp <= 0x4DBF
-        or 0x20000 <= cp <= 0x2A6DF
-        or 0xF900 <= cp <= 0xFAFF
-        or 0x3040 <= cp <= 0x30FF
-    )
-
-
-#: One character of the ranges :func:`is_cjk` accepts.
+#: One CJK ideograph (extensions included) or kana character.
 _CJK_CHAR = re.compile(
     "[\u4e00-\u9fff\u3400-\u4dbf\U00020000-\U0002a6df\uf900-\ufaff\u3040-\u30ff]"
 )
+
+
+def is_cjk(char: str) -> bool:
+    """True for CJK ideographs (including extensions) and kana."""
+    return _CJK_CHAR.fullmatch(char) is not None
 
 
 def tokenize_lyric_text(text: str) -> list[str]:
@@ -288,11 +281,7 @@ def format_lyrics(sheet: LyricsSheet) -> str:
 
 def load_lyrics(path) -> LyricsSheet:
     """Read a lyric sheet from ``path``; a decoding or format error names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_lyrics(fh.read())
-    except ValueError as exc:  # UnicodeDecodeError is one too
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+    return read_file(path, parse_lyrics)
 
 
 def load_reference_bank(directory) -> tuple[list[str], list[LyricsSheet]]:
@@ -301,8 +290,6 @@ def load_reference_bank(directory) -> tuple[list[str], list[LyricsSheet]]:
     Returns parallel lists of file names and parsed sheets; the index into
     these lists is the bank index reported by :func:`select_reference`.
     """
-    import os
-
     names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
     if not names:
         raise ValueError(f"no .txt lyric files under {directory}")

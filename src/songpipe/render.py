@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import struct
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, suppress
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import ConditionBundle
+from .formats import data_lines
 from .planner import GenerationWindow
 
 DEFAULT_SAMPLE_RATE = 44100
@@ -381,15 +383,9 @@ def format_events(events: list[RenderEvent]) -> str:
 
 def parse_events(text: str) -> list[RenderEvent]:
     events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"event line {lineno}: expected 2 columns, got {len(parts)}")
+    for lineno, (time, kind) in data_lines(text, "event", 2):
         try:
-            events.append(RenderEvent(float(parts[0]), parts[1]))
+            events.append(RenderEvent(float(time), kind))
         except ValueError:
             raise ValueError(f"event line {lineno}: bad time column") from None
     return events
@@ -628,3 +624,117 @@ def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None
     with wav_writer(path, buffer.sample_rate, buffer.channels, buffer.n_samples,
                     sample_format) as write:
         write(buffer.samples)
+
+
+# ---------------------------------------------------------------------------
+# A whole plan rendered into a directory, with a record of each window file
+
+
+#: The whole song and its event log, as :func:`render_windows` names them.
+ACCOMPANIMENT_FILE = "accompaniment.wav"
+EVENTS_FILE = "events.txt"
+
+#: Window WAVs written by :func:`render_windows`, ``window_NNN.wav`` by plan order.
+WINDOW_FILE = re.compile(r"window_\d{3,}\.wav")
+
+
+def window_file(order: int) -> str:
+    return f"window_{order:03d}.wav"
+
+
+#: Format name and version of the render record (``render.json``).
+RENDER_RECORD = ("render", 1)
+
+
+def file_sha256(path) -> str | None:
+    """SHA-256 of a file, read 1 MiB at a time; None if there is no such file."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
+
+
+def render_windows(
+    bundle: ConditionBundle,
+    windows: list[GenerationWindow],
+    sample_rate: int,
+    outdir: str,
+    record: dict | None = None,
+) -> dict:
+    """Render every window of a plan into ``outdir``, then the whole song.
+
+    Window files the plan does not own are removed first.  Each window goes
+    to ``window_NNN.wav``, unless ``record`` (what an earlier call returned
+    for ``outdir``) shows that the file holds it already: the same
+    :func:`window_fingerprint` and the same file SHA-256.  The windows'
+    float32 payloads spliced in time order go to :data:`ACCOMPANIMENT_FILE`
+    and their events, sorted, to :data:`EVENTS_FILE`.  One window's audio is
+    in memory at a time.
+
+    Returns the render record: per window in plan order, its file name,
+    fingerprint, file SHA-256 and events.
+    """
+    if not windows:
+        raise ValueError("the plan has no windows")
+    owned = {window_file(w.order) for w in windows}
+    for name in os.listdir(outdir):
+        if WINDOW_FILE.fullmatch(name) and name not in owned:
+            os.remove(os.path.join(outdir, name))
+    recorded = _recorded_windows(record)
+    entries: list[dict] = []
+    events: list[RenderEvent] = []
+    for window in sorted(windows, key=lambda w: w.order):
+        name = window_file(window.order)
+        path = os.path.join(outdir, name)
+        fingerprint = window_fingerprint(bundle, window, sample_rate)
+        entry = recorded.get(name)
+        if not (entry and entry["fingerprint"] == fingerprint
+                and file_sha256(path) == entry["sha256"]):
+            audio, window_events = render_stub(bundle, window, sample_rate)
+            write_wav(audio, path)
+            del audio  # freed before the next window renders
+            entry = {"file": name, "fingerprint": fingerprint, "sha256": file_sha256(path),
+                     "events": [[e.time_sec, e.kind] for e in window_events]}
+        entries.append(entry)
+        events.extend(RenderEvent(t, kind) for t, kind in entry["events"])
+    # The float32 cast of a concatenation is the concatenation of the casts,
+    # so re-encoding each window file's frames in time order gives the bytes
+    # of the whole song cast at once.  render_stub renders mono.
+    frames = sum(round(w.end_sec * sample_rate) - round(w.start_sec * sample_rate)
+                 for w in windows)
+    with wav_writer(os.path.join(outdir, ACCOMPANIMENT_FILE), sample_rate, 1, frames) as write:
+        for window in sorted(windows, key=lambda w: (w.start_sec, w.order)):
+            piece = WavReader(os.path.join(outdir, window_file(window.order)))
+            for lo in range(0, piece.n_samples, STREAM_FRAMES):
+                write(piece.read(lo, lo + STREAM_FRAMES))
+    events.sort(key=lambda e: (e.time_sec, e.kind))
+    with replacing(os.path.join(outdir, EVENTS_FILE)) as fh:
+        fh.write(format_events(events).encode("utf-8"))
+    return {"format": RENDER_RECORD[0], "version": RENDER_RECORD[1], "windows": entries}
+
+
+def _recorded_windows(record) -> dict[str, dict]:
+    """The well-formed window entries of a render record, by file name."""
+    try:
+        if (record["format"], record["version"]) != RENDER_RECORD:
+            return {}
+        windows = list(record["windows"])
+    except (KeyError, TypeError):
+        return {}
+    entries = {}
+    for entry in windows:
+        try:
+            name, fingerprint, sha256 = entry["file"], entry["fingerprint"], entry["sha256"]
+            events = [[t, kind] for t, kind in entry["events"]]
+        except (KeyError, TypeError, ValueError):
+            continue
+        if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
+            type(t) is float and isinstance(kind, str) for t, kind in events
+        ):  # rebuilt from its fields, so a reused entry is written as a new one is
+            entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
+                             "events": events}
+    return entries

@@ -23,6 +23,7 @@ import json
 import struct
 from typing import Iterator
 
+from .formats import read_document, read_file
 from .render import replacing
 from .score import (
     DEFAULT_TEMPO_US,
@@ -89,8 +90,7 @@ def write_smf(score: VocalScore) -> bytes:
     def add(tick: int, rank: int, payload: bytes) -> None:
         events.append((tick, rank, payload))
 
-    nn, dd = score.time_signature
-    add(0, 0, bytes([0xFF, 0x58, 0x04, nn, _log2_exact(dd), 24, 8]))
+    add(0, 0, bytes([0xFF, 0x58, 0x04, 4, 2, 24, 8]))  # 4/4, the only meter a valid score has
     for tick, tempo in score.tempo_map:
         add(tick, 0, bytes([0xFF, 0x51, 0x03]) + tempo.to_bytes(3, "big"))
     for sec in score.sections:
@@ -118,13 +118,6 @@ def write_smf(score: VocalScore) -> bytes:
 def _meta(kind: int, text: str) -> bytes:
     data = text.encode("utf-8")
     return bytes([0xFF, kind]) + _encode_vlq(len(data)) + data
-
-
-def _log2_exact(denominator: int) -> int:
-    power = denominator.bit_length() - 1
-    if 1 << power != denominator:
-        raise ValueError(f"time signature denominator {denominator} is not a power of two")
-    return power
 
 
 # ---------------------------------------------------------------------------
@@ -374,49 +367,39 @@ def score_to_json(score: VocalScore) -> str:
 
 def score_from_json(text: str | bytes) -> VocalScore:
     """Parse the canonical JSON document, raising :class:`ScoreFormatError` on bad input."""
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScoreFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScoreFormatError("top-level JSON value must be an object")
-    if doc.get("format") != SCORE_JSON_FORMAT:
-        raise ScoreFormatError("missing or wrong format tag, expected 'score'")
-    if doc.get("version") != SCORE_JSON_VERSION:
-        raise ScoreFormatError(f"unsupported score document version {doc.get('version')!r}")
-    try:
-        score = VocalScore(
-            notes=tuple(
-                Note(
-                    int(n["onset_tick"]),
-                    int(n["duration_ticks"]),
-                    int(n["pitch"]),
-                    _opt_str(n.get("syllable")),
-                )
-                for n in doc["notes"]
-            ),
-            tempo_map=tuple((int(t), int(u)) for t, u in doc["tempo_map"]),
-            time_signature=tuple(int(x) for x in doc["time_signature"]),
-            ticks_per_quarter=int(doc["ticks_per_quarter"]),
-            sections=tuple(
-                Section(
-                    str(s["label"]),
-                    int(s["start_tick"]),
-                    int(s["end_tick"]),
-                    _opt_str(s.get("prompt")),
-                )
-                for s in doc["sections"]
-            ),
-            title=str(doc.get("title", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScoreFormatError(f"malformed score document: {exc}") from exc
+    score = read_document(text, SCORE_JSON_FORMAT, SCORE_JSON_VERSION, _score_from_doc,
+                          ScoreFormatError)
     problems = validate_score(score)
     if problems:
         raise ScoreFormatError("score document is invalid: " + "; ".join(problems))
     return score
+
+
+def _score_from_doc(doc: dict) -> VocalScore:
+    return VocalScore(
+        notes=tuple(
+            Note(
+                int(n["onset_tick"]),
+                int(n["duration_ticks"]),
+                int(n["pitch"]),
+                _opt_str(n.get("syllable")),
+            )
+            for n in doc["notes"]
+        ),
+        tempo_map=tuple((int(t), int(u)) for t, u in doc["tempo_map"]),
+        time_signature=tuple(int(x) for x in doc["time_signature"]),
+        ticks_per_quarter=int(doc["ticks_per_quarter"]),
+        sections=tuple(
+            Section(
+                str(s["label"]),
+                int(s["start_tick"]),
+                int(s["end_tick"]),
+                _opt_str(s.get("prompt")),
+            )
+            for s in doc["sections"]
+        ),
+        title=str(doc.get("title", "")),
+    )
 
 
 def _opt_str(value) -> str | None:
@@ -437,12 +420,8 @@ def load_score(path) -> VocalScore:
     Files starting with ``MThd`` parse as SMF; anything else is treated as the
     canonical JSON text.  A format error names ``path``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return read_smf(data) if data[:4] == b"MThd" else score_from_json(data)
-    except ScoreFormatError as exc:
-        raise ScoreFormatError(f"cannot read {path}: {exc}") from exc
+    return read_file(path, lambda data: read_smf(data) if data[:4] == b"MThd"
+                     else score_from_json(data), ScoreFormatError, "rb")
 
 
 def save_score(score: VocalScore, path) -> None:

@@ -1023,6 +1023,85 @@ def test_memo_entries_that_do_not_fit_are_measured_again(score_file, tmp_path, m
     assert _read_bytes_map(out) == fresh
 
 
+#: Each artifact a resume reads, and the first stage that reads it.
+_FIRST_READER = {
+    "input.score.json": "validate",
+    "registered.score.json": "harmonize",
+    "song.score.json": "condition",
+    "chords.txt": "condition",
+    "conditions.json": "render",
+    "plan.json": "render",
+    "render.json": "render",
+    "window_000.wav": "render",
+    "accompaniment.wav": "mix",
+    "events.txt": "report",
+    "chroma_memo.json": "report",
+    "load.json": "report",
+    "mix.json": "report",
+}
+
+_TOKENS = (b"1e400", b"NaN", b"-1", b"null", b'"x"')
+
+#: ``(kind, *arguments)`` of one edit of a file's bytes; see ``_mutated``.
+#: No edit adds a digit to a number, so no song grows to hours, which
+#: condition would allocate frames for.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**24), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**24)),
+    st.tuples(st.just("insert"), st.integers(0, 2**24),
+              st.binary(min_size=1, max_size=8).filter(lambda b: not re.search(rb"\d", b))
+              | st.sampled_from(_TOKENS)),
+    st.tuples(st.just("replace"), st.sampled_from((b"", b"{}", b"[]", b"null"))),
+    st.tuples(st.just("token"), st.integers(0, 2**24), st.sampled_from(_TOKENS)),
+)
+
+
+def _mutated(data: bytes, kind: str, *args) -> bytes:
+    if kind == "replace":
+        return args[0]
+    if kind == "truncate":
+        return data[: args[0] % len(data)]
+    if kind == "insert":
+        at = args[0] % (len(data) + 1)
+        return data[:at] + args[1] + data[at:]
+    if kind == "flip":
+        at = args[0] % len(data)
+        byte = data[at] ^ args[1]
+        assume(not bytes([byte]).isdigit() or data[at:at + 1].isdigit())
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    digits = [m.start() for m in re.finditer(rb"\d", data)]  # "token": one digit swapped
+    assume(digits)
+    at = digits[args[0] % len(digits)]
+    return data[:at] + args[1] + data[at + 1:]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("finished")
+    score = tmp / "song.mid"
+    score.write_bytes(score_io.write_smf(simple_score(MELODY, labels=["verse", "chorus"])))
+    config = PipelineConfig(str(score), str(tmp / "out"))
+    run_pipeline(config)
+    return config
+
+
+@settings(max_examples=100, deadline=None)
+@given(artifact=st.sampled_from(sorted(_FIRST_READER)), mutation=_MUTATIONS)
+@example(artifact="song.score.json", mutation=("token", 0, b"1e400"))
+def test_a_resume_over_any_corrupt_artifact_returns_or_names_the_stage(
+    finished_run, artifact, mutation
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        shutil.copytree(finished_run.output_dir, out)
+        path = out / artifact
+        path.write_bytes(_mutated(path.read_bytes(), *mutation))
+        try:
+            run_pipeline(replace(finished_run, output_dir=str(out)), _FIRST_READER[artifact])
+        except StageError:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # Satellites: the key near-tie, a portable manifest, files named on parse errors
 
@@ -1144,6 +1223,13 @@ def _stage_files(score_file, tmp_path):
     ("eval --ref-text", b"\xff\xfe", "codec can't decode"),
     ("eval --hyp-text", b"la \xff\n", "codec can't decode"),
     ("run --config", '{"score_path": "s.mid",', "config is not valid JSON"),
+    ("render --plan", '{"format": "plan", "version": 1, "windows": [{"order": 1e400, '
+     '"start_sec": 0, "end_sec": 1, "anchor_section": 0, '
+     '"reference": {"kind": "none", "section": null}}]}', "malformed plan document"),
+    ("render --conditions", '{"format": "conditions", "version": 1, "frame_rate": 50, '
+     '"rhythm": [], "chroma": [], "structure": [], "pitch_contour": [], "keys": [], '
+     '"num_frames": 1e400}', "malformed conditions document"),
+    ("eval --ref-beats", "0.0 1e400\n", "beat line 1: bad time or position column"),
 ])
 def test_a_file_argument_that_does_not_parse_is_named(score_file, tmp_path, capsys,
                                                      flag, garbage, message):

@@ -206,6 +206,13 @@ def _tokenize_loop_oracle(text):
     return text.split()
 
 
+def test_is_cjk_accepts_exactly_the_ideograph_and_kana_ranges():
+    ranges = ((0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0x20000, 0x2A6DF), (0xF900, 0xFAFF),
+              (0x3040, 0x30FF))
+    for cp in range(0x30000):
+        assert is_cjk(chr(cp)) == any(lo <= cp <= hi for lo, hi in ranges), hex(cp)
+
+
 def test_cjk_test_agrees_with_is_cjk_on_every_code_point():
     for cp in range(0x30000):
         if 0xD800 <= cp <= 0xDFFF:  # surrogates

@@ -210,6 +210,9 @@ def test_json_round_trip_keeps_title_and_prompt():
         "[]",
         '{"format": "other", "version": 1}',
         '{"format": "score", "version": 99}',
+        pytest.param(score_to_json(simple_score([60])).replace(
+            '"ticks_per_quarter": 480', '"ticks_per_quarter": 1e400'),
+            id="int-of-1e400"),  # json reads 1e400 as inf, which int() cannot take
     ],
 )
 def test_bad_json_documents_raise_typed_errors(text):
