@@ -29,11 +29,11 @@ import numpy as np
 
 from . import beatgrid, conditioning, harmony, metrics, planner, prep, render, score_io
 from .conditioning import ChordSequence, KeyLabel
-from .formats import read_file
+from .formats import content_lines, file_sha256, json_text, read_file, write_file
 from .harmony import harmonize_song, section_key_estimates, section_keys  # noqa: F401
 from .metrics import self_report, steady_frames  # noqa: F401
 from .prep import DEFAULT_PROFILES, SingerProfile
-from .render import file_sha256, render_windows, window_file
+from .render import render_windows, window_file
 from .score import VocalScore, validate_score
 
 LOGGER = logging.getLogger(__name__)
@@ -237,16 +237,6 @@ def _art(outdir: str, key: str) -> str:
     return os.path.join(outdir, ART[key])
 
 
-def _write_file(path: str, data: str | bytes) -> None:
-    """Write ``data`` to ``path`` atomically (see :func:`render.replacing`); text is UTF-8."""
-    with render.replacing(path) as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _codec(key: str):
     """``(encode, decode)`` of artifact ``key``: value to file data and back.
 
@@ -263,8 +253,9 @@ def _codec(key: str):
         "conditions": (conditioning.bundle_to_json, conditioning.bundle_from_json),
         "plan": (planner.plan_to_json, planner.plan_from_json),
         "events": (render.format_events, render.parse_events),
+        "render_record": (json_text, render.record_from_json),
         "chroma_memo": (metrics.memo_to_json, metrics.memo_from_json),
-    }.get(key, (_json_text, json.loads))
+    }.get(key, (json_text, json.loads))
 
 
 def _read(outdir: str, key: str, stage: str):
@@ -299,7 +290,7 @@ def _read_cache(outdir: str, key: str):
 
 
 def _write(outdir: str, key: str, value) -> None:
-    _write_file(_art(outdir, key), _codec(key)[0](value))
+    write_file(_art(outdir, key), _codec(key)[0](value))
 
 
 #: The input-file hashes each stage that reads an outside file records, by
@@ -396,9 +387,9 @@ def _stage_render(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
     windows: list[planner.GenerationWindow],
 ) -> None:
-    record = _read_cache(outdir, "render_record")
+    recorded = _read_cache(outdir, "render_record")
     _write(outdir, "render_record",
-           render_windows(bundle, windows, config.sample_rate, outdir, record))
+           render_windows(bundle, windows, config.sample_rate, outdir, recorded))
 
 
 def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> None:
@@ -506,7 +497,7 @@ def _cmd_harmonize(args) -> int:
     _, chords = harmonize_song(score_io.load_score(args.score), args.intro_bars, weights)
     text = conditioning.format_chords(chords)
     if args.output:
-        _write_file(args.output, text)
+        write_file(args.output, text)
     else:
         print(text, end="")
     return 0
@@ -546,7 +537,7 @@ def _cmd_condition(args) -> int:
     bundle = conditioning.build_condition_bundle(
         score, chords, section_keys(score, labels), args.frame_rate, args.sigma
     )
-    _write_file(args.output, conditioning.bundle_to_json(bundle))
+    write_file(args.output, conditioning.bundle_to_json(bundle))
     print(f"wrote {bundle.num_frames} frames to {args.output}")
     return 0
 
@@ -556,7 +547,7 @@ def _cmd_plan(args) -> int:
     windows = planner.plan_inference(score, args.max_window)
     print(planner.format_plan_table(windows), end="")
     if args.output:
-        _write_file(args.output, planner.plan_to_json(windows))
+        write_file(args.output, planner.plan_to_json(windows))
     return 0
 
 
@@ -584,12 +575,12 @@ def _parse_chroma(text: str) -> np.ndarray:
 
 
 def _lines(text: str) -> list[str]:
-    """The stripped lines of ``text`` that are not blank."""
+    """The stripped lines of ``text`` that are not blank; PER text has no ``#`` comments."""
     return [line for line in map(str.strip, text.splitlines()) if line]
 
 
 def _parse_keys(text: str) -> list[KeyLabel]:
-    return [KeyLabel.parse(line) for line in _lines(text) if not line.startswith("#")]
+    return [KeyLabel.parse(line) for _, line in content_lines(text)]
 
 
 def _text_tokens(lines: list[str], dedup: bool) -> list[str]:
@@ -637,7 +628,7 @@ def _cmd_eval(args) -> int:
     for name, value in rows:
         print(f"{name:<{width}}  {value:.6f}")
     if args.json:
-        _write_file(args.json, _json_text(dict(rows)))
+        write_file(args.json, json_text(dict(rows)))
     return 0
 
 

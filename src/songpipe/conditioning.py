@@ -412,11 +412,7 @@ def _snap_chords(chords: ChordSequence, targets_beats: list[float],
 
     Spans that collapse to zero length after snapping are dropped.
     """
-    if not chords.entries:
-        return chords
     grid = sorted(set(targets_beats) | set(section_edges))
-    if not grid:
-        return chords
     edges = nearest_targets([t for c in chords for t in (c.start_sec, c.end_sec)], grid)
     entries = []
     for c, a, b in zip(chords, edges[::2], edges[1::2]):

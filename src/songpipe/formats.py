@@ -1,8 +1,54 @@
-"""Readers shared by every file format: files, versioned JSON documents, line tables."""
+"""Rules shared by every file format: atomic writes, hashes, JSON documents, data lines."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from collections.abc import Iterator
+from contextlib import contextmanager, suppress
+
+
+@contextmanager
+def replacing(path):
+    """A binary file that replaces ``path`` only if the ``with`` block succeeds.
+
+    It is written under the fixed name ``.NAME.tmp`` beside ``path`` and moved
+    into place with :func:`os.replace`.  On any exception the temporary file
+    is removed and ``path`` is left as it was.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write ``data`` to ``path`` atomically (see :func:`replacing`); text is UTF-8."""
+    with replacing(path) as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
+def file_sha256(path) -> str | None:
+    """SHA-256 of a file, read 1 MiB at a time; None if there is no such file."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
+
+
+def json_text(doc) -> str:
+    """``doc`` as JSON with sorted keys, indented by 2, and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def read_file(path, parse, error: type[ValueError] = ValueError, mode: str = "r"):
@@ -39,15 +85,20 @@ def read_document(text: str | bytes, name: str, version: int, build,
         raise error(f"malformed {name} document: {exc}") from exc
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of each line that is not blank or a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def data_lines(text: str, what: str, columns: int) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, fields)`` of each line that is not blank or a ``#`` comment.
+    """``(line number, fields)`` of each of the :func:`content_lines` of ``text``.
 
     A line without exactly ``columns`` fields is a ``ValueError`` naming the ``what`` line.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         if len(fields) != columns:
             raise ValueError(f"{what} line {lineno}: expected {columns} columns, got {len(fields)}")

@@ -18,12 +18,11 @@ one half the time.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 from .conditioning import beat_downbeat_events
-from .formats import read_document
+from .formats import json_text, read_document
 from .score import VocalScore, tick_to_seconds
 
 #: Longest span the downstream generator can produce in one call, seconds.
@@ -207,7 +206,7 @@ def plan_training_slices(
 
 
 def plan_to_json(windows: list[GenerationWindow]) -> str:
-    doc = {
+    return json_text({
         "format": PLAN_JSON_FORMAT,
         "version": PLAN_JSON_VERSION,
         "windows": [
@@ -220,8 +219,7 @@ def plan_to_json(windows: list[GenerationWindow]) -> str:
             }
             for w in sorted(windows, key=lambda w: w.order)
         ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def plan_from_json(text: str | bytes) -> list[GenerationWindow]:

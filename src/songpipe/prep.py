@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, replace
 from statistics import median
 
-from .formats import read_file
+from .formats import content_lines, read_file
 from .score import SECTION_LABELS, LyricLine, LyricsSheet, VocalScore
 
 #: Relative weights of the three penalty components.
@@ -238,17 +238,14 @@ def tokenize_lyric_text(text: str) -> list[str]:
 def parse_lyrics(text: str) -> LyricsSheet:
     """Parse the plain-text lyric format.
 
-    Each non-blank line is one lyric line.  A leading ``[tag]`` sets the
-    section tag for that line and the following ones; lines before any tag
-    default to ``verse``.  A line consisting only of ``[tag]`` changes the
-    running tag without adding a line.
+    Each line that is not blank or a ``#`` comment is one lyric line.  A
+    leading ``[tag]`` sets the section tag for that line and the following
+    ones; lines before any tag default to ``verse``.  A line consisting only
+    of ``[tag]`` changes the running tag without adding a line.
     """
     lines: list[LyricLine] = []
     tag = "verse"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         if stripped.startswith("["):
             close = stripped.find("]")
             if close < 0:

@@ -23,13 +23,13 @@ import os
 import re
 import struct
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conditioning import ConditionBundle
-from .formats import data_lines
+from .formats import data_lines, file_sha256, read_document, replacing, write_file
 from .planner import GenerationWindow
 
 DEFAULT_SAMPLE_RATE = 44100
@@ -328,7 +328,7 @@ def mix(vocal, accompaniment, path=None):
     Each source is an :class:`AudioBuffer` or a :class:`WavReader`.  Sample
     rates must match; the shorter source is zero-padded and a mono source is
     duplicated up to stereo when channel counts differ.  All-silent input
-    stays silent instead of being scaled.
+    stays silent instead of being scaled; a NaN or infinite sum is refused.
 
     The sum is formed :data:`STREAM_FRAMES` frames at a time, twice: once for
     the global peak, once to scale and store it.  With ``path`` it streams
@@ -354,6 +354,8 @@ def mix(vocal, accompaniment, path=None):
         return out
 
     peak = np.max([np.abs(total(lo)).max() for lo in starts]) if n else 0.0
+    if not np.isfinite(peak):  # NaN would skip the scaling and inf would scale by 0
+        raise ValueError(f"cannot mix: a summed sample is not finite (peak {peak})")
 
     def scaled(lo: int) -> np.ndarray:
         out = total(lo)
@@ -575,26 +577,6 @@ def read_wav(path) -> AudioBuffer:
 
 
 @contextmanager
-def replacing(path):
-    """A binary file that replaces ``path`` only if the ``with`` block succeeds.
-
-    It is written under the fixed name ``.NAME.tmp`` beside ``path`` and moved
-    into place with :func:`os.replace`.  On any exception the temporary file
-    is removed and ``path`` is left as it was.
-    """
-    directory, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-@contextmanager
 def wav_writer(path, sample_rate: int, channels: int, n_frames: int,
                sample_format: str = "float32"):
     """Yield ``write(samples)``, which appends (channels, k) frames to a new WAV.
@@ -646,30 +628,18 @@ def window_file(order: int) -> str:
 RENDER_RECORD = ("render", 1)
 
 
-def file_sha256(path) -> str | None:
-    """SHA-256 of a file, read 1 MiB at a time; None if there is no such file."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    except FileNotFoundError:
-        return None
-    return digest.hexdigest()
-
-
 def render_windows(
     bundle: ConditionBundle,
     windows: list[GenerationWindow],
     sample_rate: int,
     outdir: str,
-    record: dict | None = None,
+    recorded: dict[str, dict] | None = None,
 ) -> dict:
     """Render every window of a plan into ``outdir``, then the whole song.
 
     Window files the plan does not own are removed first.  Each window goes
-    to ``window_NNN.wav``, unless ``record`` (what an earlier call returned
-    for ``outdir``) shows that the file holds it already: the same
+    to ``window_NNN.wav``, unless its ``recorded`` entry (see
+    :func:`record_from_json`) shows that the file holds it already: the same
     :func:`window_fingerprint` and the same file SHA-256.  The windows'
     float32 payloads spliced in time order go to :data:`ACCOMPANIMENT_FILE`
     and their events, sorted, to :data:`EVENTS_FILE`.  One window's audio is
@@ -684,14 +654,13 @@ def render_windows(
     for name in os.listdir(outdir):
         if WINDOW_FILE.fullmatch(name) and name not in owned:
             os.remove(os.path.join(outdir, name))
-    recorded = _recorded_windows(record)
     entries: list[dict] = []
     events: list[RenderEvent] = []
     for window in sorted(windows, key=lambda w: w.order):
         name = window_file(window.order)
         path = os.path.join(outdir, name)
         fingerprint = window_fingerprint(bundle, window, sample_rate)
-        entry = recorded.get(name)
+        entry = (recorded or {}).get(name)
         if not (entry and entry["fingerprint"] == fingerprint
                 and file_sha256(path) == entry["sha256"]):
             audio, window_events = render_stub(bundle, window, sample_rate)
@@ -712,29 +681,27 @@ def render_windows(
             for lo in range(0, piece.n_samples, STREAM_FRAMES):
                 write(piece.read(lo, lo + STREAM_FRAMES))
     events.sort(key=lambda e: (e.time_sec, e.kind))
-    with replacing(os.path.join(outdir, EVENTS_FILE)) as fh:
-        fh.write(format_events(events).encode("utf-8"))
+    write_file(os.path.join(outdir, EVENTS_FILE), format_events(events))
     return {"format": RENDER_RECORD[0], "version": RENDER_RECORD[1], "windows": entries}
 
 
-def _recorded_windows(record) -> dict[str, dict]:
-    """The well-formed window entries of a render record, by file name."""
-    try:
-        if (record["format"], record["version"]) != RENDER_RECORD:
-            return {}
-        windows = list(record["windows"])
-    except (KeyError, TypeError):
-        return {}
-    entries = {}
-    for entry in windows:
-        try:
-            name, fingerprint, sha256 = entry["file"], entry["fingerprint"], entry["sha256"]
-            events = [[t, kind] for t, kind in entry["events"]]
-        except (KeyError, TypeError, ValueError):
-            continue
-        if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
-            type(t) is float and isinstance(kind, str) for t, kind in events
-        ):  # rebuilt from its fields, so a reused entry is written as a new one is
-            entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
-                             "events": events}
-    return entries
+def record_from_json(text: str) -> dict[str, dict]:
+    """The well-formed window entries of a render record (``render.json``), by file name.
+
+    An entry that is not well formed is left out, so only its window renders again.
+    """
+    def build(doc: dict) -> dict[str, dict]:
+        entries = {}
+        for entry in doc["windows"]:
+            try:
+                name, fingerprint, sha256 = entry["file"], entry["fingerprint"], entry["sha256"]
+                events = [[t, kind] for t, kind in entry["events"]]
+            except (KeyError, TypeError, ValueError):
+                continue
+            if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
+                type(t) is float and isinstance(kind, str) for t, kind in events
+            ):  # rebuilt from its fields, so a reused entry is written as a new one is
+                entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
+                                 "events": events}
+        return entries
+    return read_document(text, *RENDER_RECORD, build)

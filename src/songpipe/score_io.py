@@ -23,8 +23,7 @@ import json
 import struct
 from typing import Iterator
 
-from .formats import read_document, read_file
-from .render import replacing
+from .formats import read_document, read_file, replacing
 from .score import (
     DEFAULT_TEMPO_US,
     SECTION_LABELS,
@@ -427,7 +426,7 @@ def load_score(path) -> VocalScore:
 def save_score(score: VocalScore, path) -> None:
     """Write a score to ``path``; ``.mid``/``.midi`` selects SMF, else JSON.
 
-    The file replaces ``path`` whole or not at all (see :func:`render.replacing`).
+    The file replaces ``path`` whole or not at all (see :func:`formats.replacing`).
     """
     name = str(path).lower()
     if name.endswith((".mid", ".midi")):

@@ -657,6 +657,19 @@ def test_a_flag_takes_what_its_config_key_takes(capsys, key, text):
         assert (value, type(value)) == (expected, type(expected))
 
 
+@pytest.mark.parametrize("arg, message", [
+    ("--frame-rate=-inf", "argument --frame-rate: frame_rate must be finite and > 0 fps, got -inf"),
+    ("--sigma=-1e-3", "argument --sigma: sigma must be finite and > 0 s, got -0.001"),
+])
+def test_a_flag_value_that_starts_with_a_dash_is_given_after_an_equals_sign(capsys, arg, message):
+    # argparse reads "--sigma -1e-3" as two options, as the README says; with
+    # "=" the value reaches the range check.
+    with pytest.raises(SystemExit) as code:
+        main(["condition", "s", "--chords", "c", "-o", "o", arg])
+    assert code.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_flag_defaults_are_the_config_and_weight_defaults():
     config = PipelineConfig("s", "o")
     for key, (argv, _, dest) in _FLAGS.items():
@@ -975,6 +988,7 @@ def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_pat
     ("record", "all"),
     ("record entry", 1),
     ("record version", "all"),
+    ("record format", "all"),
     ("memo", 0),
 ])
 def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, monkeypatch,
@@ -1000,12 +1014,54 @@ def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, m
     elif tamper == "record version":
         record["version"] = 0
         (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record format":
+        record["format"] = "plan"
+        (out / "render.json").write_text(json.dumps(record))
     else:
         (out / "chroma_memo.json").write_text("not json")
     renders = _counting(monkeypatch, render, "render_stub")
     run_pipeline(config, "render")
     assert len(renders) == (len(windows) if rendered == "all" else rendered)
     assert _read_bytes_map(out) == fresh
+
+
+def test_a_render_record_of_another_version_is_named_and_rebuilt(score_file, tmp_path, caplog):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    (out / "render.json").write_text('{"format": "render", "version": 0, "windows": []}')
+    with caplog.at_level("INFO", logger="songpipe.cli"):
+        run_pipeline(config, "render")
+    assert ("cannot read render.json: unsupported render version 0; rebuilding it"
+            in caplog.text)
+    assert _read_bytes_map(out) == fresh
+
+
+def test_a_mix_over_samples_that_are_not_finite_fails_and_keeps_the_old_mix(
+    score_file, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    args = ["run", "--score", str(score_file), "--output", str(out)]
+    assert main(args) == 0
+    old_mix = (out / "mix.wav").read_bytes()
+    accompaniment = out / "accompaniment.wav"
+    data = bytearray(accompaniment.read_bytes())
+    start = render.WavReader(accompaniment).header.data_offset
+    middle = start + (len(data) - start) // 8 * 4  # a sample boundary of the mono float32 data
+    data[middle : middle + 4000] = np.full(1000, np.nan, dtype="<f4").tobytes()
+    accompaniment.write_bytes(bytes(data))
+    message = "cannot mix: a summed sample is not finite (peak nan)"
+
+    assert main(args + ["--from", "mix"]) == 1
+    assert f"error in stage 'mix': {message}" in capsys.readouterr().err
+    assert (out / "mix.wav").read_bytes() == old_mix
+    vocal, mixed = tmp_path / "vocal.wav", tmp_path / "mixed.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 1000))), vocal)
+    assert main(["mix", str(vocal), str(accompaniment), "-o", str(mixed)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["out", "song.mid", "vocal.wav"]
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
 
 
 def test_memo_entries_that_do_not_fit_are_measured_again(score_file, tmp_path, monkeypatch):

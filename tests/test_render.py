@@ -215,6 +215,16 @@ def test_mix_rejects_rate_mismatch():
         mix(AudioBuffer(44100, np.zeros((1, 10))), AudioBuffer(48000, np.zeros((1, 10))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mix_rejects_a_sample_that_is_not_finite(bad):
+    # A NaN peak would skip the scaling and pass the NaN through; an
+    # infinite one would scale every sample by 0, turning the inf into NaN.
+    samples = np.full((1, 100), 0.25)
+    samples[0, 40] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        mix(AudioBuffer(SR, np.zeros((1, 100))), AudioBuffer(SR, samples))
+
+
 def test_audio_buffer_validation():
     with pytest.raises(ValueError):
         AudioBuffer(SR, np.zeros((3, 10)))
