@@ -18,6 +18,8 @@ The remaining subcommands expose the individual stages over explicit files:
 from __future__ import annotations
 
 import argparse
+import contextvars
+import io
 import json
 import logging
 import math
@@ -258,17 +260,34 @@ def _codec(key: str):
     }.get(key, (json_text, json.loads))
 
 
+#: Inside a :func:`run_pipeline` call, the file bytes and the value :func:`_read`
+#: last decoded of each artifact in :data:`_SHARED`, by path; None outside one.
+_DECODED: contextvars.ContextVar[dict[str, tuple[bytes, object]] | None] = (
+    contextvars.ContextVar("decoded", default=None))
+
+
 def _read(outdir: str, key: str, stage: str):
     """Artifact ``key`` decoded, a WAV as a :class:`render.WavReader` on the file.
 
+    The file is read on every call, but inside a :func:`run_pipeline` call a
+    shared artifact whose bytes are those last decoded is not decoded again.
     Any failure is a :class:`StageError` naming the file.
     """
     path = _art(outdir, key)
     try:
         if path.endswith(".wav"):
             return render.WavReader(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            return _codec(key)[1](fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        decoded = _DECODED.get()
+        cached = decoded.get(path) if decoded is not None else None
+        if cached is not None and cached[0] == data:
+            return cached[1]
+        # Decoded as open(path, "r", encoding="utf-8") would, newlines included.
+        value = _codec(key)[1](io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        if decoded is not None and key in _SHARED:
+            decoded[path] = (data, value)
+        return value
     except FileNotFoundError as exc:
         raise StageError(stage, f"missing artifact {ART[key]}; run earlier stages first") from exc
     except (OSError, ValueError) as exc:
@@ -441,22 +460,24 @@ def _drive(stage: str, core, inputs: tuple[str, ...]):
     return run
 
 
+#: Each stage, its core and the artifacts it reads, in pipeline order.
+_STAGE_TABLE = (
+    ("load", _stage_load, ()),
+    ("validate", _stage_validate, ("input_score",)),
+    ("register", _stage_register, ("input_score",)),
+    ("harmonize", _stage_harmonize, ("registered_score",)),
+    ("condition", _stage_condition, ("song_score", "chords")),
+    ("plan", _stage_plan, ("song_score",)),
+    ("render", _stage_render, ("conditions", "plan")),
+    ("mix", _stage_mix, ("accompaniment",)),
+    ("report", _stage_report, ("conditions", "events", "plan", "accompaniment")),
+)
 #: Stage name to ``fn(config, outdir)``, in pipeline order.
-_STAGE_FUNCS = {
-    stage: _drive(stage, core, inputs)
-    for stage, core, inputs in (
-        ("load", _stage_load, ()),
-        ("validate", _stage_validate, ("input_score",)),
-        ("register", _stage_register, ("input_score",)),
-        ("harmonize", _stage_harmonize, ("registered_score",)),
-        ("condition", _stage_condition, ("song_score", "chords")),
-        ("plan", _stage_plan, ("song_score",)),
-        ("render", _stage_render, ("conditions", "plan")),
-        ("mix", _stage_mix, ("accompaniment",)),
-        ("report", _stage_report, ("conditions", "events", "plan", "accompaniment")),
-    )
-}
+_STAGE_FUNCS = {stage: _drive(stage, core, inputs) for stage, core, inputs in _STAGE_TABLE}
 STAGES = tuple(_STAGE_FUNCS)
+#: The artifacts more than one stage reads: decoded once per run_pipeline call.
+_SHARED = frozenset(key for key in ART
+                    if sum(key in inputs for _, _, inputs in _STAGE_TABLE) > 1)
 
 
 def run_pipeline(config: PipelineConfig, from_stage: str = "load") -> dict:
@@ -469,10 +490,14 @@ def run_pipeline(config: PipelineConfig, from_stage: str = "load") -> dict:
     if from_stage not in STAGES:
         raise ValueError(f"unknown stage {from_stage!r}; expected one of {STAGES}")
     os.makedirs(config.output_dir, exist_ok=True)
-    for stage in STAGES[STAGES.index(from_stage):]:
-        LOGGER.info("stage %s", stage)
-        _STAGE_FUNCS[stage](config, config.output_dir)
-    return _read(config.output_dir, "manifest", "report")
+    token = _DECODED.set({})
+    try:
+        for stage in STAGES[STAGES.index(from_stage):]:
+            LOGGER.info("stage %s", stage)
+            _STAGE_FUNCS[stage](config, config.output_dir)
+        return _read(config.output_dir, "manifest", "report")
+    finally:
+        _DECODED.reset(token)
 
 
 # ---------------------------------------------------------------------------

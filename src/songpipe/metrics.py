@@ -309,13 +309,10 @@ def chroma_from_audio(
             padded = np.zeros(end - begin)
             padded[lo - begin : hi - begin] = segment
             segment = padded
-        frames = sliding_window_view(segment, span)[chunk_starts - begin]
-        if window_size > span:
-            frames = np.hstack([frames, np.zeros((len(frames), 1))])
-        live = np.flatnonzero(~(np.sqrt((frames**2).mean(axis=1)) < silence_threshold))
+        offsets = chunk_starts - begin
+        live = np.flatnonzero(~_silent(segment, offsets, window_size, silence_threshold))
         if live.size:
-            if live.size < len(frames):
-                frames = frames[live]
+            frames = _frames(segment, offsets[live], window_size)
             if basis is None:
                 basis = _note_bin_basis(window_size, n_fft, bins)
             proj = frames @ basis
@@ -369,6 +366,56 @@ def memo_from_json(text: str) -> dict[str, np.ndarray]:
             memo[key] = ((values[:, None] & _ROW_BITS) != 0).astype(float).reshape(-1, 12)
         return memo
     return read_document(text, MEMO_FORMAT, MEMO_VERSION, build)
+
+
+def _frames(segment: np.ndarray, offsets: np.ndarray, window_size: int) -> np.ndarray:
+    """One row per offset: ``window_size`` samples of ``segment`` from it, an odd
+    window ending in a zero."""
+    span = 2 * (window_size // 2)
+    frames = sliding_window_view(segment, span)[offsets]
+    if window_size > span:
+        frames = np.hstack([frames, np.zeros((len(frames), 1))])
+    return frames
+
+
+def _silent(segment: np.ndarray, offsets: np.ndarray, window_size: int,
+            threshold: float) -> np.ndarray:
+    """Whether each frame of :func:`_frames` is silent, exactly as
+    ``np.sqrt((frames**2).mean(axis=1)) < threshold`` decides it.
+
+    A prefix sum of the squared samples gives each frame's energy ``E`` (the
+    sum of its squares) in O(1).  With ``u = 2**-53`` and ``n`` samples in
+    ``segment``, every prefix is within ``n*u`` (to first order) of its exact
+    value relative to itself, as the terms are not negative, so ``E`` is
+    within ``4*(n+1)*u`` times its ending prefix of the exact sum ``S``.  The
+    expression above sums the same squares in another order, within
+    ``window_size*u*S`` of ``S``; its mean, square root and comparison round
+    thrice more.  So a frame whose ``E`` lies, with its error, farther than
+    ``2*(window_size+8)*u`` relative from ``threshold**2 * window_size`` is
+    decided by ``E``.  The rest are measured by the expression itself, as are
+    all frames of a segment whose squares do not sum to a finite number, and
+    all frames when that limit is not a normal number far from underflow
+    (where the relative bounds would not hold) or ``threshold`` is not
+    positive.
+    """
+    sums = np.empty(len(segment) + 1)
+    sums[0] = 0.0
+    np.cumsum(segment * segment, out=sums[1:])
+    span = 2 * (window_size // 2)
+    limit = threshold * threshold * window_size
+    silent = np.zeros(len(offsets), dtype=bool)
+    unsure = np.ones(len(offsets), dtype=bool)
+    if threshold > 0 and 2.0**-900 < limit < 2.0**900 and np.isfinite(sums[-1]):
+        ends = sums[offsets + span]
+        energy = ends - sums[offsets]
+        error = 4 * (len(segment) + 1) * 2.0**-53 * ends
+        margin = 2 * (window_size + 8) * 2.0**-53 * limit
+        silent = energy + error < limit - margin
+        unsure = ~silent & ~(energy - error > limit + margin)
+    if unsure.any():
+        frames = _frames(segment, offsets[unsure], window_size)
+        silent[unsure] = np.sqrt((frames**2).mean(axis=1)) < threshold
+    return silent
 
 
 def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:

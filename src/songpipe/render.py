@@ -546,14 +546,19 @@ class WavReader:
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Frames ``[lo, hi)`` (``0 <= lo``) as float64 (channels, k), clipped to the file."""
+        return _wav_samples(np.frombuffer(self.read_bytes(lo, hi), self.header.dtype),
+                            self.header)
+
+    def read_bytes(self, lo: int, hi: int) -> bytes:
+        """Frames ``[lo, hi)`` (``0 <= lo``) as the file holds them, clipped to the file."""
         header = self.header
-        count = max(min(hi, header.n_frames) - lo, 0) * header.channels
+        size = max(min(hi, header.n_frames) - lo, 0) * header.block_align
         with open(self.path, "rb") as fh:
             fh.seek(header.data_offset + lo * header.block_align)
-            raw = np.fromfile(fh, dtype=header.dtype, count=count)
-        if raw.size != count:
+            data = fh.read(size)
+        if len(data) != size:
             raise WavFormatError("file is shorter than its header says")
-        return _wav_samples(raw, header)
+        return data
 
     def peak(self) -> float:
         return max(
@@ -638,12 +643,13 @@ def render_windows(
     """Render every window of a plan into ``outdir``, then the whole song.
 
     Window files the plan does not own are removed first.  Each window goes
-    to ``window_NNN.wav``, unless its ``recorded`` entry (see
-    :func:`record_from_json`) shows that the file holds it already: the same
-    :func:`window_fingerprint` and the same file SHA-256.  The windows'
-    float32 payloads spliced in time order go to :data:`ACCOMPANIMENT_FILE`
-    and their events, sorted, to :data:`EVENTS_FILE`.  One window's audio is
-    in memory at a time.
+    to ``window_NNN.wav``, hashed as it is written, unless its ``recorded``
+    entry (see :func:`record_from_json`) shows that the file holds it
+    already: the same :func:`window_fingerprint`, a mono float32 header at
+    ``sample_rate`` with the window's frame count, and the same file SHA-256.
+    The windows' float32 data chunks, copied byte for byte in time order, go
+    to :data:`ACCOMPANIMENT_FILE` and their events, sorted, to
+    :data:`EVENTS_FILE`.  One window's audio is in memory at a time.
 
     Returns the render record: per window in plan order, its file name,
     fingerprint, file SHA-256 and events.
@@ -656,33 +662,66 @@ def render_windows(
             os.remove(os.path.join(outdir, name))
     entries: list[dict] = []
     events: list[RenderEvent] = []
+    pieces: dict[int, WavReader] = {}
     for window in sorted(windows, key=lambda w: w.order):
         name = window_file(window.order)
         path = os.path.join(outdir, name)
         fingerprint = window_fingerprint(bundle, window, sample_rate)
         entry = (recorded or {}).get(name)
-        if not (entry and entry["fingerprint"] == fingerprint
-                and file_sha256(path) == entry["sha256"]):
+        n_frames = round(window.end_sec * sample_rate) - round(window.start_sec * sample_rate)
+        piece = None
+        if entry and entry["fingerprint"] == fingerprint:
+            piece = _recorded_window(path, entry["sha256"], sample_rate, n_frames)
+        if piece is None:
             audio, window_events = render_stub(bundle, window, sample_rate)
-            write_wav(audio, path)
+            sha256 = _write_window(audio, path)
             del audio  # freed before the next window renders
-            entry = {"file": name, "fingerprint": fingerprint, "sha256": file_sha256(path),
+            piece = WavReader(path)
+            entry = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
                      "events": [[e.time_sec, e.kind] for e in window_events]}
         entries.append(entry)
+        pieces[window.order] = piece
         events.extend(RenderEvent(t, kind) for t, kind in entry["events"])
     # The float32 cast of a concatenation is the concatenation of the casts,
-    # so re-encoding each window file's frames in time order gives the bytes
-    # of the whole song cast at once.  render_stub renders mono.
-    frames = sum(round(w.end_sec * sample_rate) - round(w.start_sec * sample_rate)
-                 for w in windows)
-    with wav_writer(os.path.join(outdir, ACCOMPANIMENT_FILE), sample_rate, 1, frames) as write:
+    # so each window's float32 frames, copied in time order, are the bytes of
+    # the whole song cast at once.  Every piece is mono float32 at sample_rate.
+    frames = sum(piece.n_samples for piece in pieces.values())
+    with replacing(os.path.join(outdir, ACCOMPANIMENT_FILE)) as fh:
+        fh.write(_wav_header("float32", 1, sample_rate, frames))
         for window in sorted(windows, key=lambda w: (w.start_sec, w.order)):
-            piece = WavReader(os.path.join(outdir, window_file(window.order)))
+            piece = pieces[window.order]
             for lo in range(0, piece.n_samples, STREAM_FRAMES):
-                write(piece.read(lo, lo + STREAM_FRAMES))
+                fh.write(piece.read_bytes(lo, lo + STREAM_FRAMES))
     events.sort(key=lambda e: (e.time_sec, e.kind))
     write_file(os.path.join(outdir, EVENTS_FILE), format_events(events))
     return {"format": RENDER_RECORD[0], "version": RENDER_RECORD[1], "windows": entries}
+
+
+def _recorded_window(path, sha256: str, sample_rate: int, n_frames: int) -> WavReader | None:
+    """A reader of the window file at ``path`` if it is a mono float32 WAV of
+    ``n_frames`` frames at ``sample_rate`` whose SHA-256 is ``sha256``, else None."""
+    try:
+        piece = WavReader(path)
+    except (FileNotFoundError, WavFormatError):
+        return None
+    header = piece.header
+    if (header.sample_format, header.channels, header.sample_rate, header.n_frames) != (
+        "float32", 1, sample_rate, n_frames
+    ):
+        return None
+    return piece if file_sha256(path) == sha256 else None
+
+
+def _write_window(audio: AudioBuffer, path) -> str:
+    """Write ``audio`` to ``path`` as :func:`write_wav` does; the SHA-256 of the
+    bytes written."""
+    digest = hashlib.sha256()
+    with replacing(path) as fh:
+        for part in (_wav_header("float32", audio.channels, audio.sample_rate, audio.n_samples),
+                     _wav_payload(audio.samples, "float32")):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def record_from_json(text: str) -> dict[str, dict]:

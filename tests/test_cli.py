@@ -808,8 +808,9 @@ def test_a_render_that_fails_midway_keeps_the_previous_output(
 
     if failing == "render_stub":  # before accompaniment.wav is opened
         monkeypatch.setattr(render, "render_stub", second_call_fails(render.render_stub))
-    else:  # with accompaniment.wav half streamed
-        monkeypatch.setattr(render.WavReader, "read", second_call_fails(render.WavReader.read))
+    else:  # with accompaniment.wav half streamed; the splice copies window bytes
+        monkeypatch.setattr(render.WavReader, "read_bytes",
+                            second_call_fails(render.WavReader.read_bytes))
     assert main(args + ["--from", "render"]) == 1
     assert "error in stage 'render': interrupted" in capsys.readouterr().err
     assert (out / "accompaniment.wav").read_bytes() == b"an older accompaniment"
@@ -1036,6 +1037,81 @@ def test_a_render_record_of_another_version_is_named_and_rebuilt(score_file, tmp
     assert ("cannot read render.json: unsupported render version 0; rebuilding it"
             in caplog.text)
     assert _read_bytes_map(out) == fresh
+
+
+@pytest.mark.parametrize("forgery", ["pcm16", "stereo", "rate", "short"])
+def test_a_recorded_window_of_another_layout_is_rendered_again(score_file, tmp_path,
+                                                               monkeypatch, forgery):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    record = json.loads(fresh["render.json"])
+    name = record["windows"][1]["file"]
+    audio = render.read_wav(out / name)
+    # The window's samples in a file its record vouches for by SHA-256.
+    if forgery == "pcm16":
+        render.write_wav(audio, out / name, "pcm16")
+    elif forgery == "stereo":
+        render.write_wav(render.AudioBuffer(audio.sample_rate, np.vstack([audio.samples] * 2)),
+                         out / name)
+    elif forgery == "rate":
+        render.write_wav(render.AudioBuffer(audio.sample_rate // 2, audio.samples), out / name)
+    else:
+        render.write_wav(render.AudioBuffer(audio.sample_rate, audio.samples[:, 1:]), out / name)
+    record["windows"][1]["sha256"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    (out / "render.json").write_text(json.dumps(record))
+    renders = _counting(monkeypatch, render, "render_stub")
+    run_pipeline(config, "render")
+    assert len(renders) == 1
+    assert _read_bytes_map(out) == fresh
+
+
+def test_a_run_decodes_each_artifact_that_stages_share_once(score_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out))
+    original_from_json = conditioning.bundle_from_json
+    decodes = _counting(monkeypatch, conditioning, "bundle_from_json")
+    run_pipeline(config)
+    assert len(decodes) == 1  # render's decode is report's too
+    run_pipeline(config, "condition")
+    assert len(decodes) == 2
+
+    def edited(text: str, shift: int) -> str:
+        bundle = original_from_json(text)
+        return conditioning.bundle_to_json(
+            replace(bundle, chroma=np.roll(bundle.chroma, shift, axis=1)))
+
+    conditions = out / "conditions.json"
+    first = edited(conditions.read_text(), 2)
+    second = edited(first, 5)
+    conditions.write_text(first)
+    seen = {}
+
+    def spy(name, after=None):
+        original = getattr(cli, name)
+
+        def wrapper(bundle, *rest):
+            seen[name] = conditioning.bundle_to_json(bundle)
+            result = original(bundle, *rest)
+            if after:
+                after()
+            return result
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("render_windows")
+    spy("self_report")
+    run_pipeline(config, "render")
+    assert len(decodes) == 3
+    assert seen == {"render_windows": first, "self_report": first}
+    # A file that changes between its readers is decoded again.
+    spy("render_windows", after=lambda: conditions.write_text(second))
+    run_pipeline(config, "render")
+    assert len(decodes) == 5
+    assert seen == {"render_windows": first, "self_report": second}
+    # A stage called on its own keeps nothing from an earlier call.
+    _STAGE_FUNCS["report"](config, str(out))
+    assert len(decodes) == 6
 
 
 def test_a_mix_over_samples_that_are_not_finite_fails_and_keeps_the_old_mix(

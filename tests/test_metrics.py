@@ -498,6 +498,86 @@ def test_chroma_from_audio_reads_a_wav_file_as_it_reads_the_decoded_array(tmp_pa
     assert memos[0] and all(list(memo) == list(memos[0]) for memo in memos[1:])
 
 
+def _old_frame_rms(samples, sample_rate, frame_rate, window_size):
+    """Each frame's RMS by the expression chroma_from_audio's silence test used
+    before it took a prefix sum: ``np.sqrt((frames**2).mean(axis=1))``."""
+    num_frames = int(np.ceil(len(samples) / sample_rate * frame_rate))
+    half = window_size // 2
+    frames = np.zeros((num_frames, window_size))  # an odd window ends in a zero
+    for f in range(num_frames):
+        lo = int(round(f / frame_rate * sample_rate)) - half
+        src_lo, src_hi = max(lo, 0), min(lo + 2 * half, len(samples))
+        if src_hi > src_lo:
+            frames[f, src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+    return np.sqrt((frames**2).mean(axis=1))
+
+
+#: A hop of 1,000 samples: every frame starts at the same phase of the triad
+#: below (264.6, 352.8 and 441 Hz, near C4, F4 and A4), whose period is 1,000
+#: samples, so all frames inside a stretch of one amplitude have one RMS.
+_SILENCE_RATE, _SILENCE_FPS = 44100, 44.1
+_TRIAD_PERIOD = sum(np.sin(2 * np.pi * k * np.arange(1000) / 1000) for k in (6, 8, 10))
+
+
+def _triad(periods: int, scale: float) -> np.ndarray:
+    return scale * np.tile(_TRIAD_PERIOD, periods)
+
+
+def _scales_near(threshold: float, window_size: int) -> dict[float, float]:
+    """Scales of the triad by the RMS, within 3 ulps of ``threshold``, that
+    one frame of it has by the old expression."""
+    half = window_size // 2
+    frame = np.zeros(window_size)
+    frame[: 2 * half] = _triad(window_size // 1000 + 2, 1.0)[-half % 1000:][: 2 * half]
+
+    def rms(scale):
+        return np.sqrt(((scale * frame)[None, :] ** 2).mean(axis=1))[0]
+
+    scale = threshold / rms(1.0)
+    low, high = threshold, threshold
+    for _ in range(3):
+        low, high = np.nextafter(low, 0.0), np.nextafter(high, 1.0)
+    found = {}
+    for step in range(-300, 300):
+        value = rms(scale * (1.0 + step * 2.0**-52))
+        if low <= value <= high:
+            found.setdefault(value, scale * (1.0 + step * 2.0**-52))
+    return found
+
+
+def _silence_case(case: str):
+    """``(samples, window_size)`` of a case of the silence test."""
+    window_size = 8191 if case == "odd window" else 8192
+    if case == "zeros":
+        return np.zeros(3 * _SILENCE_RATE), window_size
+    scales = _scales_near(1e-4, window_size)
+    # Each part a whole number of periods, so that every frame sees one phase.
+    near = [_triad(30, scale) for _, scale in sorted(scales.items())]
+    parts = [np.zeros(4000)] + near + [_triad(20, 1e-5), _triad(20, 0.2)]
+    if case == "burst":  # in the chunk of the near-threshold frames
+        parts.insert(1, _triad(2, 1e4))
+    samples = np.concatenate(parts)
+    if case in ("nan", "inf"):  # amid quiet frames, in the chunk's middle
+        samples[len(samples) // 3] = np.nan if case == "nan" else -np.inf
+    return samples, window_size
+
+
+@pytest.mark.parametrize("case", ["ulps", "zeros", "burst", "nan", "inf", "odd window"])
+def test_chroma_from_audio_decides_silence_as_the_per_frame_rms_did(case):
+    samples, window_size = _silence_case(case)
+    rms = _old_frame_rms(samples, _SILENCE_RATE, _SILENCE_FPS, window_size)
+    silent = rms < 1e-4
+    if case != "zeros":  # frames a few ulps from the threshold, each way
+        assert {-1, 0, 1} <= set(np.sign(rms[np.abs(rms - 1e-4) <= 3 * np.spacing(1e-4)] - 1e-4))
+        assert silent.any() and not silent.all()
+    with mock.patch("warnings.warn"), np.errstate(invalid="ignore", over="ignore"):
+        heard = chroma_from_audio(samples, _SILENCE_RATE, _SILENCE_FPS,
+                                  window_size=window_size, silence_threshold=0.0)
+        got = chroma_from_audio(samples, _SILENCE_RATE, _SILENCE_FPS, window_size=window_size)
+    assert heard.any() or case == "zeros"
+    assert np.array_equal(got, np.where(silent[:, None], 0.0, heard))
+
+
 def test_chroma_from_audio_rejects_more_than_two_channels():
     with pytest.raises(ValueError, match="1 or 2 channels"):
         chroma_from_audio(np.zeros((3, 44100)), 44100, frame_rate=50)
