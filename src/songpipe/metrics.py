@@ -389,14 +389,14 @@ def _silent(segment: np.ndarray, offsets: np.ndarray, window_size: int,
     value relative to itself, as the terms are not negative, so ``E`` is
     within ``4*(n+1)*u`` times its ending prefix of the exact sum ``S``.  The
     expression above sums the same squares in another order, within
-    ``window_size*u*S`` of ``S``; its mean, square root and comparison round
-    thrice more.  So a frame whose ``E`` lies, with its error, farther than
-    ``2*(window_size+8)*u`` relative from ``threshold**2 * window_size`` is
-    decided by ``E``.  The rest are measured by the expression itself, as are
-    all frames of a segment whose squares do not sum to a finite number, and
-    all frames when that limit is not a normal number far from underflow
-    (where the relative bounds would not hold) or ``threshold`` is not
-    positive.
+    ``window_size*u*S`` of ``S``, then rounds twice more (mean and square
+    root), as does the limit ``threshold**2 * window_size``.  So a frame
+    whose ``E`` lies, with its error, farther than ``2*(window_size+8)*u``
+    relative from that limit is decided by ``E``.  The rest are measured by
+    the expression itself, as are all frames of a segment whose squares do
+    not sum to a finite number, and all frames when the limit is not a
+    normal number far from underflow (where the relative bounds would not
+    hold) or ``threshold`` is not positive.
     """
     sums = np.empty(len(segment) + 1)
     sums[0] = 0.0
