@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextvars
-import io
 import json
 import logging
 import math
@@ -260,9 +259,9 @@ def _codec(key: str):
     }.get(key, (json_text, json.loads))
 
 
-#: Inside a :func:`run_pipeline` call, the file bytes and the value :func:`_read`
+#: Inside a :func:`run_pipeline` call, the file text and the value :func:`_read`
 #: last decoded of each artifact in :data:`_SHARED`, by path; None outside one.
-_DECODED: contextvars.ContextVar[dict[str, tuple[bytes, object]] | None] = (
+_DECODED: contextvars.ContextVar[dict[str, tuple[str, object]] | None] = (
     contextvars.ContextVar("decoded", default=None))
 
 
@@ -270,28 +269,27 @@ def _read(outdir: str, key: str, stage: str):
     """Artifact ``key`` decoded, a WAV as a :class:`render.WavReader` on the file.
 
     The file is read on every call, but inside a :func:`run_pipeline` call a
-    shared artifact whose bytes are those last decoded is not decoded again.
+    shared artifact whose text is that last decoded is not decoded again.
     Any failure is a :class:`StageError` naming the file.
     """
     path = _art(outdir, key)
+    decoded = _DECODED.get()
+    cache = decoded if decoded is not None and key in _SHARED else {}
+
+    def decode(text: str):
+        if path not in cache or cache[path][0] != text:
+            cache[path] = (text, _codec(key)[1](text))
+        return cache[path][1]
     try:
         if path.endswith(".wav"):
             return render.WavReader(path)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        decoded = _DECODED.get()
-        cached = decoded.get(path) if decoded is not None else None
-        if cached is not None and cached[0] == data:
-            return cached[1]
-        # Decoded as open(path, "r", encoding="utf-8") would, newlines included.
-        value = _codec(key)[1](io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-        if decoded is not None and key in _SHARED:
-            decoded[path] = (data, value)
-        return value
+        return read_file(path, decode, name=ART[key])
     except FileNotFoundError as exc:
         raise StageError(stage, f"missing artifact {ART[key]}; run earlier stages first") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, render.WavFormatError) as exc:
         raise StageError(stage, f"cannot read {ART[key]}: {exc}") from exc
+    except ValueError as exc:  # read_file names the file
+        raise StageError(stage, str(exc)) from exc
 
 
 def _read_cache(outdir: str, key: str):

@@ -51,16 +51,18 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def read_file(path, parse, error: type[ValueError] = ValueError, mode: str = "r"):
+def read_file(path, parse, error: type[ValueError] = ValueError, mode: str = "r",
+              name: str | None = None):
     """``parse`` of the file's UTF-8 text (its bytes in mode ``"rb"``).
 
-    An ``error`` from reading or parsing is raised again naming ``path``.
+    An ``error`` from reading or parsing is raised again naming ``name``,
+    by default ``path``.
     """
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             return parse(fh.read())
     except error as exc:  # a UnicodeDecodeError is a ValueError too
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {name or path}: {exc}") from exc
 
 
 def read_document(text: str | bytes, name: str, version: int, build,

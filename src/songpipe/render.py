@@ -440,12 +440,12 @@ def _wav_header(sample_format: str, channels: int, sample_rate: int, n_frames: i
     return b"RIFF" + struct.pack("<I", len(head) + data_size) + head
 
 
-def _wav_payload(samples: np.ndarray, sample_format: str) -> bytes:
-    """Interleaved frames of (channels, n) float samples in ``sample_format``."""
+def _wav_payload(samples: np.ndarray, sample_format: str) -> memoryview:
+    """Interleaved frames of (channels, n) float samples in ``sample_format``, as a view."""
     interleaved = samples.T.reshape(-1)
     if sample_format == "pcm16":
         interleaved = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-    return interleaved.astype(_WAV_FORMATS[sample_format][2]).tobytes()
+    return memoryview(interleaved.astype(_WAV_FORMATS[sample_format][2]))
 
 
 def _parse_wav_header(read_at, size: int) -> WavHeader:
@@ -608,9 +608,7 @@ def wav_writer(path, sample_rate: int, channels: int, n_frames: int,
 
 
 def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None:
-    with wav_writer(path, buffer.sample_rate, buffer.channels, buffer.n_samples,
-                    sample_format) as write:
-        write(buffer.samples)
+    write_file(path, wav_bytes(buffer, sample_format))
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +640,12 @@ def render_windows(
 ) -> dict:
     """Render every window of a plan into ``outdir``, then the whole song.
 
-    Window files the plan does not own are removed first.  Each window goes
-    to ``window_NNN.wav``, hashed as it is written, unless its ``recorded``
-    entry (see :func:`record_from_json`) shows that the file holds it
-    already: the same :func:`window_fingerprint`, a mono float32 header at
-    ``sample_rate`` with the window's frame count, and the same file SHA-256.
+    Window files the plan does not own are removed first.  Each window is
+    encoded once by :func:`wav_bytes`, and those bytes are written to
+    ``window_NNN.wav`` and hashed, unless its ``recorded`` entry (see
+    :func:`record_from_json`) shows that the file holds it already: the same
+    :func:`window_fingerprint`, a mono float32 header at ``sample_rate``
+    with the window's frame count, and the same file SHA-256.
     The windows' float32 data chunks, copied byte for byte in time order, go
     to :data:`ACCOMPANIMENT_FILE` and their events, sorted, to
     :data:`EVENTS_FILE`.  One window's audio is in memory at a time.
@@ -674,8 +673,10 @@ def render_windows(
             piece = _recorded_window(path, entry["sha256"], sample_rate, n_frames)
         if piece is None:
             audio, window_events = render_stub(bundle, window, sample_rate)
-            sha256 = _write_window(audio, path)
-            del audio  # freed before the next window renders
+            data = wav_bytes(audio)
+            write_file(path, data)
+            sha256 = hashlib.sha256(data).hexdigest()
+            del audio, data  # freed before the next window renders
             piece = WavReader(path)
             entry = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
                      "events": [[e.time_sec, e.kind] for e in window_events]}
@@ -710,18 +711,6 @@ def _recorded_window(path, sha256: str, sample_rate: int, n_frames: int) -> WavR
     ):
         return None
     return piece if file_sha256(path) == sha256 else None
-
-
-def _write_window(audio: AudioBuffer, path) -> str:
-    """Write ``audio`` to ``path`` as :func:`write_wav` does; the SHA-256 of the
-    bytes written."""
-    digest = hashlib.sha256()
-    with replacing(path) as fh:
-        for part in (_wav_header("float32", audio.channels, audio.sample_rate, audio.n_samples),
-                     _wav_payload(audio.samples, "float32")):
-            fh.write(part)
-            digest.update(part)
-    return digest.hexdigest()
 
 
 def record_from_json(text: str) -> dict[str, dict]:

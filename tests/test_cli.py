@@ -856,6 +856,31 @@ def test_unreadable_outside_inputs_are_named(score_file, tmp_path, capsys):
             "header\n") in capsys.readouterr().err
 
 
+def test_a_text_artifact_is_read_as_utf8_text_and_named_once(score_file, tmp_path, capsys):
+    out, crlf = tmp_path / "out", tmp_path / "crlf"
+    args = ["run", "--score", str(score_file), "--output"]
+    assert main(args + [str(out)]) == 0
+    shutil.copytree(out, crlf)
+    chords = (out / "chords.txt").read_bytes()
+
+    (out / "chords.txt").write_bytes(chords[:5] + b"\xff" + chords[5:])
+    capsys.readouterr()
+    assert main(args + [str(out), "--from", "condition"]) == 1
+    err = capsys.readouterr().err
+    assert ("error in stage 'condition': cannot read chords.txt: 'utf-8' codec can't decode "
+            "byte 0xff in position 5: ") in err
+    assert err.count("chords.txt") == 1 and str(out) not in err
+
+    # CRLF line endings read as the same text, so every other file keeps its bytes.
+    (out / "chords.txt").write_bytes(chords)
+    (crlf / "chords.txt").write_bytes(chords.replace(b"\n", b"\r\n"))
+    for directory in (out, crlf):
+        assert main(args + [str(directory), "--from", "condition"]) == 0
+    lf_files, crlf_files = _read_bytes_map(out), _read_bytes_map(crlf)
+    assert crlf_files.pop("chords.txt") != lf_files.pop("chords.txt")
+    assert crlf_files == lf_files
+
+
 def test_audio_stages_peak_memory_is_flat_in_song_length(tmp_path):
     """render, mix and report stream audio: a 4x longer song raises their
     traced peak by less than one float64 copy of its audio."""

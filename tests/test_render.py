@@ -1,6 +1,7 @@
 """Stub accompaniment rendering, mixing, WAV and event-log formats."""
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import struct
@@ -609,6 +610,25 @@ def test_render_stub_on_its_window_frames_equals_the_whole_bundle_render(case, s
     audio_outside, events_outside = render_stub(outside, window, sample_rate)
     assert audio_outside.samples.tobytes() == audio.samples.tobytes()
     assert events_outside == events
+
+
+def test_window_files_and_their_hashes_are_the_bytes_of_wav_bytes(tmp_path):
+    bundle = _bundle(T=150, chroma_rows=[((0, 80), (0, 4, 7)), ((80, 150), (2, 5, 9))],
+                     beat_frames=(10, 60, 110), down_frames=(10,))
+    windows = [GenerationWindow(start, end, 0, order, WindowReference(REFERENCE_NONE))
+               for order, (start, end) in enumerate([(1.0, 3.0), (0.0, 1.0)])]
+    entries = render.render_windows(bundle, windows, SR, str(tmp_path))["windows"]
+    assert [entry["file"] for entry in entries] == ["window_000.wav", "window_001.wav"]
+    for window, entry in zip(windows, entries):
+        data = (tmp_path / entry["file"]).read_bytes()
+        assert data == wav_bytes(render_stub(bundle, window, SR)[0])
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+
+    buf = AudioBuffer(SR, np.random.default_rng(3).uniform(-1.2, 1.2, (2, 500)))
+    for sample_format in ("pcm16", "float32"):
+        path = tmp_path / f"{sample_format}.wav"
+        write_wav(buf, path, sample_format)
+        assert path.read_bytes() == wav_bytes(buf, sample_format)
 
 
 def test_window_fingerprint_changes_with_what_the_window_reads():
