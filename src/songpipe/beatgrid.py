@@ -16,6 +16,7 @@ beat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import median
 
 import numpy as np
@@ -26,6 +27,12 @@ _EPS = 1e-9
 
 #: Voiced segments closer than this (seconds) are merged into one.
 MERGE_GAP_SEC = 0.2
+
+#: Length (seconds) of the non-overlapping RMS windows of voicing detection.
+WINDOW_SEC = 0.05
+
+#: A window is voiced when its RMS is within this many dB of the loudest one.
+THRESHOLD_DB = -40.0
 
 
 @dataclass(frozen=True)
@@ -61,17 +68,12 @@ class BeatGrid:
                 raise ValueError(f"downbeat {d} is not one of the beats")
 
 
-def detect_voiced_segments(
-    samples: np.ndarray,
-    sample_rate: int,
-    window_sec: float = 0.05,
-    threshold_db: float = -40.0,
-) -> list[VoicedSegment]:
+def detect_voiced_segments(samples: np.ndarray, sample_rate: int) -> list[VoicedSegment]:
     """Find spans with audible energy using windowed RMS against the peak.
 
-    The signal is cut into non-overlapping ``window_sec`` windows; a window
-    is voiced when its RMS is within ``threshold_db`` (a negative number) of
-    the loudest window.  Adjacent voiced spans closer than
+    The signal is cut into non-overlapping :data:`WINDOW_SEC` windows; a
+    window is voiced when its RMS is within :data:`THRESHOLD_DB` of the
+    loudest window.  Adjacent voiced spans closer than
     :data:`MERGE_GAP_SEC` are merged.  All-silent input yields an empty list.
     """
     samples = np.asarray(samples, dtype=float)
@@ -81,7 +83,7 @@ def detect_voiced_segments(
         raise ValueError("samples must be a non-empty 1-D or (channels, n) array")
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    hop = max(1, int(round(window_sec * sample_rate)))
+    hop = max(1, int(round(WINDOW_SEC * sample_rate)))
     n_windows = (samples.size + hop - 1) // hop
     padded = np.zeros(n_windows * hop)
     padded[: samples.size] = samples
@@ -90,19 +92,11 @@ def detect_voiced_segments(
     peak = rms.max()
     if peak <= 0.0:
         return []
-    gate = peak * 10.0 ** (threshold_db / 20.0)
-    voiced = rms > gate
-
-    segments: list[VoicedSegment] = []
-    start = None
-    for i, flag in enumerate(voiced):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            segments.append(_window_span(start, i, hop, sample_rate, samples.size))
-            start = None
-    if start is not None:
-        segments.append(_window_span(start, n_windows, hop, sample_rate, samples.size))
+    gate = peak * 10.0 ** (THRESHOLD_DB / 20.0)
+    # Voicing changes at these windows, so they alternate run starts and stops.
+    edges = np.flatnonzero(np.diff(rms > gate, prepend=False, append=False)).tolist()
+    segments = [_window_span(first, last, hop, sample_rate, samples.size)
+                for first, last in zip(edges[::2], edges[1::2])]
 
     merged: list[VoicedSegment] = []
     for seg in segments:
@@ -155,23 +149,18 @@ def interpolate_beats(
     if not any(iv is not None for iv in intervals):
         raise ValueError("no segment carries two or more beats; tempo is undefined")
 
-    def interval_before(idx: int) -> float | None:
-        for j in range(idx, -1, -1):
-            if intervals[j] is not None:
-                return intervals[j]
-        return None
+    def carry(prev: float | None, iv: float | None) -> float | None:
+        return prev if iv is None else iv
 
-    def interval_after(idx: int) -> float | None:
-        for j in range(idx, len(intervals)):
-            if intervals[j] is not None:
-                return intervals[j]
-        return None
+    # The nearest interval at or before, and at or after, each run.
+    before = list(accumulate(intervals, carry))
+    after = list(accumulate(reversed(intervals), carry))[::-1]
 
     grid: list[float] = []
 
     # Leading gap: walk backward from the first detected beat at the first
     # available interval, down to time zero.
-    lead_iv = interval_after(0)
+    lead_iv = after[0]
     first_beat = runs[0][0]
     back: list[float] = []
     t = first_beat - lead_iv
@@ -183,14 +172,14 @@ def interpolate_beats(
     for i, run in enumerate(runs):
         grid.extend(run)
         if i + 1 < len(runs):
-            left = _blend(interval_before(i), interval_after(i + 1))
+            left = _blend(before[i], after[i + 1])
             t = run[-1] + left
             while t < runs[i + 1][0] - _EPS:
                 grid.append(t)
                 t += left
 
     # Trailing gap: continue at the last available interval to the song end.
-    tail_iv = interval_before(len(runs) - 1)
+    tail_iv = before[-1]
     t = grid[-1] + tail_iv
     while t <= total_duration + _EPS:
         grid.append(min(t, total_duration))
@@ -226,24 +215,14 @@ def format_beat_grid(grid: BeatGrid) -> str:
     count backward from it.
     """
     down = set(grid.downbeats)
-    positions = []
-    count_since_down = None
-    for b in grid.beats:
-        if b in down:
-            count_since_down = 0
-        elif count_since_down is not None:
-            count_since_down += 1
-        positions.append(count_since_down)
-    # Beats before the first downbeat get positions counted back from it.
-    first_known = next((i for i, p in enumerate(positions) if p is not None), None)
+    # Each beat counts from the last downbeat at or before it; beats before
+    # the first downbeat count back from that one.
+    anchor = next((i for i, b in enumerate(grid.beats) if b in down), None)
     lines = []
     for i, b in enumerate(grid.beats):
-        if positions[i] is not None:
-            pos = positions[i] % 4 + 1
-        elif first_known is not None:
-            pos = (-(first_known - i)) % 4 + 1
-        else:
-            pos = 2  # grid without any downbeat: mark everything off-beat
+        if b in down:
+            anchor = i
+        pos = 2 if anchor is None else (i - anchor) % 4 + 1  # no downbeat: all off-beat
         lines.append(f"{b:.6f}\t{pos}")
     return "\n".join(lines) + ("\n" if lines else "")
 

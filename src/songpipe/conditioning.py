@@ -28,8 +28,10 @@ DEFAULT_SIGMA = 0.05
 #: Pitch-class spellings used by the chord text format (sharps only on write).
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
-_FLAT_ALIASES = {
-    "DB": 1, "EB": 3, "GB": 6, "AB": 8, "BB": 10,
+#: Upper-cased spellings :func:`parse_pitch_class` accepts: sharps, ``♯`` sharps and flats.
+_PITCH_CLASSES = {"DB": 1, "EB": 3, "GB": 6, "AB": 8, "BB": 10} | {
+    spelling: pc for pc, name in enumerate(PITCH_CLASS_NAMES)
+    for spelling in (name, name.replace("#", "♯"))
 }
 
 CONDITIONS_JSON_FORMAT = "conditions"
@@ -42,14 +44,10 @@ def pitch_class_name(pc: int) -> str:
 
 def parse_pitch_class(name: str) -> int:
     """Parse a pitch-class name (sharp or flat spelling) to an integer 0-11."""
-    key = name.strip().upper()
-    if key in _FLAT_ALIASES:
-        return _FLAT_ALIASES[key]
-    normalized = key.replace("♯", "#")
-    for i, candidate in enumerate(PITCH_CLASS_NAMES):
-        if normalized == candidate:
-            return i
-    raise ValueError(f"unknown pitch class name: {name!r}")
+    pc = _PITCH_CLASSES.get(name.strip().upper())
+    if pc is None:
+        raise ValueError(f"unknown pitch class name: {name!r}")
+    return pc
 
 
 @dataclass(frozen=True)
@@ -346,13 +344,12 @@ def structure_labels(
         duration_sec = score.duration_seconds()
     t = math.ceil(duration_sec * frame_rate)
     out = np.zeros(t, dtype=np.int64)
-    edges = [tick_to_seconds(score, s.start_tick) for s in score.sections]
-    times = np.arange(t) / frame_rate
-    # np.searchsorted maps each frame to the section whose start precedes it.
-    idx = np.searchsorted(np.asarray(edges), times, side="right") - 1
-    idx = np.clip(idx, 0, len(score.sections) - 1)
-    labels = np.array([SECTION_LABELS.index(s.label) for s in score.sections])
-    out[:] = labels[idx]
+    # Section i holds the frames from its start to the next one's; the first
+    # also holds any frames before it and the last all frames after it.
+    starts = [tick_to_seconds(score, s.start_tick) for s in score.sections[1:]]
+    spans = _frame_spans(t, frame_rate, list(zip([-np.inf] + starts, starts + [np.inf])))
+    for section, (lo, hi) in zip(score.sections, spans):
+        out[lo:hi] = SECTION_LABELS.index(section.label)
     return out
 
 

@@ -37,6 +37,10 @@ CHORDS: tuple[tuple[int, str], ...] = tuple(
 
 NUM_CHORDS = len(CHORDS)
 
+#: Row ``c`` is 1 on the triad tones of ``CHORDS[c]``, shape (24, 12).
+_TRIADS = np.array([[pc in triad_pitch_classes(r, q) for pc in range(12)] for r, q in CHORDS],
+                   dtype=float)
+
 #: Number of bars of instrumental lead-in added by :func:`prepend_intro_chords`.
 DEFAULT_INTRO_BARS = 4
 
@@ -86,29 +90,21 @@ def bar_pitch_class_weights(score: VocalScore) -> np.ndarray:
 
 
 def emission_matrix(bar_weights: np.ndarray) -> np.ndarray:
-    """Emission scores, shape (num_bars, 24): in-triad duration fractions."""
-    n_bars = len(bar_weights)
-    out = np.zeros((n_bars, NUM_CHORDS))
-    totals = bar_weights.sum(axis=1)
-    for c, (root, quality) in enumerate(CHORDS):
-        pcs = list(triad_pitch_classes(root, quality))
-        in_triad = bar_weights[:, pcs].sum(axis=1)
-        nonzero = totals > 0
-        out[nonzero, c] = in_triad[nonzero] / totals[nonzero]
-    return out
+    """Emission scores, shape (num_bars, 24): in-triad duration fractions.
+
+    The in-triad sums are exact in any summation order, because bar weights
+    are whole tick counts.
+    """
+    totals = bar_weights.sum(axis=1, keepdims=True)
+    in_triad = bar_weights @ _TRIADS.T
+    return np.divide(in_triad, totals, out=np.zeros_like(in_triad), where=totals > 0)
 
 
 def transition_matrix(weights: HarmonizerWeights) -> np.ndarray:
     """Transition scores between all chord pairs, shape (24, 24)."""
-    out = np.zeros((NUM_CHORDS, NUM_CHORDS))
-    tone_sets = [set(triad_pitch_classes(r, q)) for r, q in CHORDS]
-    for a in range(NUM_CHORDS):
-        for b in range(NUM_CHORDS):
-            common = len(tone_sets[a] & tone_sets[b])
-            out[a, b] = weights.transition_weight * common
-            if a != b:
-                out[a, b] -= weights.chord_change_penalty
-    return out
+    common = _TRIADS @ _TRIADS.T
+    change = 1.0 - np.eye(NUM_CHORDS)
+    return weights.transition_weight * common - weights.chord_change_penalty * change
 
 
 def harmonize(

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -167,11 +168,7 @@ def per(reference: list, hypothesis: list) -> float:
 
 def dedup_lines(lines: list[str]) -> list[str]:
     """Collapse runs of consecutive identical lines to one occurrence."""
-    out: list[str] = []
-    for line in lines:
-        if not out or line != out[-1]:
-            out.append(line)
-    return out
+    return [line for line, _ in groupby(lines)]
 
 
 def estimate_key(chroma: np.ndarray) -> KeyLabel:
@@ -191,15 +188,13 @@ def estimate_key(chroma: np.ndarray) -> KeyLabel:
     if not np.any(profile):
         raise ValueError("chromagram is all-zero; key is undefined")
     da, da_squares = _centred(profile)
-    best: tuple[float, int, int] | None = None
+    keys = []
     for tonic, mode_index, db, db_squares in _KS_TEMPLATES:
         denom = np.sqrt(da_squares * db_squares)
         score = 0.0 if denom == 0.0 else float((da * db).sum() / denom)
-        key = (-score, tonic, mode_index)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return KeyLabel(best[1], "major" if best[2] == 0 else "minor")
+        keys.append((-score, tonic, mode_index))
+    _, tonic, mode_index = min(keys)
+    return KeyLabel(tonic, "major" if mode_index == 0 else "minor")
 
 
 def _centred(values: np.ndarray) -> tuple[np.ndarray, np.float64]:

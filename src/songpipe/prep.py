@@ -153,13 +153,10 @@ def select_reference(
     """
     if not bank:
         raise ValueError("reference bank is empty")
-    best_index = None
-    best: PenaltyBreakdown | None = None
-    for i, candidate in enumerate(bank):
-        breakdown = penalty_score(target, candidate, reject_fewer_lines)
-        if best is None or breakdown.total < best.total:
-            best_index, best = i, breakdown
-    assert best is not None and best_index is not None
+    best_index, best = min(
+        enumerate(penalty_score(target, candidate, reject_fewer_lines) for candidate in bank),
+        key=lambda item: item[1].total,
+    )
     if math.isinf(best.total):
         raise ValueError("every bank entry was rejected (all have fewer lines)")
     return best_index, best
@@ -183,17 +180,11 @@ def register_match(
         raise ValueError("no singer profiles given")
     if not score.notes:
         raise ValueError("score has no notes; register match is undefined")
-    best: tuple[int, int, int, int] | None = None  # (-count, |shift|, profile_i, shift)
-    chosen: RegisterDecision | None = None
-    for pi, profile in enumerate(profiles):
-        for shift in OCTAVE_SHIFTS:
-            count = sum(1 for n in score.notes if profile.contains(n.pitch + shift))
-            key = (-count, abs(shift), pi, shift)
-            if best is None or key < best:
-                best = key
-                chosen = RegisterDecision(profile, shift, count, len(score.notes))
-    assert chosen is not None
-    return chosen
+    neg_count, _, pi, shift = min(
+        (-sum(1 for n in score.notes if profile.contains(n.pitch + shift)), abs(shift), pi, shift)
+        for pi, profile in enumerate(profiles) for shift in OCTAVE_SHIFTS
+    )
+    return RegisterDecision(profiles[pi], shift, -neg_count, len(score.notes))
 
 
 def apply_transpose(score: VocalScore, shift: int) -> VocalScore:

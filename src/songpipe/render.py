@@ -192,6 +192,11 @@ def _chord_segments(chroma: np.ndarray) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(starts, starts[1:] + [t])]
 
 
+def window_samples(window: GenerationWindow, sample_rate: int) -> tuple[int, int]:
+    """The song samples ``[first, last)`` of ``window`` at ``sample_rate``."""
+    return round(window.start_sec * sample_rate), round(window.end_sec * sample_rate)
+
+
 def window_frames(
     bundle: ConditionBundle, window: GenerationWindow, sample_rate: int
 ) -> tuple[int, int]:
@@ -212,8 +217,7 @@ def window_frames(
         return round(f / fr * sample_rate)
 
     frames = range(bundle.num_frames)
-    first = round(window.start_sec * sample_rate)
-    last = round(window.end_sec * sample_rate)
+    first, last = window_samples(window, sample_rate)
     lo = max(bisect_left(frames, first, key=start) - 1, 0)
     hi = min(bisect_right(frames, last, key=start) + 1, bundle.num_frames)
     return lo, hi
@@ -261,8 +265,7 @@ def render_stub(
     fr = bundle.frame_rate
     lo, hi = window_frames(bundle, window, sample_rate)
     chroma, rhythm = bundle.chroma[lo:hi], bundle.rhythm[lo:hi]
-    first_sample = round(window.start_sec * sample_rate)
-    last_sample = round(window.end_sec * sample_rate)
+    first_sample, last_sample = window_samples(window, sample_rate)
     n = last_sample - first_sample
     out = np.zeros(n)
     events: list[RenderEvent] = []
@@ -273,16 +276,16 @@ def render_stub(
         f0, f1 = f0 + lo, f1 + lo  # song frames from here on
         seg_start = f0 / fr
         seg_end = min(f1 / fr, duration)
-        a = max(round(seg_start * sample_rate), first_sample)
-        b = min(round(seg_end * sample_rate), last_sample)
+        true_start, true_end = round(seg_start * sample_rate), round(seg_end * sample_rate)
+        a, b = max(true_start, first_sample), min(true_end, last_sample)
         is_change = f0 > 0 and len(pcs) > 0
         if len(pcs) == 0 or b <= a:
             # Log silent-to-chord boundaries handled by the next segment;
             # nothing to synthesize for an empty row.
             continue
         # Chord runs do not overlap and clicks come later, so each run sums
-        # its tones into zeros.  a >= round(seg_start * sample_rate) >= 0,
-        # so every time passed to _table_index is >= 0.
+        # its tones into zeros.  a >= true_start >= 0, so every time passed
+        # to _table_index is >= 0.
         freqs = [midi_to_hz(PAD_OCTAVE_BASE_MIDI + pc) for pc in pcs]
         for start in range(a, b, _PAD_CHUNK):
             stop = min(start + _PAD_CHUNK, b)
@@ -291,8 +294,6 @@ def render_stub(
             dest = out[start - first_sample : stop - first_sample]
             for freq in freqs:
                 dest += _PAD_TABLE[_table_index(freq, times)]
-        true_start = round(seg_start * sample_rate)
-        true_end = round(seg_end * sample_rate)
         # fade-in only at the real chord onset, fade-out only at its real end
         _fade_ends(out[a - first_sample : b - first_sample],
                    a == true_start, b == true_end, fade_len)
@@ -500,7 +501,8 @@ def _parse_wav_header(read_at, size: int) -> WavHeader:
 
 def _wav_samples(raw: np.ndarray, header: WavHeader) -> np.ndarray:
     """C-contiguous float64 (channels, k) samples of raw interleaved frames."""
-    flat = raw.astype(float)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is cast to a NaN
+        flat = raw.astype(float)
     if header.sample_format == "pcm16":
         flat /= 32768.0
     return np.ascontiguousarray(flat.reshape(-1, header.channels).T)
@@ -582,15 +584,14 @@ def read_wav(path) -> AudioBuffer:
 
 
 @contextmanager
-def wav_writer(path, sample_rate: int, channels: int, n_frames: int,
-               sample_format: str = "float32"):
-    """Yield ``write(samples)``, which appends (channels, k) frames to a new WAV.
+def wav_writer(path, sample_rate: int, channels: int, n_frames: int):
+    """Yield ``write(samples)``, which appends (channels, k) float32 frames to a new WAV.
 
     The header, sized for ``n_frames`` frames, is written first.  The file
     replaces ``path`` (see :func:`replacing`) only if exactly ``n_frames``
     frames were written.
     """
-    header = _wav_header(sample_format, channels, sample_rate, n_frames)
+    header = _wav_header("float32", channels, sample_rate, n_frames)
     written = 0
     with replacing(path) as fh:
         fh.write(header)
@@ -599,7 +600,7 @@ def wav_writer(path, sample_rate: int, channels: int, n_frames: int,
             nonlocal written
             if samples.ndim != 2 or samples.shape[0] != channels:
                 raise ValueError(f"expected ({channels}, k) samples, got {samples.shape}")
-            fh.write(_wav_payload(samples, sample_format))
+            fh.write(_wav_payload(samples, "float32"))
             written += samples.shape[1]
 
         yield write
@@ -667,10 +668,10 @@ def render_windows(
         path = os.path.join(outdir, name)
         fingerprint = window_fingerprint(bundle, window, sample_rate)
         entry = (recorded or {}).get(name)
-        n_frames = round(window.end_sec * sample_rate) - round(window.start_sec * sample_rate)
+        first, last = window_samples(window, sample_rate)
         piece = None
         if entry and entry["fingerprint"] == fingerprint:
-            piece = _recorded_window(path, entry["sha256"], sample_rate, n_frames)
+            piece = _recorded_window(path, entry["sha256"], sample_rate, last - first)
         if piece is None:
             audio, window_events = render_stub(bundle, window, sample_rate)
             data = wav_bytes(audio)

@@ -235,20 +235,18 @@ def tick_to_seconds(score: VocalScore, tick: int | float) -> float:
     return seconds
 
 
-def prepend_instrumental(score: VocalScore, bars: int, label: str = "intro") -> VocalScore:
+def prepend_instrumental(score: VocalScore, bars: int) -> VocalScore:
     """Shift a score later by ``bars`` bars and open it with an instrumental section.
 
     All notes, sections and tempo changes move by ``bars`` whole bars; the new
-    leading section carries ``label`` and no notes.  The tempo at tick 0 is
+    leading section is an ``intro`` with no notes.  The tempo at tick 0 is
     kept, so the inserted bars run at the score's initial tempo.
     """
     if bars < 1:
         raise ValueError(f"bars must be >= 1, got {bars}")
-    if label not in SECTION_LABELS:
-        raise ValueError(f"unknown section label: {label!r}")
     offset = bars * score.ticks_per_bar
     notes = tuple(replace(n, onset_tick=n.onset_tick + offset) for n in score.notes)
-    sections = (Section(label, 0, offset),) + tuple(
+    sections = (Section("intro", 0, offset),) + tuple(
         replace(s, start_tick=s.start_tick + offset, end_tick=s.end_tick + offset)
         for s in score.sections
     )

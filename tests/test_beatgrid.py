@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from statistics import median
 
 import numpy as np
 import pytest
@@ -172,3 +173,168 @@ def test_parse_beat_grid_rejects_bad_lines():
         parse_beat_grid("0.5\n")
     with pytest.raises(ValueError):
         parse_beat_grid("abc\t1\n")
+
+
+# ---------------------------------------------------------------------------
+# The earlier bodies of the rewritten functions, kept as oracles.
+
+
+def _old_detect_voiced_segments(samples, sample_rate, window_sec=0.05, threshold_db=-40.0):
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=0)
+    hop = max(1, int(round(window_sec * sample_rate)))
+    n_windows = (samples.size + hop - 1) // hop
+    padded = np.zeros(n_windows * hop)
+    padded[: samples.size] = samples
+    rms = np.sqrt((padded.reshape(n_windows, hop) ** 2).mean(axis=1))
+    peak = rms.max()
+    if peak <= 0.0:
+        return []
+    voiced = rms > peak * 10.0 ** (threshold_db / 20.0)
+
+    def span(first, last):
+        return VoicedSegment(first * hop / sample_rate,
+                             min(last * hop, samples.size) / sample_rate)
+
+    segments = []
+    start = None
+    for i, flag in enumerate(voiced):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            segments.append(span(start, i))
+            start = None
+    if start is not None:
+        segments.append(span(start, n_windows))
+    merged = []
+    for seg in segments:
+        if merged and seg.start_sec - merged[-1].end_sec < 0.2:
+            merged[-1] = VoicedSegment(merged[-1].start_sec, seg.end_sec)
+        else:
+            merged.append(seg)
+    return merged
+
+
+def _old_interpolate_beats(voiced_beats, total_duration):
+    runs, intervals = [], []
+    for beats in voiced_beats:
+        ordered = sorted(float(b) for b in beats)
+        if ordered:
+            runs.append(ordered)
+            intervals.append(median(np.diff(ordered)) if len(ordered) >= 2 else None)
+
+    def interval_before(idx):
+        for j in range(idx, -1, -1):
+            if intervals[j] is not None:
+                return intervals[j]
+        return None
+
+    def interval_after(idx):
+        for j in range(idx, len(intervals)):
+            if intervals[j] is not None:
+                return intervals[j]
+        return None
+
+    def blend(before, after):
+        if before is None:
+            return after
+        if after is None:
+            return before
+        return 2.0 / (1.0 / before + 1.0 / after)
+
+    grid = []
+    lead_iv = interval_after(0)
+    back = []
+    t = runs[0][0] - lead_iv
+    while t >= -1e-9:
+        back.append(max(t, 0.0))
+        t -= lead_iv
+    grid.extend(reversed(back))
+    for i, run in enumerate(runs):
+        grid.extend(run)
+        if i + 1 < len(runs):
+            left = blend(interval_before(i), interval_after(i + 1))
+            t = run[-1] + left
+            while t < runs[i + 1][0] - 1e-9:
+                grid.append(t)
+                t += left
+    tail_iv = interval_before(len(runs) - 1)
+    t = grid[-1] + tail_iv
+    while t <= total_duration + 1e-9:
+        grid.append(min(t, total_duration))
+        t += tail_iv
+    return BeatGrid(tuple(grid), tuple(grid[::4]))
+
+
+def _old_format_beat_grid(grid):
+    down = set(grid.downbeats)
+    positions = []
+    count_since_down = None
+    for b in grid.beats:
+        if b in down:
+            count_since_down = 0
+        elif count_since_down is not None:
+            count_since_down += 1
+        positions.append(count_since_down)
+    first_known = next((i for i, p in enumerate(positions) if p is not None), None)
+    lines = []
+    for i, b in enumerate(grid.beats):
+        if positions[i] is not None:
+            pos = positions[i] % 4 + 1
+        elif first_known is not None:
+            pos = (-(first_known - i)) % 4 + 1
+        else:
+            pos = 2
+        lines.append(f"{b:.6f}\t{pos}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_voiced_segments_equal_the_state_machine_on_random_bursts():
+    rng = random.Random(17)
+    for _ in range(300):
+        sr = rng.choice((800, 8000, 11025))
+        n = rng.randint(1, 3 * sr)
+        audio = np.zeros(n)
+        for _ in range(rng.randint(0, 5)):
+            # Bursts may touch either edge and span loudness around the -40 dB gate.
+            lo = rng.choice((0, rng.randrange(n)))
+            hi = rng.choice((n, rng.randint(lo, n)))
+            audio[lo:hi] += 10.0 ** rng.uniform(-3.0, 0.0) * np.sin(np.arange(hi - lo) * 0.3)
+        if rng.random() < 0.2:
+            audio = np.stack([audio, rng.uniform(0.0, 1.0) * audio[::-1]])
+        got = detect_voiced_segments(audio, sr)
+        assert got == _old_detect_voiced_segments(audio, sr)
+        assert all(type(v) is float for seg in got for v in (seg.start_sec, seg.end_sec))
+
+
+def test_interpolated_beats_equal_the_rescanning_version_on_random_runs():
+    rng = random.Random(23)
+    for _ in range(500):
+        beat_lists, cursor = [], rng.uniform(0.0, 2.0)
+        for _ in range(rng.randint(1, 6)):
+            interval = rng.uniform(0.2, 1.2)
+            count = rng.choice((0, 1, 1, 2, 3, 6))  # runs of one beat carry no tempo
+            beats = [cursor + k * interval + rng.uniform(0.0, 0.05) for k in range(count)]
+            rng.shuffle(beats)
+            beat_lists.append(beats)
+            cursor += count * interval + rng.uniform(0.1, 4.0)
+        if not any(len(b) >= 2 for b in beat_lists):
+            continue
+        segments = [VoicedSegment(0.0, 1.0)] * len(beat_lists)
+        total = cursor + rng.uniform(0.0, 3.0)
+        assert interpolate_beats(beat_lists, segments, total) == \
+            _old_interpolate_beats(beat_lists, total)
+
+
+def test_beat_text_positions_equal_the_two_pass_version_on_random_grids():
+    rng = random.Random(29)
+    for _ in range(500):
+        beats = tuple(sorted({round(rng.uniform(0.0, 30.0), 3) for _ in range(rng.randint(0, 20))}))
+        if rng.random() < 0.3:
+            downbeats = ()
+        else:
+            start = rng.randrange(len(beats) or 1)
+            downbeats = tuple(b for b in beats[start:] if rng.random() < 0.4)
+        grid = BeatGrid(beats, downbeats)
+        assert format_beat_grid(grid) == _old_format_beat_grid(grid)

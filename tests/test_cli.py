@@ -11,14 +11,14 @@ import re
 import shutil
 import tempfile
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from songpipe import cli, conditioning, harmony, metrics, planner, render, score_io
+from songpipe import cli, conditioning, harmony, metrics, planner, prep, render, score_io
 from songpipe.cli import (
     _STAGE_FUNCS,
     ART,
@@ -1013,6 +1013,9 @@ def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_pat
     ("accompaniment", 0),
     ("record", "all"),
     ("record entry", 1),
+    ("record entry without fingerprint", 1),
+    ("record entry with a short event", 1),
+    ("record entry with events 5", 1),
     ("record version", "all"),
     ("record format", "all"),
     ("memo", 0),
@@ -1036,6 +1039,15 @@ def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, m
         (out / "render.json").write_text('{"format": "render", "version": 1, "windows": [')
     elif tamper == "record entry":
         record["windows"][2]["events"] = [["0.5", "beat"]]
+        (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record entry without fingerprint":
+        del record["windows"][2]["fingerprint"]
+        (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record entry with a short event":
+        record["windows"][2]["events"] = [[0.5]]
+        (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record entry with events 5":
+        record["windows"][2]["events"] = 5
         (out / "render.json").write_text(json.dumps(record))
     elif tamper == "record version":
         record["version"] = 0
@@ -1338,6 +1350,38 @@ def test_the_manifest_hashes_the_inputs_the_run_read(score_file, tmp_path):
     assert manifest["config"]["vocal_sha256"] == hashlib.sha256(vocal.read_bytes()).hexdigest()
     assert manifest["config"]["score_sha256"] == read_score
     assert {"load_inputs", "mix_inputs"} <= set(manifest["artifacts"])
+
+
+def test_a_run_with_lyrics_and_a_reference_bank_records_the_selection(score_file, tmp_path):
+    bank_texts = {
+        "a.txt": "[verse]\nla la la la\n",
+        "b.txt": "[verse]\nla la la\nla la\n[chorus]\noh oh oh\n",
+        "c.txt": "[chorus]\nna na\nna\nna na na\nna\n",
+    }
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name, text in bank_texts.items():
+        (bank / name).write_text(text)
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text("# sheet\n[verse]\nla la la\nla la la\n[chorus]\noh oh\n")
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), lyrics_path=str(lyrics),
+                            reference_bank=str(bank))
+    manifest = run_pipeline(config)
+    sheet = prep.parse_lyrics(lyrics.read_text())
+    index, breakdown = prep.select_reference(
+        sheet, [prep.parse_lyrics(text) for text in bank_texts.values()])
+    assert index == 1
+    assert json.loads((out / "reference.json").read_text()) == {
+        "bank_index": index, "bank_file": "b.txt", "penalty": asdict(breakdown)}
+    assert (out / "lyrics.txt").read_text() == prep.format_lyrics(sheet)
+    digest = hashlib.sha256(lyrics.read_bytes()).hexdigest()
+    assert json.loads((out / "load.json").read_text())["lyrics_sha256"] == digest
+    assert manifest["config"]["lyrics_sha256"] == digest
+    assert manifest["config"]["reference_bank"] == "bank"
+    first = _read_bytes_map(out)
+    run_pipeline(config)
+    assert _read_bytes_map(out) == first
 
 
 def test_a_directory_without_input_hash_records_gives_null_hashes(score_file, tmp_path, caplog):

@@ -317,6 +317,32 @@ def test_structure_labels_use_global_label_ids():
     assert labels[100] == chorus_id and labels[-1] == chorus_id
 
 
+def _old_structure_labels(score, duration_sec, frame_rate):
+    """The earlier body of :func:`structure_labels`, kept as an oracle."""
+    t = math.ceil(duration_sec * frame_rate)
+    edges = [tick_to_seconds(score, s.start_tick) for s in score.sections]
+    times = np.arange(t) / frame_rate
+    idx = np.searchsorted(np.asarray(edges), times, side="right") - 1
+    idx = np.clip(idx, 0, len(score.sections) - 1)
+    labels = np.array([SECTION_LABELS.index(s.label) for s in score.sections])
+    out = np.zeros(t, dtype=np.int64)
+    out[:] = labels[idx]
+    return out
+
+
+def test_structure_labels_equal_the_searchsorted_version_on_random_scores():
+    rng = random.Random(31)
+    for _ in range(300):
+        score = random_score(rng, max_bars=12, multi_tempo=rng.random() < 0.6)
+        if len(score.sections) > 1 and rng.random() < 0.3:  # frames before the first section
+            score = replace(score, sections=score.sections[1:])
+        frame_rate = rng.choice((7.5, 43.0, 50.0, 100.0))
+        duration = score.duration_seconds() * rng.choice((0.5, 1.0, 1.0, 1.7))
+        got = structure_labels(score, duration, frame_rate)
+        want = _old_structure_labels(score, duration, frame_rate)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_snap_boundaries_prefers_earlier_on_ties():
     assert snap_boundaries([1.0], [0.5, 1.5], []) == [0.5]
     assert snap_boundaries([1.4], [0.5, 1.5], []) == [1.5]

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from songpipe.conditioning import ChordSequence, ChordSpan
+from songpipe.conditioning import ChordSequence, ChordSpan, triad_pitch_classes
 from songpipe.harmony import (
     CHORDS,
     HarmonizerWeights,
@@ -23,7 +23,7 @@ from songpipe.harmony import (
 )
 from songpipe.score import Note, Section, VocalScore
 
-from helpers import bpm_to_us, simple_score
+from helpers import bpm_to_us, random_score, simple_score
 
 
 def _bars_score(bar_pitches: list[list[int | None]], bpm: int = 120) -> VocalScore:
@@ -86,6 +86,45 @@ def test_emission_zero_for_rest_bar():
     score = _bars_score([[60, 60, 60, 60], [None, None, None, None]])
     emis = emission_matrix(bar_pitch_class_weights(score))
     assert np.all(emis[1] == 0.0)
+
+
+def _old_emission_matrix(bar_weights):
+    """The earlier per-chord loop of :func:`emission_matrix`, kept as an oracle."""
+    out = np.zeros((len(bar_weights), len(CHORDS)))
+    totals = bar_weights.sum(axis=1)
+    for c, (root, quality) in enumerate(CHORDS):
+        in_triad = bar_weights[:, list(triad_pitch_classes(root, quality))].sum(axis=1)
+        nonzero = totals > 0
+        out[nonzero, c] = in_triad[nonzero] / totals[nonzero]
+    return out
+
+
+def _old_transition_matrix(weights):
+    """The earlier pairwise loop of :func:`transition_matrix`, kept as an oracle."""
+    out = np.zeros((len(CHORDS), len(CHORDS)))
+    tone_sets = [set(triad_pitch_classes(r, q)) for r, q in CHORDS]
+    for a in range(len(CHORDS)):
+        for b in range(len(CHORDS)):
+            out[a, b] = weights.transition_weight * len(tone_sets[a] & tone_sets[b])
+            if a != b:
+                out[a, b] -= weights.chord_change_penalty
+    return out
+
+
+def test_matrices_equal_the_loops_bit_for_bit_on_random_input():
+    rng = random.Random(37)
+    for _ in range(200):
+        score = random_score(rng, max_bars=16, multi_tempo=rng.random() < 0.5)
+        for bar_weights in (
+            bar_pitch_class_weights(score),
+            # whole tick counts, with silent bars and bars up to 2**40 ticks
+            np.array([[rng.choice((0, 0, rng.randint(1, 2**rng.randint(1, 40))))
+                       for _ in range(12)] for _ in range(rng.randint(1, 6))], dtype=float),
+        ):
+            assert emission_matrix(bar_weights).tobytes() == \
+                _old_emission_matrix(bar_weights).tobytes()
+        weights = HarmonizerWeights(*(rng.choice((0.0, rng.uniform(0.0, 3.0))) for _ in range(3)))
+        assert transition_matrix(weights).tobytes() == _old_transition_matrix(weights).tobytes()
 
 
 def test_transition_matrix_values():

@@ -7,6 +7,7 @@ import random
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -224,6 +225,22 @@ def test_mix_rejects_a_sample_that_is_not_finite(bad):
     samples[0, 40] = bad
     with pytest.raises(ValueError, match="not finite"):
         mix(AudioBuffer(SR, np.zeros((1, 100))), AudioBuffer(SR, samples))
+
+
+def test_a_signalling_nan_sample_reads_as_nan_without_a_warning(tmp_path):
+    # The float32 bit pattern 0x7FA00000 is a signalling NaN: casting it to
+    # float64 raises the FPU's invalid flag, which numpy reports as a warning.
+    samples = np.full(8, 0.25, dtype="<f4")
+    samples.view("<u4")[3] = 0x7FA00000
+    data = wav_bytes(AudioBuffer(SR, np.zeros((1, 8))))[:-32] + samples.tobytes()
+    path = tmp_path / "snan.wav"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (WavReader(path).read(0, 8), wav_from_bytes(data).samples):
+            assert np.isnan(read).tolist() == [[i == 3 for i in range(8)]]
+        with pytest.raises(ValueError, match="cannot mix: a summed sample is not finite"):
+            mix(AudioBuffer(SR, np.zeros((1, 8))), WavReader(path))
 
 
 def test_audio_buffer_validation():
