@@ -14,7 +14,7 @@ from .conditioning import (
     KeyLabel,
     build_condition_bundle,
 )
-from .harmony import HarmonizerWeights, harmonize, prepend_intro_chords
+from .harmony import HarmonizerWeights, harmonize
 from .metrics import MatchReport, chord_f1, dedup_lines, estimate_key, key_accuracy, per, rhythm_f1
 from .planner import GenerationWindow, TrainingSlice, plan_inference, plan_training_slices
 from .prep import (
@@ -67,7 +67,6 @@ __all__ = [
     "per",
     "plan_inference",
     "plan_training_slices",
-    "prepend_intro_chords",
     "read_smf",
     "read_wav",
     "register_match",

@@ -134,14 +134,6 @@ class ChordSequence:
     def end_sec(self) -> float:
         return self.entries[-1].end_sec if self.entries else 0.0
 
-    def shifted(self, offset: float) -> "ChordSequence":
-        return ChordSequence(
-            tuple(
-                ChordSpan(c.start_sec + offset, c.end_sec + offset, c.root, c.quality)
-                for c in self.entries
-            )
-        )
-
 
 def format_chords(chords: ChordSequence) -> str:
     """Render a chord sequence as text lines ``start_sec end_sec ROOT:quality``."""

@@ -15,9 +15,9 @@ C:maj, C:min, C#:maj, ... B:min.  With the default weights an all-rest bar
 holds the previous bar's chord, because staying put keeps all three common
 tones and avoids the change penalty.
 
-The harmonize stage's song (:func:`harmonize_song`, which may prepend an
-intro) and the condition stage's section keys (:func:`section_keys`) are
-built here too.
+The harmonize stage's song (:func:`harmonize_song`: an optional intro, and
+one chord span per bar timed by the song's own tempo map) and the condition
+stage's section keys (:func:`section_keys`) are built here too.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ NUM_CHORDS = len(CHORDS)
 _TRIADS = np.array([[pc in triad_pitch_classes(r, q) for pc in range(12)] for r, q in CHORDS],
                    dtype=float)
 
-#: Number of bars of instrumental lead-in added by :func:`prepend_intro_chords`.
+#: Default ``intro_bars``: the bars of instrumental lead-in :func:`harmonize_song` prepends.
 DEFAULT_INTRO_BARS = 4
 
 
@@ -123,16 +123,16 @@ def harmonize(
         raise ValueError("score is empty; nothing to harmonize")
     emis = weights.emission_weight * emission_matrix(bar_pitch_class_weights(score))
     path = viterbi_path(emis, transition_matrix(weights))
+    return _bar_chords(score, [CHORDS[c] for c in path])
+
+
+def _bar_chords(score: VocalScore, bars: Sequence[tuple[int, str]]) -> ChordSequence:
+    """Chord ``bars[b]``, a ``(root, quality)`` pair, over bar ``b`` of ``score``; a bar
+    that collapses to zero seconds (a final partial bar on a pathological map) has none."""
     bar_len, end_tick = score.ticks_per_bar, score.end_tick
-    entries = []
-    for bar, c in enumerate(path):
-        root, quality = CHORDS[c]
-        start = tick_to_seconds(score, bar * bar_len)
-        end = tick_to_seconds(score, min((bar + 1) * bar_len, end_tick))
-        if end <= start:  # final partial bar may collapse on pathological maps
-            continue
-        entries.append(ChordSpan(start, end, root, quality))
-    return ChordSequence(tuple(entries))
+    edges = [tick_to_seconds(score, min(b * bar_len, end_tick)) for b in range(len(bars) + 1)]
+    return ChordSequence(tuple(ChordSpan(start, end, *chord) for start, end, chord
+                               in zip(edges, edges[1:], bars) if end > start))
 
 
 def viterbi_path(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
@@ -176,56 +176,24 @@ def path_score(
     return float(total)
 
 
-def prepend_intro_chords(
-    chords: ChordSequence,
-    bar_duration_sec: float,
-    bars: int = DEFAULT_INTRO_BARS,
-) -> ChordSequence:
-    """Open a progression with an instrumental intro copying its first bars.
-
-    The chords overlapping the first ``bars`` bars are duplicated, the whole
-    original progression is shifted later by ``bars * bar_duration_sec``, and
-    the duplicate is placed in front, so the result is ``bars`` bars longer
-    and starts with the same harmony the vocal entry will have.
-    ``bars=0`` returns the sequence unchanged.
-    """
-    if bars < 0:
-        raise ValueError(f"bars must be non-negative, got {bars}")
-    if bars == 0:
-        return chords
-    if bar_duration_sec <= 0:
-        raise ValueError(f"bar_duration_sec must be positive, got {bar_duration_sec}")
-    intro_len = bars * bar_duration_sec
-    if chords.end_sec + 1e-9 < intro_len:
-        raise ValueError(
-            f"progression is shorter ({chords.end_sec} s) than {bars} bars "
-            f"({intro_len} s); nothing to duplicate"
-        )
-    intro = []
-    for c in chords:
-        if c.start_sec >= intro_len - 1e-9:
-            break
-        intro.append(
-            ChordSpan(c.start_sec, min(c.end_sec, intro_len), c.root, c.quality)
-        )
-    return ChordSequence(tuple(intro) + chords.shifted(intro_len).entries)
-
-
 def harmonize_song(
     score: VocalScore, intro_bars: int, weights: HarmonizerWeights | None = None
 ) -> tuple[VocalScore, ChordSequence]:
-    """The song to accompany and its chords, one span per bar.
+    """The song to accompany and its chords, one span per bar of the song.
 
-    An instrumental intro of ``intro_bars`` bars, copying the opening chords,
-    is prepended only when the score has no ``intro`` section and
-    ``0 < intro_bars <= score.num_bars``; otherwise ``score`` itself is returned.
+    An instrumental intro of ``intro_bars`` bars is prepended only when the
+    score has no ``intro`` section and ``0 < intro_bars <= score.num_bars``;
+    otherwise ``score`` itself and :func:`harmonize`'s chords are returned.
+    Song bar ``b`` carries score bar ``b``'s chord while ``b < intro_bars`` and
+    score bar ``b - intro_bars``'s after that; the intro runs at tick 0's tempo.
     """
     chords = harmonize(score, weights)
-    if any(s.label == "intro" for s in score.sections) or not 0 < intro_bars <= score.num_bars:
+    # Chord i is score bar i's: only a collapsed final bar can be missing.
+    if any(s.label == "intro" for s in score.sections) or not 0 < intro_bars <= len(chords):
         return score, chords
-    bar_duration = tick_to_seconds(score, score.ticks_per_bar)
-    chords = prepend_intro_chords(chords, bar_duration, intro_bars)
-    return prepend_instrumental(score, intro_bars), chords
+    bars = [(c.root, c.quality) for c in chords]
+    song = prepend_instrumental(score, intro_bars)
+    return song, _bar_chords(song, bars[:intro_bars] + bars)
 
 
 def section_key_estimates(score: VocalScore) -> list[tuple[int, KeyLabel]]:

@@ -641,8 +641,9 @@ def render_windows(
 ) -> dict:
     """Render every window of a plan into ``outdir``, then the whole song.
 
-    Window files the plan does not own are removed first.  Each window is
-    encoded once by :func:`wav_bytes`, and those bytes are written to
+    The windows, by start time, must tile the song up to the bundle's last
+    frame; only then are window files the plan does not own removed.  Each
+    window is encoded once by :func:`wav_bytes`, and those bytes are written to
     ``window_NNN.wav`` and hashed, unless its ``recorded`` entry (see
     :func:`record_from_json`) shows that the file holds it already: the same
     :func:`window_fingerprint`, a mono float32 header at ``sample_rate``
@@ -656,6 +657,14 @@ def render_windows(
     """
     if not windows:
         raise ValueError("the plan has no windows")
+    by_start = sorted(windows, key=lambda w: w.start_sec)
+    for w, end in zip(by_start, [0.0] + [w.end_sec for w in by_start]):
+        if w.start_sec != end:  # exact: plans are JSON round trips of the same cuts
+            raise ValueError(f"window {w.order} starts at {w.start_sec} s, not at {end} s")
+    last, fr = by_start[-1], bundle.frame_rate
+    if not (bundle.num_frames - 1) / fr - 1e-9 < last.end_sec <= bundle.num_frames / fr + 1e-9:
+        raise ValueError(f"window {last.order} ends at {last.end_sec} s, not in the last frame "
+                         f"of the {bundle.duration_sec} s conditions")
     owned = {window_file(w.order) for w in windows}
     for name in os.listdir(outdir):
         if WINDOW_FILE.fullmatch(name) and name not in owned:
@@ -690,7 +699,7 @@ def render_windows(
     frames = sum(piece.n_samples for piece in pieces.values())
     with replacing(os.path.join(outdir, ACCOMPANIMENT_FILE)) as fh:
         fh.write(_wav_header("float32", 1, sample_rate, frames))
-        for window in sorted(windows, key=lambda w: (w.start_sec, w.order)):
+        for window in by_start:
             piece = pieces[window.order]
             for lo in range(0, piece.n_samples, STREAM_FRAMES):
                 fh.write(piece.read_bytes(lo, lo + STREAM_FRAMES))

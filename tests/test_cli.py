@@ -1461,3 +1461,67 @@ def test_a_file_argument_that_does_not_parse_is_named(score_file, tmp_path, caps
     err = capsys.readouterr().err
     assert f"error: cannot read {bad}: " in err
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# Satellites: chords timed on the song's own bars, windows that tile the song
+
+
+def test_a_tempo_change_inside_the_intro_bars_runs_through(tmp_path):
+    # Seed 28 slows down inside bar 0, so the song's intro bars, at the tempo
+    # of tick 0, are shorter than the score's first bars.
+    score = random_score(random.Random(28), min_bars=24, max_bars=40, multi_tempo=True)
+    assert 0 < score.tempo_map[1][0] < score.ticks_per_bar
+    path = tmp_path / "tempo.mid"
+    path.write_bytes(score_io.write_smf(score))
+    out = tmp_path / "out"
+    assert main(["run", "--score", str(path), "--output", str(out)]) == 0
+    song = score_io.load_score(out / "song.score.json")
+    chords = conditioning.parse_chords((out / "chords.txt").read_text())
+    assert chords.end_sec == pytest.approx(song.duration_seconds(), abs=1e-6)
+
+
+@pytest.mark.parametrize("intro_bars", [4, 0])
+def test_the_harmonize_stage_calls_harmonize_once(score_file, tmp_path, monkeypatch, intro_bars):
+    # The benchmark times harmony.harmonize by wrapping the module attribute;
+    # a stage that reached the chords another way would read 0 there.
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"), intro_bars=intro_bars)
+    _run(config)
+    calls = _counting(monkeypatch, harmony, "harmonize")
+    _STAGE_FUNCS["harmonize"](config, config.output_dir)
+    assert len(calls) == 1
+    meta = json.loads((tmp_path / "out" / ART["harmonize_meta"]).read_text())
+    assert meta["intro_prepended"] is (intro_bars > 0)
+
+
+@pytest.mark.parametrize("edit", ["overlap", "gap", "late first", "truncated last"])
+def test_a_plan_whose_windows_do_not_tile_the_song_is_a_render_error(
+    score_file, tmp_path, capsys, edit
+):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    _run(config)
+    plan = out / ART["plan"]
+    windows = planner.plan_from_json(plan.read_text())
+    assert len(windows) >= 3
+    by_start = sorted(range(len(windows)), key=lambda j: windows[j].start_sec)
+    pos, field, delta = {"overlap": (1, "start_sec", -0.5), "gap": (1, "start_sec", 0.5),
+                         "late first": (0, "start_sec", 0.5),
+                         "truncated last": (-1, "end_sec", -0.5)}[edit]
+    i = by_start[pos]
+    window = windows[i] = replace(windows[i], **{field: getattr(windows[i], field) + delta})
+    if field == "end_sec":
+        message = f"window {window.order} ends at {window.end_sec} s, not in the last frame"
+    else:
+        expected = windows[by_start[pos - 1]].end_sec if pos else 0.0
+        message = f"window {window.order} starts at {window.start_sec} s, not at {expected} s"
+    plan.write_text(planner.plan_to_json(windows))
+    before = _read_bytes_map(out)
+    with pytest.raises(StageError, match=re.escape(message)) as err:
+        run_pipeline(config, from_stage="render")
+    assert err.value.stage == "render"
+    assert _read_bytes_map(out) == before
+    assert main(["render", "--conditions", str(out / ART["conditions"]), "--plan", str(plan),
+                 "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert _read_bytes_map(out) == before

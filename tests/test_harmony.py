@@ -8,7 +8,13 @@ import random
 import numpy as np
 import pytest
 
-from songpipe.conditioning import ChordSequence, ChordSpan, triad_pitch_classes
+from songpipe.conditioning import (
+    ChordSequence,
+    ChordSpan,
+    beat_downbeat_events,
+    format_chords,
+    triad_pitch_classes,
+)
 from songpipe.harmony import (
     CHORDS,
     HarmonizerWeights,
@@ -16,12 +22,12 @@ from songpipe.harmony import (
     chord_index,
     emission_matrix,
     harmonize,
+    harmonize_song,
     path_score,
-    prepend_intro_chords,
     transition_matrix,
     viterbi_path,
 )
-from songpipe.score import Note, Section, VocalScore
+from songpipe.score import Note, Section, VocalScore, tick_to_seconds
 
 from helpers import bpm_to_us, random_score, simple_score
 
@@ -257,44 +263,84 @@ def test_harmonize_rejects_empty_score():
         harmonize(score)
 
 
-def test_prepend_intro_duplicates_leading_bars():
-    chords = ChordSequence(
-        (
-            ChordSpan(0.0, 2.0, 0, "maj"),
-            ChordSpan(2.0, 4.0, 7, "maj"),
-            ChordSpan(4.0, 8.0, 5, "maj"),
-        )
-    )
-    out = prepend_intro_chords(chords, bar_duration_sec=1.0, bars=4)
-    assert out.entries == (
-        ChordSpan(0.0, 2.0, 0, "maj"),
-        ChordSpan(2.0, 4.0, 7, "maj"),
-        ChordSpan(4.0, 6.0, 0, "maj"),
-        ChordSpan(6.0, 8.0, 7, "maj"),
-        ChordSpan(8.0, 12.0, 5, "maj"),
-    )
+def _prepend_intro_chords_oracle(
+    chords: ChordSequence, bar_duration_sec: float, bars: int
+) -> ChordSequence:
+    """The earlier intro rule, kept as an oracle: the chords of the first
+    ``bars`` bars (of ``bar_duration_sec`` each), clipped, then every chord
+    shifted later by the intro's length."""
+    intro_len = bars * bar_duration_sec
+    if chords.end_sec + 1e-9 < intro_len:
+        raise ValueError("progression is shorter than the intro")
+    intro = []
+    for c in chords:
+        if c.start_sec >= intro_len - 1e-9:
+            break
+        intro.append(ChordSpan(c.start_sec, min(c.end_sec, intro_len), c.root, c.quality))
+    shifted = tuple(ChordSpan(c.start_sec + intro_len, c.end_sec + intro_len, c.root, c.quality)
+                    for c in chords)
+    return ChordSequence(tuple(intro) + shifted)
 
 
-def test_prepend_intro_clips_straddling_chords():
-    chords = ChordSequence(
-        (ChordSpan(0.0, 3.0, 0, "maj"), ChordSpan(3.0, 6.0, 7, "maj"))
-    )
-    out = prepend_intro_chords(chords, bar_duration_sec=1.0, bars=2)
-    assert out.entries == (
-        ChordSpan(0.0, 2.0, 0, "maj"),
-        ChordSpan(2.0, 5.0, 0, "maj"),
-        ChordSpan(5.0, 8.0, 7, "maj"),
-    )
+def test_intro_chords_equal_the_earlier_rule_at_one_tempo():
+    rng = random.Random(18)
+    for _ in range(200):
+        score = random_score(rng, max_bars=12, with_intro=False)
+        bars = rng.randint(1, 5)
+        if bars > score.num_bars:
+            continue
+        song, chords = harmonize_song(score, bars)
+        assert song.num_bars == score.num_bars + bars
+        bar_duration = tick_to_seconds(score, score.ticks_per_bar)
+        oracle = _prepend_intro_chords_oracle(harmonize(score), bar_duration, bars)
+        assert format_chords(chords) == format_chords(oracle)
 
 
-def test_prepend_intro_zero_bars_is_identity():
-    chords = ChordSequence((ChordSpan(0.0, 2.0, 0, "maj"),))
-    assert prepend_intro_chords(chords, 1.0, bars=0) is chords
+def test_song_chords_sit_on_the_song_bars_and_copy_the_score_bars():
+    rng = random.Random(1818)
+    for case in range(300):
+        score = random_score(rng, max_bars=14, multi_tempo=case % 2 == 1)
+        bars = rng.randint(1, 5)
+        song, chords = harmonize_song(score, bars)
+        k = 0 if song is score else bars
+        _, downbeats = beat_downbeat_events(song)
+        assert len(chords) == song.num_bars
+        for b, chord in enumerate(chords):
+            assert chord.start_sec == downbeats[b]  # bit for bit
+            ends = downbeats[b + 1] if b + 1 < len(downbeats) else song.duration_seconds()
+            assert chord.end_sec == ends
+        by_bar = [(c.root, c.quality) for c in harmonize(score)]
+        assert [(c.root, c.quality) for c in chords] == \
+            by_bar[:k] + by_bar  # song bar b has score bar b, then b - k
 
 
-def test_prepend_intro_rejects_short_progressions():
-    chords = ChordSequence((ChordSpan(0.0, 1.5, 0, "maj"),))
-    with pytest.raises(ValueError):
-        prepend_intro_chords(chords, bar_duration_sec=1.0, bars=2)
-    with pytest.raises(ValueError):
-        prepend_intro_chords(chords, bar_duration_sec=1.0, bars=-1)
+def test_a_tempo_change_in_the_first_bars_keeps_the_chords_to_the_song_end():
+    # At seed 29 the tempo rises inside bar 0, so the song's intro bars are
+    # slower than the score's first bars; the chords must still fill the song.
+    score = random_score(random.Random(29), min_bars=24, max_bars=40, multi_tempo=True)
+    assert 0 < score.tempo_map[1][0] < score.ticks_per_bar
+    song, chords = harmonize_song(score, 4)
+    assert song is not score
+    assert chords.end_sec == song.duration_seconds()
+
+
+def test_no_intro_leaves_the_score_and_its_chords():
+    score = random_score(random.Random(4), min_bars=6, max_bars=6, with_intro=False)
+    with_intro = random_score(random.Random(4), min_bars=6, max_bars=6, with_intro=True)
+    for source, bars in ((score, 0), (score, 7), (with_intro, 4)):
+        song, chords = harmonize_song(source, bars)
+        assert song is source
+        assert chords == harmonize(source)
+
+
+def test_a_collapsed_final_bar_shifts_no_intro_chord():
+    # Bar 1 is one tick at 1 us per quarter, 40e6 s into the score: it adds
+    # less than half an ulp, so harmonize gives bar 1 no chord.
+    score = VocalScore(notes=(Note(0, 1921, 60),), tempo_map=((0, 10**13), (1920, 1)),
+                       sections=(Section("verse", 0, 1921),))
+    assert score.num_bars == 2 and len(harmonize(score)) == 1
+    song, chords = harmonize_song(score, 1)
+    assert [(c.start_sec, c.end_sec, c.root, c.quality) for c in chords] == \
+        [(0.0, 4e7, 0, "maj"), (4e7, 8e7, 0, "maj")]
+    # Two intro bars would copy bar 1, which has no chord: no intro.
+    assert harmonize_song(score, 2) == (score, harmonize(score))
