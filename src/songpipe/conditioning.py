@@ -24,6 +24,7 @@ from .score import SECTION_LABELS, VocalScore, tick_to_seconds
 
 DEFAULT_FRAME_RATE = 50.0
 DEFAULT_SIGMA = 0.05
+_SNAP_BLOCK = 256  # values that nearest_targets snaps at a time
 
 #: Pitch-class spellings used by the chord text format (sharps only on write).
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
@@ -348,34 +349,18 @@ def structure_labels(
 def nearest_targets(values: list[float], grid: list[float]) -> list[float]:
     """Snap each value to the nearest element of ``grid``; ties go to the earlier.
 
-    ``grid`` must be non-empty, finite, sorted and free of duplicates.
-    The result equals ``min(grid, key=lambda t: (abs(t - x), t))`` for
-    every ``x``, found by binary search.  ``fl(x - t)`` never increases as
-    ``t`` rises towards ``x``, and ``fl(t - x)`` never decreases as ``t``
-    rises past it, so the winner is one of the two neighbours of ``x``.
-    Only a rounding tie can say otherwise: when ``x - t`` rounds to the
-    same distance for several targets below ``x`` (far from ``x`` in
-    magnitude, or ``x`` infinite), ``min`` takes the earliest of them, and
-    so does the scan here.  A NaN value compares less than nothing, so
-    ``min`` keeps ``grid[0]``.
+    ``grid`` must be non-empty, finite and sorted.  A value ``x`` snaps to
+    ``min(grid, key=lambda t: (abs(t - x), t))``, the first ``t`` with the least
+    ``abs(t - x)`` (``grid[0]`` if ``x`` is NaN).  Blocks of ``_SNAP_BLOCK`` values
+    keep the distance table to ``_SNAP_BLOCK * len(grid)`` floats.
     """
     targets = np.asarray(grid, dtype=float)
     x = np.asarray(values, dtype=float)
-    n = targets.size
-    right = np.searchsorted(targets, x)
-    left = right - 1
-    has_left = left >= 0
-    gap_left = np.where(has_left, x - targets[np.maximum(left, 0)], np.inf)
-    gap_right = np.where(right < n, targets[np.minimum(right, n - 1)] - x, np.inf)
-    take_left = has_left & (gap_left <= gap_right)
-    chosen = np.where(take_left, left, right)
-    below = np.maximum(left - 1, 0)
-    tied = take_left & (left >= 1) & (x - targets[below] == gap_left)
-    for i in np.flatnonzero(tied):
-        gaps = np.abs(targets - x[i])
-        chosen[i] = np.flatnonzero(gaps == gaps[chosen[i]])[0]
-    chosen[np.isnan(x)] = 0
-    return [grid[i] for i in chosen.tolist()]
+    chosen: list[int] = []
+    for i in range(0, x.size, _SNAP_BLOCK):
+        gaps = targets - x[i : i + _SNAP_BLOCK, None]
+        chosen += np.abs(gaps, out=gaps).argmin(axis=1).tolist()
+    return [grid[i] for i in chosen]
 
 
 def snap_boundaries(

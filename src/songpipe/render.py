@@ -44,6 +44,7 @@ DOWNBEAT_GAIN = 1.5
 CLICK_DECAY_SEC = 0.0025
 CLICK_THRESHOLD = 0.5
 MIX_PEAK = 0.95
+EVENT_KINDS = ("beat", "downbeat", "chord_change")  # the kinds render_stub logs
 
 #: Part of every window fingerprint: change it whenever :func:`render_stub`
 #: renders different audio or events from the same inputs.
@@ -102,7 +103,7 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class RenderEvent:
-    """One emitted event: sample-accurate time and kind (beat/downbeat/chord_change)."""
+    """One emitted event: sample-accurate time and kind, one of :data:`EVENT_KINDS`."""
 
     time_sec: float
     kind: str
@@ -274,9 +275,7 @@ def render_stub(
     for f0, f1 in _chord_segments(chroma):
         pcs = np.nonzero(chroma[f0])[0]
         f0, f1 = f0 + lo, f1 + lo  # song frames from here on
-        seg_start = f0 / fr
-        seg_end = min(f1 / fr, duration)
-        true_start, true_end = round(seg_start * sample_rate), round(seg_end * sample_rate)
+        true_start, true_end = round(f0 / fr * sample_rate), round(f1 / fr * sample_rate)
         a, b = max(true_start, first_sample), min(true_end, last_sample)
         is_change = f0 > 0 and len(pcs) > 0
         if len(pcs) == 0 or b <= a:
@@ -387,6 +386,8 @@ def format_events(events: list[RenderEvent]) -> str:
 def parse_events(text: str) -> list[RenderEvent]:
     events = []
     for lineno, (time, kind) in data_lines(text, "event", 2):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"event line {lineno}: unknown kind {kind!r}")
         try:
             events.append(RenderEvent(float(time), kind))
         except ValueError:
@@ -737,7 +738,7 @@ def record_from_json(text: str) -> dict[str, dict]:
             except (KeyError, TypeError, ValueError):
                 continue
             if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
-                type(t) is float and isinstance(kind, str) for t, kind in events
+                type(t) is float and kind in EVENT_KINDS for t, kind in events
             ):  # rebuilt from its fields, so a reused entry is written as a new one is
                 entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
                                  "events": events}

@@ -56,10 +56,6 @@ class Section:
     end_tick: int
     prompt: str | None = None
 
-    @property
-    def duration_ticks(self) -> int:
-        return self.end_tick - self.start_tick
-
 
 @dataclass(frozen=True)
 class LyricLine:

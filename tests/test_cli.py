@@ -206,6 +206,22 @@ def test_validate_command(score_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_the_score_reader_names_every_violation(tmp_path, capsys):
+    doc = json.loads(score_io.score_to_json(simple_score([60] * 8)))
+    doc["notes"][0]["pitch"] = 200
+    doc["notes"][1]["onset_tick"] = doc["notes"][0]["onset_tick"] + 1
+    bad = tmp_path / "bad.score.json"
+    bad.write_text(json.dumps(doc))
+    reason = (f"cannot read {bad}: score document is invalid: note 0 pitch 200 outside "
+              "[0, 127]; notes 0 and 1 overlap (melody must be monophonic)\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {reason}"
+    out = tmp_path / "out"
+    assert main(["run", "--score", str(bad), "--output", str(out)]) == 1
+    assert f"error in stage 'load': {reason}" in capsys.readouterr().err
+    assert not (out / "validation.json").exists()
+
+
 def test_harmonize_command(score_file, tmp_path, capsys):
     assert main(["harmonize", str(score_file)]) == 0
     chords = conditioning.parse_chords(capsys.readouterr().out)
@@ -375,6 +391,19 @@ def test_malformed_input_at_report_names_the_stage(score_file, tmp_path, name, g
     with pytest.raises(StageError) as err:
         run_pipeline(config, from_stage="report")
     assert err.value.stage == "report"
+
+
+def test_an_unknown_event_kind_in_the_log_is_named_at_report(score_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--score", str(score_file), "--output", str(out)]
+    assert main(args) == 0
+    lines = (out / "events.txt").read_text().splitlines(keepends=True)
+    lines[1] = lines[1].split("\t")[0] + "\tbaet\n"
+    (out / "events.txt").write_text("".join(lines))
+    capsys.readouterr()
+    assert main(args + ["--from", "report"]) == 1
+    assert ("error in stage 'report': cannot read events.txt: event line 2: unknown kind "
+            "'baet'") in capsys.readouterr().err
 
 
 def test_rerun_into_a_used_directory_drops_stale_windows(score_file, tmp_path):
@@ -1016,6 +1045,7 @@ def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_pat
     ("record entry without fingerprint", 1),
     ("record entry with a short event", 1),
     ("record entry with events 5", 1),
+    ("record entry with an unknown event kind", 1),
     ("record version", "all"),
     ("record format", "all"),
     ("memo", 0),
@@ -1048,6 +1078,9 @@ def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, m
         (out / "render.json").write_text(json.dumps(record))
     elif tamper == "record entry with events 5":
         record["windows"][2]["events"] = 5
+        (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record entry with an unknown event kind":
+        record["windows"][2]["events"][0][1] = "baet"
         (out / "render.json").write_text(json.dumps(record))
     elif tamper == "record version":
         record["version"] = 0

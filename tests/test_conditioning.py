@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,21 @@ def test_nearest_targets_equals_the_min_oracle(case):
 def test_nearest_targets_rounding_ties(values, grid, expected):
     assert _nearest_min_oracle(values, grid) == expected
     assert nearest_targets(values, grid) == expected
+
+
+def test_nearest_targets_holds_one_block_of_distances():
+    # One float64 table of all 4,000 x 4,000 distances would take 128 MB.
+    values = np.linspace(-1.0, 4001.0, 4000).tolist()
+    grid = np.arange(4000.0).tolist()
+    tracemalloc.start()
+    try:
+        snapped = nearest_targets(values, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert snapped[::100] == _nearest_min_oracle(values[::100], grid)
+    assert len(snapped) == 4000 and snapped[-1] == 3999.0
 
 
 def test_chord_text_round_trip():
