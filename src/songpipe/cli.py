@@ -587,7 +587,7 @@ def _parse_chroma(text: str) -> np.ndarray:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "chroma" not in doc:
         raise ValueError("expected a JSON object with a 'chroma' key")
-    return np.asarray(doc["chroma"], dtype=float).reshape(-1, 12)
+    return conditioning.rows_of(doc["chroma"], 12, "chroma")
 
 
 def _lines(text: str) -> list[str]:

@@ -490,12 +490,24 @@ def _rows_json(rows: np.ndarray) -> str:
     return "[" + ", ".join([texts[i] for i in inverse.tolist()]) + "]"
 
 
+def rows_of(value, width: int, name: str) -> np.ndarray:
+    """``value``, a list of rows of ``width`` numbers each, as a float array;
+    anything else is a ``ValueError`` that names the shape found."""
+    rows = np.asarray(value, dtype=float)
+    if rows.shape == (0,):  # no rows
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} must be a list of rows of {width} numbers, "
+                         f"got shape {rows.shape}")
+    return rows
+
+
 def bundle_from_json(text: str | bytes) -> ConditionBundle:
     def build(doc: dict) -> tuple[ConditionBundle, int]:
         return ConditionBundle(
             frame_rate=float(doc["frame_rate"]),
-            rhythm=np.asarray(doc["rhythm"], dtype=float).reshape(-1, 2),
-            chroma=np.asarray(doc["chroma"], dtype=float).reshape(-1, 12),
+            rhythm=rows_of(doc["rhythm"], 2, "rhythm"),
+            chroma=rows_of(doc["chroma"], 12, "chroma"),
             structure=np.asarray(doc["structure"], dtype=np.int64),
             pitch_contour=np.asarray(doc["pitch_contour"], dtype=float),
             keys=tuple(

@@ -252,16 +252,29 @@ def chroma_from_audio(
     an array is wrapped as an ``AudioBuffer``.  Channels are averaged, and
     samples outside the signal read as zeros.  Frames are measured
     ``_CHROMA_CHUNK`` at a time, each chunk from its own span of samples, so
-    a file source is never read whole.
+    a file source is never read whole.  A mono float32 WAV's samples are
+    taken as the file stores them; any other source's channel mean is taken
+    in float64.
+
+    The projection onto the note bins runs in float32.  A frame keeps the
+    classes it marks there only when :func:`_decided` proves that the
+    float64 projection marks the same ones; every other frame, and every
+    frame of a chunk with a non-finite sample, is measured by the float64
+    projection.  So every row is the float64 expression's, bit for bit.
 
     ``memo`` maps a chunk key to that chunk's rows.  A chunk's key is the
     SHA-256 of everything its rows depend on: the samples it reads, its frame
-    starts relative to the first of them, and the parameters.  A chunk whose
+    starts relative to the first of them, and the parameters.  The samples
+    are hashed as float32 bytes, under their own tag, when their channel
+    mean is exactly float32 (so a float32 WAV and its decoded array key
+    alike), and as float64 bytes under another tag otherwise.  A chunk whose
     key is in ``memo`` is copied from it instead of measured.  On return
     ``memo`` holds the keys and rows of this call's chunks only.
     """
     source = samples if hasattr(samples, "read") else AudioBuffer(sample_rate, samples)
     n_samples = source.n_samples
+    as_stored = (isinstance(source, WavReader) and source.channels == 1
+                 and source.header.sample_format == "float32")
     if num_frames is None:
         num_frames = int(np.ceil(n_samples / sample_rate * frame_rate))
     n_fft = 4 * window_size
@@ -288,12 +301,20 @@ def chroma_from_audio(
         begin, end = int(chunk_starts[0]), int(chunk_starts[-1]) + span
         lo = min(max(begin, 0), n_samples)
         hi = max(min(end, n_samples), lo)
-        segment = source.read(lo, hi).mean(axis=0)
+        if as_stored:
+            segment = narrow = np.frombuffer(source.read_bytes(lo, hi), "<f4")
+        else:
+            segment = source.read(lo, hi).mean(axis=0)
+            with np.errstate(over="ignore"):
+                narrow = segment.astype(np.float32)
+            if np.array_equal(narrow, segment):
+                segment = narrow
         relative = chunk_starts - lo
         if memo is not None:
-            digest = hashlib.sha256(params + repr((len(relative), len(segment))).encode("ascii"))
+            digest = hashlib.sha256(params + repr(
+                (segment.dtype.name, len(relative), len(segment))).encode("ascii"))
             digest.update(np.ascontiguousarray(relative, dtype="<i8"))
-            digest.update(np.ascontiguousarray(segment, dtype="<f8"))
+            digest.update(np.ascontiguousarray(segment, dtype=segment.dtype.newbyteorder("<")))
             key = digest.hexdigest()
             cached = memo.get(key)
             if cached is not None and cached.shape == rows.shape:
@@ -301,25 +322,31 @@ def chroma_from_audio(
                 chunks[key] = cached
                 continue
         if (lo, hi) != (begin, end):
-            padded = np.zeros(end - begin)
-            padded[lo - begin : hi - begin] = segment
-            segment = padded
+            narrow = _padded(narrow, lo - begin, end - begin)
+            segment = (narrow if segment.dtype == np.float32
+                       else _padded(segment, lo - begin, end - begin))
         offsets = chunk_starts - begin
-        live = np.flatnonzero(~_silent(segment, offsets, window_size, silence_threshold))
+        silent, squares = _silent(segment, offsets, window_size, silence_threshold)
+        live = np.flatnonzero(~silent)
         if live.size:
-            frames = _frames(segment, offsets[live], window_size)
             if basis is None:
                 basis = _note_bin_basis(window_size, n_fft, bins)
-            proj = frames @ basis
-            magnitude = np.hypot(proj[:, : len(bins)], proj[:, len(bins) :])
-            energy = np.zeros((len(live), 12))
-            np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
-            top = np.argsort(energy, axis=1, kind="stable")[:, -3:]
-            strong = np.take_along_axis(energy, top, axis=1) > 0.05 * energy.max(
-                axis=1, keepdims=True
-            )
-            row, rank = np.nonzero(strong)
-            rows[live[row], top[row, rank]] = 1.0
+                basis32, scale = basis.astype(np.float32), _error_scale(basis)
+            redo = np.ones(len(live), dtype=bool)
+            if squares is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    proj = _frames(narrow, offsets[live], window_size) @ basis32
+                    energy, order, strong = _classes(proj.astype(float), note_cols, note_pcs)
+                    redo = ~_decided(energy, order, proj, scale, squares[live])
+                if len(redo) > 1 and redo.sum() == 1:
+                    # numpy takes a one-row product by gemv, which sums in
+                    # another order than gemm; the float64 expression saw
+                    # this frame in a gemm of the chunk's live frames.
+                    redo[np.argmin(redo)] = True
+                _mark(rows, live[~redo], order[~redo], strong[~redo])
+            if redo.any():
+                _mark(rows, live[redo], *_measured(segment, offsets[live[redo]], window_size,
+                                                   basis, note_cols, note_pcs))
         if memo is not None:
             chunks[key] = rows.copy()
     if memo is not None:
@@ -328,22 +355,124 @@ def chroma_from_audio(
     return out
 
 
+def _padded(samples: np.ndarray, at: int, size: int) -> np.ndarray:
+    """``size`` zeros of ``samples``' dtype with ``samples`` written from ``at``."""
+    padded = np.zeros(size, dtype=samples.dtype)
+    padded[at : at + len(samples)] = samples
+    return padded
+
+
+def _classes(proj: np.ndarray, note_cols: np.ndarray,
+             note_pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's class energies (the strongest note of each pitch class, from
+    the cos then sin halves of ``proj``), its classes in stable ascending order
+    of energy, and which of its three strongest exceed 5 % of the strongest."""
+    n_bins = proj.shape[1] // 2
+    magnitude = np.hypot(proj[:, :n_bins], proj[:, n_bins:])
+    energy = np.zeros((len(proj), 12))
+    np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
+    order = np.argsort(energy, axis=1, kind="stable")
+    strong = np.take_along_axis(energy, order[:, -3:], axis=1) > 0.05 * energy.max(
+        axis=1, keepdims=True
+    )
+    return energy, order, strong
+
+
+def _mark(rows: np.ndarray, frames: np.ndarray, order: np.ndarray, strong: np.ndarray) -> None:
+    """Mark each frame's strong classes among its three strongest (see :func:`_classes`)."""
+    row, rank = np.nonzero(strong)
+    rows[frames[row], order[row, rank - 3]] = 1.0
+
+
+def _measured(segment: np.ndarray, offsets: np.ndarray, window_size: int, basis: np.ndarray,
+              note_cols: np.ndarray, note_pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_classes`' order and marks of the frames at ``offsets``, projected
+    in float64: the float64 expression that every row must equal."""
+    with np.errstate(invalid="ignore"):  # a signalling NaN is cast to a NaN
+        frames = _frames(segment, offsets, window_size).astype(float, copy=False)
+    _, order, strong = _classes(frames @ basis, note_cols, note_pcs)
+    return order, strong
+
+
+def _decided(energy: np.ndarray, order: np.ndarray, proj: np.ndarray, scale: float,
+             squares: np.ndarray) -> np.ndarray:
+    """Whether each frame's :func:`_classes`, from its float32 projection
+    ``proj``, mark what they mark from the float64 one, given ``scale`` from
+    :func:`_error_scale` and ``squares`` from :func:`_silent`.
+
+    Write ``x`` for a frame in float64 (``W`` samples, ``W`` the window
+    size), ``b`` for a basis column, ``x'`` and ``b'`` for their float32
+    roundings, ``v = 2**-24``, ``u = 2**-53`` and ``g(e) = W*e / (1 - W*e)``.
+    Summed in any order, the float32 product is within ``g(v)*S'`` of
+    ``x'.b'``, where ``S' = sum|x'_i*b'_i| <= (1+v)**2 * S`` and
+    ``S = sum|x_i*b_i|``; ``x'.b'`` is within ``(2v + v*v)*S`` of ``x.b``,
+    and the float64 product within ``g(u)*S``.  So the two products differ
+    by at most ``c*S``, ``c = 2v + v*v + (1+v)**2 * g(v) + g(u)``.  By
+    Cauchy-Schwarz ``S <= |x|*|b|`` in the 2-norm, so a note's (cos, sin)
+    pairs differ by at most ``c*|x|*beta``, with ``beta`` the largest
+    ``sqrt(|cos|**2 + |sin|**2)`` of the basis, and so do their lengths.
+    ``hypot`` rounds within ``h = 2**-50`` relative (the C library's is
+    within one ulp), and a float32-side length is below ``(1+c)*|x|*beta``,
+    so the two magnitudes differ by at most ``((1+h)*c + 2h*(1+c))*|x|*beta``.
+    Underflow adds at most ``2**-150`` per float32 rounding, under
+    ``2**-100 * (1 + |x|)`` in all for any ``W`` below ``2**40``, and
+    underflowing squares hide less than ``2**-500`` of ``|x|``.  The
+    float64 evaluation of all this and of the tests below rounds within a
+    few ``u*|x|*beta``, which the factor ``1 + 2**-20`` covers, as
+    ``2**-20 * c >= 2**-43``.  ``scale`` is that factor times
+    ``((1+h)*c + 2h*(1+c))*beta``, plus ``2**-100``; the bound is
+    ``delta = scale*|x| + 2**-100``, where ``|x|**2`` is at most
+    ``squares``: :func:`_silent`'s ``E`` plus its error.
+
+    A class energy is a maximum of magnitudes, as is the frame's strongest,
+    so each moves by at most ``delta``.  When the 3rd strongest exceeds the
+    4th by more than ``2*delta``, every class of the three is above every
+    other on both sides, so the stable sort picks the same three whatever
+    its ties.  The limit ``0.05 * max`` then moves by at most ``0.05 *
+    (1+u) * delta`` plus its rounding, so each of the three lies on the same
+    side of it on both sides when it is more than ``1.1*delta`` from the
+    float32 limit.  A frame with a non-finite float32 value (an overflow) is
+    not decided.
+    """
+    ranked = np.take_along_axis(energy, order[:, -4:], axis=1)
+    limit = 0.05 * energy.max(axis=1, keepdims=True)
+    delta = scale * np.sqrt(squares)[:, None] + 2.0**-100
+    return (np.isfinite(proj).all(axis=1) & (ranked[:, 1] - ranked[:, 0] > 2 * delta[:, 0])
+            & (np.abs(ranked[:, 1:] - limit) > 1.1 * delta).all(axis=1))
+
+
+def _error_scale(basis: np.ndarray) -> float:
+    """The scale of :func:`_decided`'s bound per unit of a frame's 2-norm."""
+    w, n_bins = basis.shape[0], basis.shape[1] // 2
+    v, u, h = 2.0**-24, 2.0**-53, 2.0**-50
+    g = [w * e / (1 - w * e) if w * e < 0.5 else math.inf for e in (v, u)]
+    beta = math.sqrt(float((basis[:, :n_bins] ** 2 + basis[:, n_bins:] ** 2).sum(axis=0).max()))
+    c = 2 * v + v * v + (1 + v) ** 2 * g[0] + g[1]
+    return (1 + 2.0**-20) * ((1 + h) * c + 2 * h * (1 + c)) * beta + 2.0**-100
+
+
 #: Format name and version of :func:`memo_to_json` documents.
 MEMO_FORMAT = "chroma-memo"
 MEMO_VERSION = 1
 
 _ROW_BITS = 1 << np.arange(12)
 _PACKED_ROWS = re.compile(r"(?:[0-9a-f]{3})*")
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+#: The value of each lowercase hex digit, by its ASCII code.
+_HEX_VALUES = np.zeros(256, dtype=np.int64)
+_HEX_VALUES[_HEX_DIGITS] = np.arange(16)
 
 
 def memo_to_json(memo: dict[str, np.ndarray]) -> str:
     """A :func:`chroma_from_audio` memo as JSON: ``[key, rows]`` per chunk, in
     memo order.  ``rows`` has three hex digits per row, bit ``i`` for pitch
     class ``i``."""
-    chunks = [
-        [key, "".join(f"{v:03x}" for v in (rows != 0).astype(np.int64) @ _ROW_BITS)]
-        for key, rows in memo.items()
-    ]
+    values = np.concatenate([(rows != 0) @ _ROW_BITS for rows in memo.values()] or [[]])
+    digits = _HEX_DIGITS[(values.astype(np.int64)[:, None] >> [8, 4, 0]) & 15]
+    text = digits.tobytes().decode("ascii")
+    ends = 3 * np.cumsum([len(rows) for rows in memo.values()], dtype=np.int64)
+    chunks = [[key, text[end - 3 * len(rows) : end]]
+              for (key, rows), end in zip(memo.items(), ends.tolist())]
     return json.dumps({"format": MEMO_FORMAT, "version": MEMO_VERSION, "chunks": chunks},
                       indent=1) + "\n"
 
@@ -351,32 +480,37 @@ def memo_to_json(memo: dict[str, np.ndarray]) -> str:
 def memo_from_json(text: str) -> dict[str, np.ndarray]:
     """Parse :func:`memo_to_json` output; raises ``ValueError`` if malformed."""
     def build(doc: dict) -> dict[str, np.ndarray]:
-        memo = {}
+        keys, packs = [], []
         for key, packed in doc["chunks"]:
             if not (isinstance(key, str) and isinstance(packed, str)
                     and _PACKED_ROWS.fullmatch(packed)):
                 raise ValueError("a chunk must be [key, rows] with three hex digits per row")
-            values = np.array([int(packed[i : i + 3], 16) for i in range(0, len(packed), 3)],
-                              dtype=np.int64)
-            memo[key] = ((values[:, None] & _ROW_BITS) != 0).astype(float).reshape(-1, 12)
-        return memo
+            keys.append(key)
+            packs.append(packed)
+        digits = _HEX_VALUES[np.frombuffer("".join(packs).encode("ascii"), dtype=np.uint8)]
+        values = digits.reshape(-1, 3) @ np.array([256, 16, 1])
+        rows = ((values[:, None] & _ROW_BITS) != 0).astype(float)
+        ends = np.cumsum([len(packed) // 3 for packed in packs], dtype=np.int64)
+        return dict(zip(keys, np.split(rows, ends[:-1])))
     return read_document(text, MEMO_FORMAT, MEMO_VERSION, build)
 
 
 def _frames(segment: np.ndarray, offsets: np.ndarray, window_size: int) -> np.ndarray:
     """One row per offset: ``window_size`` samples of ``segment`` from it, an odd
-    window ending in a zero."""
+    window ending in a zero, in ``segment``'s dtype."""
     span = 2 * (window_size // 2)
     frames = sliding_window_view(segment, span)[offsets]
     if window_size > span:
-        frames = np.hstack([frames, np.zeros((len(frames), 1))])
+        frames = np.hstack([frames, np.zeros((len(frames), 1), dtype=frames.dtype)])
     return frames
 
 
 def _silent(segment: np.ndarray, offsets: np.ndarray, window_size: int,
-            threshold: float) -> np.ndarray:
+            threshold: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Whether each frame of :func:`_frames` is silent, exactly as
-    ``np.sqrt((frames**2).mean(axis=1)) < threshold`` decides it.
+    ``np.sqrt((frames**2).mean(axis=1)) < threshold`` decides it in float64,
+    and each frame's energy plus its error (a bound of its sum of squares),
+    or None when the squares of ``segment`` do not sum to a finite number.
 
     A prefix sum of the squared samples gives each frame's energy ``E`` (the
     sum of its squares) in O(1).  With ``u = 2**-53`` and ``n`` samples in
@@ -391,26 +525,33 @@ def _silent(segment: np.ndarray, offsets: np.ndarray, window_size: int,
     the expression itself, as are all frames of a segment whose squares do
     not sum to a finite number, and all frames when the limit is not a
     normal number far from underflow (where the relative bounds would not
-    hold) or ``threshold`` is not positive.
+    hold) or ``threshold`` is not positive.  A float32 ``segment`` is
+    squared in float64, where the square of a float32 number is exact.
     """
     sums = np.empty(len(segment) + 1)
     sums[0] = 0.0
-    np.cumsum(segment * segment, out=sums[1:])
+    with np.errstate(invalid="ignore"):  # a signalling NaN is cast to a NaN
+        np.cumsum(np.square(segment, dtype=float), out=sums[1:])
     span = 2 * (window_size // 2)
     limit = threshold * threshold * window_size
     silent = np.zeros(len(offsets), dtype=bool)
     unsure = np.ones(len(offsets), dtype=bool)
-    if threshold > 0 and 2.0**-900 < limit < 2.0**900 and np.isfinite(sums[-1]):
+    squares = None
+    if np.isfinite(sums[-1]):
         ends = sums[offsets + span]
         energy = ends - sums[offsets]
         error = 4 * (len(segment) + 1) * 2.0**-53 * ends
-        margin = 2 * (window_size + 8) * 2.0**-53 * limit
-        silent = energy + error < limit - margin
-        unsure = ~silent & ~(energy - error > limit + margin)
+        squares = energy + error
+        if threshold > 0 and 2.0**-900 < limit < 2.0**900:
+            margin = 2 * (window_size + 8) * 2.0**-53 * limit
+            silent = squares < limit - margin
+            unsure = ~silent & ~(energy - error > limit + margin)
     if unsure.any():
         frames = _frames(segment, offsets[unsure], window_size)
-        silent[unsure] = np.sqrt((frames**2).mean(axis=1)) < threshold
-    return silent
+        with np.errstate(invalid="ignore"):
+            squared = np.square(frames, dtype=float)
+        silent[unsure] = np.sqrt(squared.mean(axis=1)) < threshold
+    return silent, squares
 
 
 def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:

@@ -1558,3 +1558,40 @@ def test_a_plan_whose_windows_do_not_tile_the_song_is_a_render_error(
                  "-o", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert _read_bytes_map(out) == before
+
+
+# ---------------------------------------------------------------------------
+# Chromagrams and rhythm read as rows of a fixed width
+
+
+@pytest.mark.parametrize("ref, est, shape", [
+    ([[1.0] * 13] * 12, [[1.0] * 12] * 13, "(12, 13)"),  # 156 cells once read as 13 rows
+    ([1.0] * 24, [[1.0] * 12] * 2, "(24,)"),  # a flat list once read as two rows
+])
+def test_eval_refuses_a_chromagram_that_is_not_rows_of_twelve(tmp_path, capsys, ref, est, shape):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"chroma": ref}))
+    b.write_text(json.dumps({"chroma": est}))
+    assert main(["eval", "--ref-chroma", str(a), "--est-chroma", str(b)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: cannot read {a}: chroma must be a list of rows of 12 numbers, "
+            f"got shape {shape}") in captured.err
+
+
+@pytest.mark.parametrize("key, width", [("chroma", 12), ("rhythm", 2)])
+def test_a_flattened_condition_matrix_is_named_on_resume(score_file, tmp_path, capsys,
+                                                         key, width):
+    out = tmp_path / "out"
+    assert main(["run", "--score", str(score_file), "--output", str(out)]) == 0
+    doc = json.loads((out / "conditions.json").read_text())
+    cells = sum(len(row) for row in doc[key])
+    doc[key] = [value for row in doc[key] for value in row]
+    (out / "conditions.json").write_text(json.dumps(doc))
+    report = (out / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["run", "--score", str(score_file), "--output", str(out), "--from", "report"]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage 'report': cannot read conditions.json: " in err
+    assert f"{key} must be a list of rows of {width} numbers, got shape ({cells},)" in err
+    assert (out / "report.json").read_bytes() == report

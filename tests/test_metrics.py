@@ -1,6 +1,7 @@
 """Evaluation metrics: beat matching, chord/key agreement, phoneme error rate."""
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 from unittest import mock
@@ -638,3 +639,283 @@ def test_chroma_memo_round_trips_twelve_bits_a_row():
     text = metrics.memo_to_json({"key": rows})
     assert '"000091fff800"' in text
     assert np.array_equal(metrics.memo_from_json(text)["key"], rows)
+
+
+# ---------------------------------------------------------------------------
+# The float32 projection against the float64 kernel it replaced
+
+
+@lru_cache(maxsize=8)
+def _float64_basis(window_size: int, n_fft: int, bins: tuple) -> np.ndarray:
+    phase = (np.outer(np.arange(window_size), bins) % n_fft) * (2.0 * np.pi / n_fft)
+    hann = np.hanning(window_size)[:, None]
+    return np.hstack([hann * np.cos(phase), hann * np.sin(phase)])
+
+
+def _float64_energies(samples, sample_rate, frame_rate, num_frames=None, low_midi=48,
+                      high_midi=84, window_size=8192, silence_threshold=1e-4, chunk=256):
+    """Each live frame's class energies, as the float64 kernel computed them.
+
+    Yields ``(frames, energy)`` per chunk of ``chunk`` frames: the indices of
+    the chunk's live frames, all projected in one float64 product as the
+    kernel did, and their (n, 12) energies.
+    """
+    mono = np.asarray(samples, dtype=float)
+    if mono.ndim == 2:
+        mono = mono.mean(axis=0)
+    if num_frames is None:
+        num_frames = int(np.ceil(len(mono) / sample_rate * frame_rate))
+    n_fft = 4 * window_size
+    note_freqs = 440.0 * 2.0 ** ((np.arange(low_midi, high_midi) - 69) / 12.0)
+    note_bins = np.round(note_freqs * n_fft / sample_rate).astype(int)
+    note_pcs = np.arange(low_midi, high_midi) % 12
+    bins, note_cols = np.unique(note_bins, return_inverse=True)
+    basis = _float64_basis(window_size, n_fft, tuple(bins.tolist()))
+    half = window_size // 2
+    starts = np.rint(np.arange(num_frames) / frame_rate * sample_rate).astype(np.int64) - half
+    for first in range(0, num_frames, chunk):
+        frames = np.zeros((len(starts[first : first + chunk]), window_size))
+        for row, lo in enumerate(starts[first : first + chunk]):
+            src_lo, src_hi = max(lo, 0), min(lo + 2 * half, len(mono))
+            if src_hi > src_lo:
+                frames[row, src_lo - lo : src_hi - lo] = mono[src_lo:src_hi]
+        live = np.flatnonzero(~(np.sqrt((frames**2).mean(axis=1)) < silence_threshold))
+        if live.size:
+            proj = frames[live] @ basis
+            magnitude = np.hypot(proj[:, : len(bins)], proj[:, len(bins) :])
+            energy = np.zeros((len(live), 12))
+            np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
+            yield first + live, energy
+
+
+def _chroma_float64_oracle(samples, sample_rate, frame_rate, num_frames=None, **kwargs):
+    """The chromagram of the float64 kernel chroma_from_audio ran before it
+    projected in float32: the three strongest classes by a stable sort, each
+    marked when above 5 % of the strongest."""
+    mono = np.asarray(samples, dtype=float)
+    if num_frames is None:
+        num_frames = int(np.ceil(mono.shape[-1] / sample_rate * frame_rate))
+    out = np.zeros((num_frames, 12))
+    for frames, energy in _float64_energies(samples, sample_rate, frame_rate, num_frames,
+                                            **kwargs):
+        top = np.argsort(energy, axis=1, kind="stable")[:, -3:]
+        strong = np.take_along_axis(energy, top, axis=1) > 0.05 * energy.max(
+            axis=1, keepdims=True)
+        row, rank = np.nonzero(strong)
+        out[frames[row], top[row, rank]] = 1.0
+    return out
+
+
+def _counting_frames(monkeypatch) -> dict:
+    """Count the live frames the float32 pass judged and those measured in float64."""
+    counts = {"judged": 0, "float64": 0}
+    decided, measured = metrics._decided, metrics._measured
+
+    def judge(energy, *args):
+        counts["judged"] += len(energy)
+        return decided(energy, *args)
+
+    def measure(segment, offsets, *args):
+        counts["float64"] += len(offsets)
+        return measured(segment, offsets, *args)
+
+    monkeypatch.setattr(metrics, "_decided", judge)
+    monkeypatch.setattr(metrics, "_measured", measure)
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chroma_cases(), st.sampled_from((3, 16, 256)), st.booleans())
+def test_chroma_from_audio_equals_the_float64_oracle(case, chunk, narrow):
+    samples, sample_rate, frame_rate, num_frames, window_size = case
+    if narrow:  # float32-exact samples take the other memo tag and no rounding
+        samples = samples.astype(np.float32).astype(float)
+    kwargs = dict(num_frames=num_frames, window_size=window_size)
+    with mock.patch.object(metrics, "_CHROMA_CHUNK", chunk):
+        fast = chroma_from_audio(samples, sample_rate, frame_rate, **kwargs)
+    assert np.array_equal(fast, _chroma_float64_oracle(samples, sample_rate, frame_rate,
+                                                       chunk=chunk, **kwargs))
+
+
+def _sine(midi: float, amplitude: float, n: int, sample_rate: int = 44100) -> np.ndarray:
+    freq = 440.0 * 2.0 ** ((midi - 69) / 12.0)
+    return amplitude * np.sin(2 * np.pi * freq * np.arange(n) / sample_rate)
+
+
+#: Three frames 4,410 samples apart; the middle one lies inside the signal.
+_NEAR_RATE, _NEAR_FPS, _NEAR_N = 44100, 10.0, 9000
+
+
+@lru_cache(maxsize=1)
+def _amplitudes_at_the_limit() -> tuple[float, ...]:
+    """Amplitudes of E4, beside a C4 of 0.2, that put E's energy in the
+    middle frame within a few ulps of 5 % of C's, on both sides."""
+    def marked(amplitude):
+        samples = _sine(60, 0.2, _NEAR_N) + _sine(64, amplitude, _NEAR_N)
+        return _chroma_float64_oracle(samples, _NEAR_RATE, _NEAR_FPS)[1, 4] == 1.0
+
+    low, high = 0.005, 0.02
+    assert not marked(low) and marked(high)
+    while np.nextafter(low, 1.0) < high:
+        mid = (low + high) / 2
+        low, high = (low, mid) if marked(mid) else (mid, high)
+    steps = [low, high]
+    for _ in range(3):
+        steps = [np.nextafter(steps[0], 0.0)] + steps + [np.nextafter(steps[-1], 1.0)]
+    return tuple(float(a) for a in steps)
+
+
+def _adversarial_case(case: str, tmp_path):
+    """``(source, decoded samples, sample rate, frame rate, kwargs)`` of a case."""
+    sr, n = 44100, 30000
+    kwargs: dict = {}
+    if case.startswith("5 % limit"):
+        amplitude = _amplitudes_at_the_limit()[int(case.split()[-1])]
+        samples = _sine(60, 0.2, _NEAR_N) + _sine(64, amplitude, _NEAR_N)
+        return samples, samples, _NEAR_RATE, _NEAR_FPS, kwargs
+    if case == "3rd and 4th tied in one bin":
+        # A 256-sample window puts C3 and C#3 in one bin: a tie in every
+        # frame, below E4 and G4.
+        samples = _sine(60 + 4, 0.3, n) + _sine(67, 0.3, n) + _sine(48.3, 0.2, n)
+        kwargs["window_size"] = 256
+    elif case == "3rd and 4th at equal amplitude":
+        samples = _sine(60, 0.3, n) + _sine(64, 0.3, n) + _sine(67, 0.1, n) + _sine(69, 0.1, n)
+    elif case == "shared bins":
+        samples = _sine(50, 0.2, n) + _sine(53, 0.2, n) + _sine(57, 0.2, n)
+        kwargs["window_size"] = 256
+    elif case == "odd window":
+        samples = _sine(62, 0.2, n) + _sine(66, 0.2, n) + _sine(69, 0.2, n)
+        kwargs["window_size"] = 8191
+    elif case in ("nan", "inf", "-inf"):
+        samples = _sine(60, 0.2, n) + _sine(63, 0.2, n) + _sine(67, 0.2, n)
+        samples[n // 2] = float(case)
+    elif case in ("stereo WAV", "PCM-16 WAV"):
+        left = _sine(60, 0.2, n) + _sine(64, 0.2, n) + _sine(67, 0.2, n)
+        right = _sine(57, 0.2, n) + _sine(60, 0.2, n) + _sine(64, 0.2, n)
+        stereo = case == "stereo WAV"
+        buffer = render.AudioBuffer(sr, np.stack([left, right]) if stereo else left)
+        path = tmp_path / "source.wav"
+        render.write_wav(buffer, path, "float32" if stereo else "pcm16")
+        return render.WavReader(path), render.read_wav(path).samples, sr, 50.0, kwargs
+    return samples, samples, sr, 50.0, kwargs
+
+
+_ADVERSARIAL = ["3rd and 4th tied in one bin", "3rd and 4th at equal amplitude",
+                *(f"5 % limit {i}" for i in range(8)), "shared bins", "odd window",
+                "nan", "inf", "-inf", "stereo WAV", "PCM-16 WAV"]
+
+
+@pytest.mark.parametrize("case", _ADVERSARIAL)
+def test_chroma_from_audio_equals_the_float64_oracle_on_adversarial_inputs(
+        case, tmp_path, monkeypatch):
+    source, samples, sample_rate, frame_rate, kwargs = _adversarial_case(case, tmp_path)
+    counts = _counting_frames(monkeypatch)
+    with mock.patch("warnings.warn"), np.errstate(invalid="ignore", over="ignore"):
+        got = chroma_from_audio(source, sample_rate, frame_rate, **kwargs)
+        want = _chroma_float64_oracle(samples, sample_rate, frame_rate, **kwargs)
+    assert want.any()
+    assert np.array_equal(got, want)
+    if case.startswith(("3rd", "5 %", "nan", "inf", "-inf")):
+        assert counts["float64"] > 0  # the case reached the float64 fallback
+
+
+def test_the_adversarial_chroma_inputs_are_what_they_say(tmp_path):
+    _, samples, sr, fps, kwargs = _adversarial_case("3rd and 4th tied in one bin", tmp_path)
+    tied = [np.sort(energy, axis=1)[:, -4:-2] for _, energy in
+            _float64_energies(samples, sr, fps, **kwargs)]
+    assert any((pair[:, 0] == pair[:, 1]).any() for pair in tied)
+    gaps = []
+    for amplitude in _amplitudes_at_the_limit():
+        samples = _sine(60, 0.2, _NEAR_N) + _sine(64, amplitude, _NEAR_N)
+        (frames, energy), = _float64_energies(samples, _NEAR_RATE, _NEAR_FPS)
+        middle = energy[list(frames).index(1)]
+        limit = 0.05 * middle.max()
+        gaps.append((middle[4] - limit) / np.spacing(limit))
+    # E4 lies a few ulps of the limit below it, and a few above it.
+    assert min(gaps) < 0 < max(gaps)
+    assert max(map(abs, gaps)) <= 8
+
+
+def test_the_chroma_float64_fallback_sees_under_one_percent_of_a_rendered_songs_frames(
+        tmp_path, monkeypatch):
+    score = simple_score([60, 64, 67, 65, 62, 59, 60, 55, 57, 64, 62, 60] * 6,
+                         labels=["verse", "chorus", "verse", "chorus"])
+    path = tmp_path / "song.mid"
+    path.write_bytes(score_io.write_smf(score))
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(str(path), str(out)))
+    bundle = conditioning.bundle_from_json((out / "conditions.json").read_text())
+    reader = render.WavReader(out / "accompaniment.wav")
+    counts = _counting_frames(monkeypatch)
+    got = chroma_from_audio(reader, reader.sample_rate, bundle.frame_rate, bundle.num_frames)
+    assert counts["judged"] > 1000
+    assert counts["float64"] < 0.01 * counts["judged"]
+    samples = render.read_wav(out / "accompaniment.wav").samples
+    assert np.array_equal(got, _chroma_float64_oracle(samples, reader.sample_rate,
+                                                      bundle.frame_rate, bundle.num_frames))
+
+
+@pytest.mark.parametrize("window_size", [8192, 1023, 256])
+def test_the_chroma_float32_error_scale_is_the_proven_bound(window_size):
+    from fractions import Fraction
+
+    n_fft = 4 * window_size
+    bins = np.unique(np.round(440.0 * 2.0 ** ((np.arange(48, 84) - 69) / 12.0)
+                              * n_fft / 44100).astype(int))
+    basis = metrics._note_bin_basis(window_size, n_fft, bins)
+    v, u, h = Fraction(1, 2**24), Fraction(1, 2**53), Fraction(1, 2**50)
+
+    def g(e):
+        return window_size * e / (1 - window_size * e)
+
+    c = 2 * v + v * v + (1 + v) ** 2 * g(v) + g(u)
+    k = len(bins)
+    beta = max(np.sqrt(sum(math.fsum(col**2) for col in (basis[:, j], basis[:, k + j])))
+               for j in range(k))
+    proven = (1 + Fraction(1, 2**20)) * ((1 + h) * c + 2 * h * (1 + c)) * Fraction(beta)
+    assert Fraction(metrics._error_scale(basis)) >= proven * (1 - Fraction(1, 2**40))
+
+
+def _judged(top4, proj=(0.0, 0.0)):
+    """``_decided`` of one frame whose four strongest classes have energies
+    ``top4`` (4th to 1st, the rest 0), with an error bound of 1."""
+    energy = np.zeros((1, 12))
+    energy[0, 8:] = top4
+    order = np.argsort(energy, axis=1, kind="stable")
+    # A scale of 1 and a sum of squares of 1: the bound is 1 + 2**-100.
+    return bool(metrics._decided(energy, order, np.array([proj]), 1.0, np.ones(1))[0])
+
+
+def test_decided_chroma_frames_keep_the_margins_of_the_proof():
+    # The 3rd strongest must exceed the 4th by more than twice the bound.
+    assert _judged([100.0, 102.0 + 1e-9, 900.0, 1000.0])
+    assert not _judged([100.0, 102.0, 900.0, 1000.0])
+    # Each of the three must lie more than 1.1 bounds from 5 % of the strongest:
+    # the strongest moves by the bound, so the limit moves by 0.05 of it too.
+    assert _judged([10.0, 50.0 + 1.1 + 1e-9, 900.0, 1000.0])
+    assert not _judged([10.0, 50.0 + 1.1 - 1e-9, 900.0, 1000.0])
+    assert _judged([10.0, 50.0 - 1.1 - 1e-9, 900.0, 1000.0])
+    assert not _judged([10.0, 50.0 - 1.1 + 1e-9, 900.0, 1000.0])
+    # A non-finite float32 projection is never decided.
+    assert _judged([1.0, 5.0, 900.0, 1000.0])
+    assert not _judged([1.0, 5.0, 900.0, 1000.0], proj=(np.inf, 0.0))
+
+
+def test_chroma_memo_keys_follow_the_samples_as_stored(tmp_path):
+    t = np.arange(44100) / 44100
+    audio = 0.2 * np.sin(2 * np.pi * 261.63 * t) + 0.2 * np.sin(2 * np.pi * 329.63 * t)
+    narrow = audio.astype(np.float32).astype(float)
+    keys = []
+    for source in (audio, narrow, np.stack([narrow, narrow])):
+        memo: dict = {}
+        chroma_from_audio(source, 44100, 50.0, memo=memo)
+        keys.append(list(memo))
+    # Float64 samples key apart from their float32 rounding; a stereo source
+    # whose channel mean is float32-exact keys as its mono mix.
+    assert set(keys[0]).isdisjoint(keys[1])
+    assert keys[2] == keys[1]
+    path = tmp_path / "stereo.wav"
+    render.write_wav(render.AudioBuffer(44100, np.stack([narrow, narrow])), path)
+    memo = {}
+    chroma_from_audio(render.WavReader(path), 44100, 50.0, memo=memo)
+    assert list(memo) == keys[1]
