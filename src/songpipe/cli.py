@@ -24,6 +24,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .formats import content_lines, file_sha256, json_text, read_file, write_fil
 from .harmony import harmonize_song, section_key_estimates, section_keys  # noqa: F401
 from .metrics import self_report, steady_frames  # noqa: F401
 from .prep import DEFAULT_PROFILES, SingerProfile
-from .render import render_windows, window_file
+from .render import render_windows
 from .score import VocalScore, validate_score
 
 LOGGER = logging.getLogger(__name__)
@@ -355,6 +356,11 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
                 "bank_file": names[index],
                 "penalty": asdict(breakdown),
             })
+    for key, given in (("lyrics", config.lyrics_path),
+                       ("reference", config.lyrics_path and config.reference_bank)):
+        if not given:  # drop what an earlier run with this input wrote
+            with suppress(FileNotFoundError):
+                os.remove(_art(outdir, key))
     _write(outdir, "load_inputs", hashes)
 
 
@@ -419,8 +425,7 @@ def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) ->
 
 def _stage_report(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
-    events: list[render.RenderEvent], windows: list[planner.GenerationWindow],
-    accomp: render.WavReader,
+    events: list[render.RenderEvent], accomp: render.WavReader,
 ) -> None:
     memo = _read_cache(outdir, "chroma_memo") or {}
     report = self_report(bundle, events, accomp, memo)
@@ -435,7 +440,6 @@ def _stage_report(
         "version": MANIFEST_VERSION,
         "config": config.to_manifest_dict(_input_hashes(outdir)),
         "artifacts": artifacts,
-        "window_files": sorted(window_file(w.order) for w in windows),
         "report": report,
     })
 
@@ -466,7 +470,7 @@ _STAGE_TABLE = (
     ("plan", _stage_plan, ("song_score",)),
     ("render", _stage_render, ("conditions", "plan")),
     ("mix", _stage_mix, ("accompaniment",)),
-    ("report", _stage_report, ("conditions", "events", "plan", "accompaniment")),
+    ("report", _stage_report, ("conditions", "events", "accompaniment")),
 )
 #: Stage name to ``fn(config, outdir)``, in pipeline order.
 _STAGE_FUNCS = {stage: _drive(stage, core, inputs) for stage, core, inputs in _STAGE_TABLE}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import ConditionBundle
-from .formats import data_lines, file_sha256, read_document, replacing, write_file
+from .formats import data_lines, read_document, replacing, write_file
 from .planner import GenerationWindow
 
 DEFAULT_SAMPLE_RATE = 44100
@@ -614,23 +614,18 @@ def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None
 
 
 # ---------------------------------------------------------------------------
-# A whole plan rendered into a directory, with a record of each window file
+# A whole plan rendered into a directory, with a record of each window's bytes
 
 
 #: The whole song and its event log, as :func:`render_windows` names them.
 ACCOMPANIMENT_FILE = "accompaniment.wav"
 EVENTS_FILE = "events.txt"
 
-#: Window WAVs written by :func:`render_windows`, ``window_NNN.wav`` by plan order.
+#: Window WAVs that versions before render record 2 wrote beside the song.
 WINDOW_FILE = re.compile(r"window_\d{3,}\.wav")
 
-
-def window_file(order: int) -> str:
-    return f"window_{order:03d}.wav"
-
-
 #: Format name and version of the render record (``render.json``).
-RENDER_RECORD = ("render", 1)
+RENDER_RECORD = ("render", 2)
 
 
 def render_windows(
@@ -638,23 +633,27 @@ def render_windows(
     windows: list[GenerationWindow],
     sample_rate: int,
     outdir: str,
-    recorded: dict[str, dict] | None = None,
+    recorded: dict[int, dict] | None = None,
 ) -> dict:
-    """Render every window of a plan into ``outdir``, then the whole song.
+    """Render every window of a plan into :data:`ACCOMPANIMENT_FILE` in ``outdir``.
 
     The windows, by start time, must tile the song up to the bundle's last
-    frame; only then are window files the plan does not own removed.  Each
-    window is encoded once by :func:`wav_bytes`, and those bytes are written to
-    ``window_NNN.wav`` and hashed, unless its ``recorded`` entry (see
-    :func:`record_from_json`) shows that the file holds it already: the same
-    :func:`window_fingerprint`, a mono float32 header at ``sample_rate``
-    with the window's frame count, and the same file SHA-256.
-    The windows' float32 data chunks, copied byte for byte in time order, go
-    to :data:`ACCOMPANIMENT_FILE` and their events, sorted, to
-    :data:`EVENTS_FILE`.  One window's audio is in memory at a time.
+    frame; only then are window WAVs of older versions removed.  Each
+    window's float32 samples are written once, in plan order, at the
+    window's offset in the new file.  A window whose ``recorded`` entry (see
+    :func:`record_from_json`) has its :func:`window_fingerprint` is copied
+    from the old file, :data:`STREAM_FRAMES` frames at a time, and hashed as
+    it is copied.  Any other window, and one whose copy's SHA-256 is not the
+    entry's or whose old file is not a mono float32 WAV at ``sample_rate``,
+    is rendered again over that range: encoded by :func:`wav_bytes`, with the
+    bytes after its header written and hashed.  The float32 cast of a
+    concatenation is the concatenation of the casts, so the file holds the
+    whole song's bytes.  The windows' events, sorted, go to
+    :data:`EVENTS_FILE`.  One window's audio, or one copy chunk, is in
+    memory at a time.
 
-    Returns the render record: per window in plan order, its file name,
-    fingerprint, file SHA-256 and events.
+    Returns the render record: per window in plan order, its order,
+    fingerprint, the SHA-256 of its bytes in the file, and events.
     """
     if not windows:
         raise ValueError("the plan has no windows")
@@ -666,81 +665,77 @@ def render_windows(
     if not (bundle.num_frames - 1) / fr - 1e-9 < last.end_sec <= bundle.num_frames / fr + 1e-9:
         raise ValueError(f"window {last.order} ends at {last.end_sec} s, not in the last frame "
                          f"of the {bundle.duration_sec} s conditions")
-    owned = {window_file(w.order) for w in windows}
     for name in os.listdir(outdir):
-        if WINDOW_FILE.fullmatch(name) and name not in owned:
+        if WINDOW_FILE.fullmatch(name):
             os.remove(os.path.join(outdir, name))
+    path = os.path.join(outdir, ACCOMPANIMENT_FILE)
+    try:
+        old = WavReader(path)
+    except (FileNotFoundError, WavFormatError):
+        old = None
+    if old and (old.header.sample_format, old.channels, old.sample_rate) != (
+        "float32", 1, sample_rate
+    ):
+        old = None  # its frames are not stored as this render stores them
+    header = _wav_header("float32", 1, sample_rate, window_samples(last, sample_rate)[1])
     entries: list[dict] = []
     events: list[RenderEvent] = []
-    pieces: dict[int, WavReader] = {}
-    for window in sorted(windows, key=lambda w: w.order):
-        name = window_file(window.order)
-        path = os.path.join(outdir, name)
-        fingerprint = window_fingerprint(bundle, window, sample_rate)
-        entry = (recorded or {}).get(name)
-        first, last = window_samples(window, sample_rate)
-        piece = None
-        if entry and entry["fingerprint"] == fingerprint:
-            piece = _recorded_window(path, entry["sha256"], sample_rate, last - first)
-        if piece is None:
-            audio, window_events = render_stub(bundle, window, sample_rate)
-            data = wav_bytes(audio)
-            write_file(path, data)
-            sha256 = hashlib.sha256(data).hexdigest()
-            del audio, data  # freed before the next window renders
-            piece = WavReader(path)
-            entry = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
-                     "events": [[e.time_sec, e.kind] for e in window_events]}
-        entries.append(entry)
-        pieces[window.order] = piece
-        events.extend(RenderEvent(t, kind) for t, kind in entry["events"])
-    # The float32 cast of a concatenation is the concatenation of the casts,
-    # so each window's float32 frames, copied in time order, are the bytes of
-    # the whole song cast at once.  Every piece is mono float32 at sample_rate.
-    frames = sum(piece.n_samples for piece in pieces.values())
-    with replacing(os.path.join(outdir, ACCOMPANIMENT_FILE)) as fh:
-        fh.write(_wav_header("float32", 1, sample_rate, frames))
-        for window in by_start:
-            piece = pieces[window.order]
-            for lo in range(0, piece.n_samples, STREAM_FRAMES):
-                fh.write(piece.read_bytes(lo, lo + STREAM_FRAMES))
+    with replacing(path) as fh:
+        fh.write(header)
+        for window in sorted(windows, key=lambda w: w.order):
+            fingerprint = window_fingerprint(bundle, window, sample_rate)
+            entry = (recorded or {}).get(window.order)
+            first, end = window_samples(window, sample_rate)
+            offset = len(header) + 4 * first
+            fh.seek(offset)
+            if not (old and entry and entry["fingerprint"] == fingerprint
+                    and end <= old.n_samples and _copied(old, fh, first, end) == entry["sha256"]):
+                audio, window_events = render_stub(bundle, window, sample_rate)
+                if audio.n_samples != end - first:
+                    raise ValueError(f"window {window.order} rendered {audio.n_samples} "
+                                     f"samples, not {end - first}")
+                encoded = wav_bytes(audio)
+                data = memoryview(encoded)[len(encoded) - 4 * audio.n_samples:]
+                fh.seek(offset)
+                fh.write(data)
+                entry = {"order": window.order, "fingerprint": fingerprint,
+                         "sha256": hashlib.sha256(data).hexdigest(),
+                         "events": [[e.time_sec, e.kind] for e in window_events]}
+                del audio, encoded, data  # freed before the next window renders
+            entries.append(entry)
+            events.extend(RenderEvent(t, kind) for t, kind in entry["events"])
     events.sort(key=lambda e: (e.time_sec, e.kind))
     write_file(os.path.join(outdir, EVENTS_FILE), format_events(events))
     return {"format": RENDER_RECORD[0], "version": RENDER_RECORD[1], "windows": entries}
 
 
-def _recorded_window(path, sha256: str, sample_rate: int, n_frames: int) -> WavReader | None:
-    """A reader of the window file at ``path`` if it is a mono float32 WAV of
-    ``n_frames`` frames at ``sample_rate`` whose SHA-256 is ``sha256``, else None."""
-    try:
-        piece = WavReader(path)
-    except (FileNotFoundError, WavFormatError):
-        return None
-    header = piece.header
-    if (header.sample_format, header.channels, header.sample_rate, header.n_frames) != (
-        "float32", 1, sample_rate, n_frames
-    ):
-        return None
-    return piece if file_sha256(path) == sha256 else None
+def _copied(old: WavReader, fh, first: int, end: int) -> str:
+    """Copy frames ``[first, end)`` of ``old`` to ``fh``; the SHA-256 of the bytes copied."""
+    digest = hashlib.sha256()
+    for lo in range(first, end, STREAM_FRAMES):
+        data = old.read_bytes(lo, min(lo + STREAM_FRAMES, end))
+        digest.update(data)
+        fh.write(data)
+    return digest.hexdigest()
 
 
-def record_from_json(text: str) -> dict[str, dict]:
-    """The well-formed window entries of a render record (``render.json``), by file name.
+def record_from_json(text: str) -> dict[int, dict]:
+    """The well-formed window entries of a render record (``render.json``), by order.
 
     An entry that is not well formed is left out, so only its window renders again.
     """
-    def build(doc: dict) -> dict[str, dict]:
+    def build(doc: dict) -> dict[int, dict]:
         entries = {}
         for entry in doc["windows"]:
             try:
-                name, fingerprint, sha256 = entry["file"], entry["fingerprint"], entry["sha256"]
+                order, fingerprint, sha256 = entry["order"], entry["fingerprint"], entry["sha256"]
                 events = [[t, kind] for t, kind in entry["events"]]
             except (KeyError, TypeError, ValueError):
                 continue
-            if all(isinstance(v, str) for v in (name, fingerprint, sha256)) and all(
-                type(t) is float and kind in EVENT_KINDS for t, kind in events
-            ):  # rebuilt from its fields, so a reused entry is written as a new one is
-                entries[name] = {"file": name, "fingerprint": fingerprint, "sha256": sha256,
-                                 "events": events}
+            if (type(order) is int and isinstance(fingerprint, str) and isinstance(sha256, str)
+                    and all(type(t) is float and kind in EVENT_KINDS for t, kind in events)):
+                # rebuilt from its fields, so a reused entry is written as a new one is
+                entries[order] = {"order": order, "fingerprint": fingerprint, "sha256": sha256,
+                                  "events": events}
         return entries
     return read_document(text, *RENDER_RECORD, build)

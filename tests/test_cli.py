@@ -65,7 +65,8 @@ def test_run_pipeline_produces_every_artifact(score_file, tmp_path):
         if name in ("lyrics.txt", "reference.json"):  # no lyrics configured
             continue
         assert (out / name).exists(), f"missing {name}"
-    assert manifest["window_files"]
+    assert "window_files" not in manifest
+    assert not [n for n in os.listdir(out) if n.startswith("window_")]
     report = manifest["report"]
     assert report["rhythm_f1_log_vs_conditions"] >= 0.9
     assert report["chord_f1_audio_vs_conditions"] >= 0.8
@@ -407,17 +408,15 @@ def test_an_unknown_event_kind_in_the_log_is_named_at_report(score_file, tmp_pat
 
 
 def test_rerun_into_a_used_directory_drops_stale_windows(score_file, tmp_path):
-    out = tmp_path / "out"
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
     _run(PipelineConfig(str(score_file), str(out), max_window_sec=4.0))
-    many = sorted(n for n in os.listdir(out) if n.startswith("window_"))
-    manifest = _run(PipelineConfig(str(score_file), str(out)))
-    planned = sorted(
-        f"window_{w.order:03d}.wav"
-        for w in planner.plan_from_json((out / "plan.json").read_text())
-    )
-    assert len(planned) < len(many)
-    assert manifest["window_files"] == planned
-    assert sorted(n for n in os.listdir(out) if n.startswith("window_")) == planned
+    many = len(json.loads((out / "render.json").read_text())["windows"])
+    for order in range(many):  # as a version that wrote window WAVs left them
+        (out / f"window_{order:03d}.wav").write_bytes(b"stale")
+    _run(PipelineConfig(str(score_file), str(out)))
+    _run(PipelineConfig(str(score_file), str(fresh)))
+    assert len(json.loads((out / "render.json").read_text())["windows"]) < many
+    assert _read_bytes_map(out) == _read_bytes_map(fresh)
 
 
 @pytest.mark.parametrize("bad", [60.0, 47.5, 0.0, -3.0])
@@ -588,8 +587,7 @@ def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path
     assert main(["render", "--conditions", str(out / "conditions.json"),
                  "--plan", str(out / "plan.json"), "-o", str(stage_dir)]) == 0
     written = _read_bytes_map(stage_dir)
-    windows = [n for n in os.listdir(out) if n.startswith("window_")]
-    assert sorted(written) == sorted(["accompaniment.wav", "events.txt", *windows])
+    assert sorted(written) == ["accompaniment.wav", "events.txt"]
     for name, data in written.items():
         assert data == (out / name).read_bytes(), f"{name} differs from run's"
 
@@ -818,12 +816,10 @@ def test_a_render_that_fails_midway_keeps_the_previous_output(
     args = ["run", "--score", str(score_file), "--output", str(out)]
     assert main(args) == 0
     fresh = _read_bytes_map(out)
-    windows = sorted(n for n in fresh if n.startswith("window_"))
-    assert len(windows) >= 2
-    (out / "accompaniment.wav").write_bytes(b"an older accompaniment")
-    if failing == "render_stub":  # unchanged windows are not rendered again
-        for name in windows[:2]:
-            (out / name).write_bytes(b"junk")
+    assert len(json.loads(fresh["render.json"])["windows"]) >= 2
+    for order in (0, 1):  # windows whose copies fail their check are rendered again
+        _flip_in_window(out, order)
+    older = (out / "accompaniment.wav").read_bytes()
 
     calls = []
 
@@ -835,19 +831,41 @@ def test_a_render_that_fails_midway_keeps_the_previous_output(
             return original(*a, **kw)
         return wrapper
 
-    if failing == "render_stub":  # before accompaniment.wav is opened
+    if failing == "render_stub":  # with window 0 written and window 1 to write
         monkeypatch.setattr(render, "render_stub", second_call_fails(render.render_stub))
-    else:  # with accompaniment.wav half streamed; the splice copies window bytes
+    else:  # with accompaniment.wav half streamed; reused windows copy the old bytes
         monkeypatch.setattr(render.WavReader, "read_bytes",
                             second_call_fails(render.WavReader.read_bytes))
     assert main(args + ["--from", "render"]) == 1
     assert "error in stage 'render': interrupted" in capsys.readouterr().err
-    assert (out / "accompaniment.wav").read_bytes() == b"an older accompaniment"
+    assert (out / "accompaniment.wav").read_bytes() == older
+    assert (out / "render.json").read_bytes() == fresh["render.json"]
     assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
 
     monkeypatch.undo()
     assert main(args + ["--from", "render"]) == 0
     assert _read_bytes_map(out) == fresh
+
+
+def test_a_window_rendered_to_another_length_fails_before_the_rename(
+    score_file, tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out))
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    original = render.render_stub
+
+    def one_sample_short(*args, **kwargs):
+        audio, events = original(*args, **kwargs)
+        return render.AudioBuffer(audio.sample_rate, audio.samples[:, 1:]), events
+
+    monkeypatch.setattr(render, "render_stub", one_sample_short)
+    (out / "render.json").unlink()
+    with pytest.raises(StageError, match="window 0 rendered [0-9]+ samples, not [0-9]+") as err:
+        run_pipeline(config, "render")
+    assert err.value.stage == "render"
+    assert _read_bytes_map(out) == {k: v for k, v in fresh.items() if k != "render.json"}
 
 
 def test_unreadable_outside_inputs_are_named(score_file, tmp_path, capsys):
@@ -1024,6 +1042,18 @@ def _counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def _flip_in_window(out, order: int) -> None:
+    """Flip one bit in the middle sample of plan window ``order`` in accompaniment.wav."""
+    window = next(w for w in planner.plan_from_json((out / "plan.json").read_text())
+                  if w.order == order)
+    path = out / "accompaniment.wav"
+    reader = render.WavReader(path)
+    first, last = render.window_samples(window, reader.sample_rate)
+    data = bytearray(path.read_bytes())
+    data[reader.header.data_offset + 4 * ((first + last) // 2)] ^= 1
+    path.write_bytes(bytes(data))
+
+
 def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_path, monkeypatch):
     out = tmp_path / "out"
     config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
@@ -1039,7 +1069,7 @@ def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_pat
 
 @pytest.mark.parametrize("tamper, rendered", [
     ("window", 1),
-    ("accompaniment", 0),
+    ("accompaniment", "all"),
     ("record", "all"),
     ("record entry", 1),
     ("record entry without fingerprint", 1),
@@ -1056,14 +1086,12 @@ def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, m
     config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
     run_pipeline(config)
     fresh = _read_bytes_map(out)
-    windows = sorted(n for n in fresh if n.startswith("window_"))
-    assert len(windows) >= 3
     record = json.loads(fresh["render.json"])
+    windows = record["windows"]
+    assert len(windows) >= 3
     if tamper == "window":  # same size, one sample changed
-        data = bytearray(fresh[windows[1]])
-        data[-1] ^= 1
-        (out / windows[1]).write_bytes(bytes(data))
-    elif tamper == "accompaniment":
+        _flip_in_window(out, 1)
+    elif tamper == "accompaniment":  # no longer parses, so no window is copied
         (out / "accompaniment.wav").write_bytes(fresh["accompaniment.wav"][:-4])
     elif tamper == "record":
         (out / "render.json").write_text('{"format": "render", "version": 1, "windows": [')
@@ -1109,31 +1137,87 @@ def test_a_render_record_of_another_version_is_named_and_rebuilt(score_file, tmp
     assert _read_bytes_map(out) == fresh
 
 
-@pytest.mark.parametrize("forgery", ["pcm16", "stereo", "rate", "short"])
+@pytest.mark.parametrize("forgery, rendered", [
+    ("pcm16", "all"), ("stereo", "all"), ("rate", "all"), ("short", 1),
+])
 def test_a_recorded_window_of_another_layout_is_rendered_again(score_file, tmp_path,
-                                                               monkeypatch, forgery):
+                                                               monkeypatch, forgery, rendered):
     out = tmp_path / "out"
     config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
     run_pipeline(config)
     fresh = _read_bytes_map(out)
     record = json.loads(fresh["render.json"])
-    name = record["windows"][1]["file"]
-    audio = render.read_wav(out / name)
-    # The window's samples in a file its record vouches for by SHA-256.
+    path = out / "accompaniment.wav"
+    audio = render.read_wav(path)
+    # The song's samples in a file whose record vouches for each window's
+    # frames, as the file holds them, by SHA-256.
     if forgery == "pcm16":
-        render.write_wav(audio, out / name, "pcm16")
+        render.write_wav(audio, path, "pcm16")
     elif forgery == "stereo":
         render.write_wav(render.AudioBuffer(audio.sample_rate, np.vstack([audio.samples] * 2)),
-                         out / name)
+                         path)
     elif forgery == "rate":
-        render.write_wav(render.AudioBuffer(audio.sample_rate // 2, audio.samples), out / name)
+        render.write_wav(render.AudioBuffer(audio.sample_rate // 2, audio.samples), path)
     else:
-        render.write_wav(render.AudioBuffer(audio.sample_rate, audio.samples[:, 1:]), out / name)
-    record["windows"][1]["sha256"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        render.write_wav(render.AudioBuffer(audio.sample_rate, audio.samples[:, :-1]), path)
+    forged = render.WavReader(path)
+    windows = {w.order: w for w in planner.plan_from_json(fresh["plan.json"].decode())}
+    for entry in record["windows"]:
+        first, last = render.window_samples(windows[entry["order"]], audio.sample_rate)
+        entry["sha256"] = hashlib.sha256(forged.read_bytes(first, last)).hexdigest()
     (out / "render.json").write_text(json.dumps(record))
     renders = _counting(monkeypatch, render, "render_stub")
     run_pipeline(config, "render")
-    assert len(renders) == 1
+    assert len(renders) == (len(windows) if rendered == "all" else rendered)
+    assert _read_bytes_map(out) == fresh
+
+
+def test_a_flipped_byte_in_any_window_of_the_accompaniment_renders_that_window_alone(
+    score_file, tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    count = len(json.loads(fresh["render.json"])["windows"])
+    assert count >= 3
+    renders = _counting(monkeypatch, render, "render_stub")
+    for order in range(count):
+        _flip_in_window(out, order)
+        renders.clear()
+        run_pipeline(config, "render")
+        assert len(renders) == 1, f"window {order}"
+        assert _read_bytes_map(out) == fresh
+
+
+def test_window_wavs_and_a_version_1_record_of_an_older_version_are_replaced(
+    score_file, tmp_path, monkeypatch, caplog
+):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
+    run_pipeline(config)
+    fresh = _read_bytes_map(out)
+    # The directory as a version that wrote a WAV per window left it.
+    bundle = conditioning.bundle_from_json(fresh["conditions.json"].decode())
+    windows = planner.plan_from_json(fresh["plan.json"].decode())
+    entries = []
+    for window in windows:
+        audio, events = render.render_stub(bundle, window, config.sample_rate)
+        name, data = f"window_{window.order:03d}.wav", render.wav_bytes(audio)
+        (out / name).write_bytes(data)
+        entries.append({"file": name, "sha256": hashlib.sha256(data).hexdigest(),
+                        "fingerprint": render.window_fingerprint(bundle, window,
+                                                                 config.sample_rate),
+                        "events": [[e.time_sec, e.kind] for e in events]})
+    (out / "render.json").write_text(
+        json.dumps({"format": "render", "version": 1, "windows": entries}))
+    renders = _counting(monkeypatch, render, "render_stub")
+    with caplog.at_level("INFO", logger="songpipe.cli"):
+        run_pipeline(config, "render")
+    assert ("cannot read render.json: unsupported render version 1; rebuilding it"
+            in caplog.text)
+    assert len(renders) == len(windows)
+    assert not [n for n in os.listdir(out) if n.startswith("window_")]
     assert _read_bytes_map(out) == fresh
 
 
@@ -1234,7 +1318,6 @@ _FIRST_READER = {
     "conditions.json": "render",
     "plan.json": "render",
     "render.json": "render",
-    "window_000.wav": "render",
     "accompaniment.wav": "mix",
     "events.txt": "report",
     "chroma_memo.json": "report",
@@ -1415,6 +1498,25 @@ def test_a_run_with_lyrics_and_a_reference_bank_records_the_selection(score_file
     first = _read_bytes_map(out)
     run_pipeline(config)
     assert _read_bytes_map(out) == first
+
+
+@pytest.mark.parametrize("keep", [None, "lyrics"])
+def test_a_rerun_without_lyrics_or_a_bank_drops_the_files_they_gave(score_file, tmp_path, keep):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "a.txt").write_text("[verse]\nla la la\n")
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text("[verse]\nla la la\n[chorus]\noh oh\n")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    run_pipeline(PipelineConfig(str(score_file), str(out), lyrics_path=str(lyrics),
+                                reference_bank=str(bank)))
+    assert {"lyrics.txt", "reference.json"} <= set(os.listdir(out))
+    lyrics_path = str(lyrics) if keep else None
+    run_pipeline(PipelineConfig(str(score_file), str(out), lyrics_path=lyrics_path))
+    manifest = run_pipeline(PipelineConfig(str(score_file), str(fresh), lyrics_path=lyrics_path))
+    assert ("lyrics" in manifest["artifacts"]) is bool(keep)
+    assert "reference" not in manifest["artifacts"]
+    assert _read_bytes_map(out) == _read_bytes_map(fresh)
 
 
 def test_a_directory_without_input_hash_records_gives_null_hashes(score_file, tmp_path, caplog):

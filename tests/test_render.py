@@ -635,10 +635,15 @@ def test_window_files_and_their_hashes_are_the_bytes_of_wav_bytes(tmp_path):
     windows = [GenerationWindow(start, end, 0, order, WindowReference(REFERENCE_NONE))
                for order, (start, end) in enumerate([(1.0, 3.0), (0.0, 1.0)])]
     entries = render.render_windows(bundle, windows, SR, str(tmp_path))["windows"]
-    assert [entry["file"] for entry in entries] == ["window_000.wav", "window_001.wav"]
+    assert [entry["order"] for entry in entries] == [0, 1]
+    song = (tmp_path / render.ACCOMPANIMENT_FILE).read_bytes()
+    start = len(song) - 4 * 3 * SR  # the windows tile 3 s of mono float32
     for window, entry in zip(windows, entries):
-        data = (tmp_path / entry["file"]).read_bytes()
-        assert data == wav_bytes(render_stub(bundle, window, SR)[0])
+        audio = render_stub(bundle, window, SR)[0]
+        encoded = wav_bytes(audio)
+        data = encoded[len(encoded) - 4 * audio.n_samples:]
+        first, last = render.window_samples(window, SR)
+        assert song[start + 4 * first : start + 4 * last] == data
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
     buf = AudioBuffer(SR, np.random.default_rng(3).uniform(-1.2, 1.2, (2, 500)))
