@@ -349,7 +349,9 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
         hashes["lyrics_sha256"] = file_sha256(config.lyrics_path)
         _write(outdir, "lyrics", sheet)
         if config.reference_bank:
-            names, bank = prep.load_reference_bank(config.reference_bank)
+            names, bank = prep.load_bank_shapes(config.reference_bank)
+            if not len(sheet):
+                raise ValueError(f"lyrics file {config.lyrics_path} has no lyric lines")
             index, breakdown = prep.select_reference(sheet, bank, config.reject_fewer_lines)
             _write(outdir, "reference", {
                 "bank_index": index,

@@ -464,7 +464,8 @@ def bundle_to_json(bundle: ConditionBundle) -> str:
     The text is ``json.dumps(doc, sort_keys=True)`` and a newline, over the
     arrays' ``tolist()`` values; chroma and structure values truncate to int.
     Chroma is binary and goes through int8, so its values must truncate into
-    [-128, 127].  Rhythm rows are nearly all distinct, so they skip _rows_json.
+    [-128, 127].  Rhythm rows skip _rows_json: grouping them made a round of
+    the prepare-batch benchmark slower (1.21 s against 0.86 s).
     """
     keys = [{"section": i, "tonic": k.tonic, "mode": k.mode} for i, k in bundle.keys]
     return "".join([

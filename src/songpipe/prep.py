@@ -8,6 +8,7 @@ comfortable range by trying whole-octave shifts.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import re
@@ -80,13 +81,38 @@ class RegisterDecision:
     total_notes: int
 
 
+@dataclass(frozen=True)
+class SheetShape:
+    """What reference selection reads of a sheet: per-line token counts and tag indices.
+
+    It answers ``len``, ``token_counts()`` and ``tag_indices()`` as a
+    :class:`LyricsSheet` does, so either can be scored.
+    """
+
+    counts: tuple[int, ...]
+    tags: tuple[int, ...]
+
+    @classmethod
+    def of(cls, sheet: LyricsSheet | SheetShape) -> SheetShape:
+        return cls(tuple(sheet.token_counts()), tuple(sheet.tag_indices()))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def token_counts(self) -> tuple[int, ...]:
+        return self.counts
+
+    def tag_indices(self) -> tuple[int, ...]:
+        return self.tags
+
+
 # ---------------------------------------------------------------------------
 # Penalty scoring
 
 
 def penalty_score(
-    target: LyricsSheet,
-    candidate: LyricsSheet,
+    target: LyricsSheet | SheetShape,
+    candidate: LyricsSheet | SheetShape,
     reject_fewer_lines: bool = False,
 ) -> PenaltyBreakdown:
     """Score how badly a candidate sheet's shape matches the target's.
@@ -105,7 +131,7 @@ def penalty_score(
     ``reject_fewer_lines`` a candidate with fewer lines than the target gets
     an infinite total (components still reported).
     """
-    if not target.lines or not candidate.lines:
+    if not len(target) or not len(candidate):
         raise ValueError("both lyric sheets must carry at least one line")
     n_t, n_c = len(target), len(candidate)
     sentence = abs(n_t - n_c) / max(n_t, n_c)
@@ -142,8 +168,8 @@ def _pad_with_median(a: list[int], b: list[int]) -> tuple[list[float], list[floa
 
 
 def select_reference(
-    target: LyricsSheet,
-    bank: list[LyricsSheet],
+    target: LyricsSheet | SheetShape,
+    bank: list[LyricsSheet] | list[SheetShape],
     reject_fewer_lines: bool = False,
 ) -> tuple[int, PenaltyBreakdown]:
     """Pick the bank entry with the lowest penalty against the target.
@@ -153,6 +179,7 @@ def select_reference(
     """
     if not bank:
         raise ValueError("reference bank is empty")
+    target = SheetShape.of(target)
     best_index, best = min(
         enumerate(penalty_score(target, candidate, reject_fewer_lines) for candidate in bank),
         key=lambda item: item[1].total,
@@ -272,14 +299,48 @@ def load_lyrics(path) -> LyricsSheet:
     return read_file(path, parse_lyrics)
 
 
+def _bank_names(directory) -> list[str]:
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
+    if not names:
+        raise ValueError(f"no .txt lyric files under {directory}")
+    return names
+
+
 def load_reference_bank(directory) -> tuple[list[str], list[LyricsSheet]]:
     """Load every ``*.txt`` lyric file under a directory, sorted by name.
 
     Returns parallel lists of file names and parsed sheets; the index into
     these lists is the bank index reported by :func:`select_reference`.
     """
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
-    if not names:
-        raise ValueError(f"no .txt lyric files under {directory}")
-    sheets = [load_lyrics(os.path.join(directory, n)) for n in names]
-    return names, sheets
+    names = _bank_names(directory)
+    return names, [load_lyrics(os.path.join(directory, n)) for n in names]
+
+
+#: The shapes of the bank read last, by the SHA-256 of each file's bytes.
+#: Keys are contents, so a hit is the shape of exactly those bytes.
+_BANK_SHAPES: dict[bytes, SheetShape] = {}
+
+
+def load_bank_shapes(directory) -> tuple[list[str], list[SheetShape]]:
+    """:func:`load_reference_bank`'s names, with the :class:`SheetShape` of each sheet.
+
+    Every call lists the directory and reads every file, but parses only a
+    file whose bytes the previous successful call did not read.  Errors are
+    :func:`load_lyrics`'s, and a file without lyric lines is refused by name.
+    """
+    names = _bank_names(directory)
+    found = [read_file(os.path.join(directory, n), _keyed_shape, mode="rb") for n in names]
+    for name, (_, shape) in zip(names, found):
+        if not len(shape):
+            raise ValueError(f"bank file {os.path.join(directory, name)} has no lyric lines")
+    _BANK_SHAPES.clear()
+    _BANK_SHAPES.update(found)
+    return names, [shape for _, shape in found]
+
+
+def _keyed_shape(data: bytes) -> tuple[bytes, SheetShape]:
+    key = hashlib.sha256(data).digest()
+    shape = _BANK_SHAPES.get(key)
+    if shape is None:
+        shape = SheetShape.of(parse_lyrics(data.decode("utf-8")))
+    return key, shape

@@ -1519,6 +1519,93 @@ def test_a_rerun_without_lyrics_or_a_bank_drops_the_files_they_gave(score_file, 
     assert _read_bytes_map(out) == _read_bytes_map(fresh)
 
 
+_BANK_TEXTS = {
+    "a.txt": "[verse]\nla la la la\n",
+    "b.txt": "[verse]\nla la la\nla la\n[chorus]\noh oh oh\n",
+    "c.txt": "[chorus]\nna na\nna\nna na na\nna\n",
+}
+_WORDS = "[verse]\nla la la\nla la la\n[chorus]\noh oh\n"
+
+
+def _same_size_and_mtime(path, text: str) -> None:
+    """Rewrite ``path`` with ``text`` padded by a comment to its old size, keeping its mtime."""
+    old = os.stat(path)
+    pad = old.st_size - len(text) - 2
+    assert pad >= 0
+    path.write_text(text + "#" + "x" * pad + "\n")
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+    assert os.stat(path).st_size == old.st_size
+
+
+@pytest.mark.parametrize("change, winner", [
+    ("edit", "c.txt"), ("add", "0.txt"), ("remove", "c.txt")])
+def test_a_bank_edited_between_runs_in_one_process_selects_as_a_fresh_process(
+        score_file, tmp_path, change, winner):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name, text in _BANK_TEXTS.items():
+        (bank / name).write_text(text + "#" + "x" * 40 + "\n")
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text(_WORDS)
+
+    def reference(out: str) -> dict:
+        run_pipeline(PipelineConfig(str(score_file), str(tmp_path / out),
+                                    lyrics_path=str(lyrics), reference_bank=str(bank)))
+        return json.loads((tmp_path / out / "reference.json").read_text())
+
+    assert reference("before")["bank_file"] == "b.txt"
+    if change == "edit":  # bytes that another entry wins with, at the old size and mtime
+        _same_size_and_mtime(bank / "c.txt", _WORDS)
+    elif change == "add":
+        (bank / "0.txt").write_text(_WORDS)
+    else:
+        (bank / "b.txt").unlink()
+    after = reference("after")
+    prep._BANK_SHAPES.clear()
+    assert after == reference("fresh")
+    assert after["bank_file"] == winner
+    assert after["bank_index"] == sorted(os.listdir(bank)).index(winner)
+
+
+def test_a_bank_file_that_is_not_utf8_fails_every_run_alike(score_file, tmp_path):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name, text in _BANK_TEXTS.items():
+        (bank / name).write_text(text)
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text(_WORDS)
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"),
+                            lyrics_path=str(lyrics), reference_bank=str(bank))
+    run_pipeline(config)
+    (bank / "b.txt").write_bytes(b"[verse]\nla \xff la\n")
+    with pytest.raises(ValueError) as read_error:
+        prep.load_lyrics(bank / "b.txt")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        messages.append((err.value.stage, str(err.value)))
+    assert messages == [("load", str(read_error.value))] * 2
+
+
+@pytest.mark.parametrize("empty", ["bank", "lyrics"])
+def test_a_sheet_without_lyric_lines_is_named(score_file, tmp_path, capsys, empty):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "a.txt").write_text(_BANK_TEXTS["a.txt"])
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text(_WORDS)
+    if empty == "bank":
+        (bank / "b.txt").write_text("# empty sheet\n")
+        named = f"bank file {bank / 'b.txt'}"
+    else:
+        lyrics.write_text("[verse]\n")
+        named = f"lyrics file {lyrics}"
+    assert main(["run", "--score", str(score_file), "--lyrics", str(lyrics),
+                 "--bank", str(bank), "--output", str(tmp_path / "out")]) == 1
+    assert f"error in stage 'load': {named} has no lyric lines" in capsys.readouterr().err
+
+
 def test_a_directory_without_input_hash_records_gives_null_hashes(score_file, tmp_path, caplog):
     out = tmp_path / "out"
     config = PipelineConfig(str(score_file), str(out))

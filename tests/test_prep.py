@@ -7,16 +7,19 @@ from statistics import median
 
 import pytest
 
+from songpipe import prep
 from songpipe.prep import (
     DEFAULT_PROFILES,
     OCTAVE_SHIFTS,
     PROFILE_WEIGHT,
     SENTENCE_WEIGHT,
     STRUCTURE_WEIGHT,
+    SheetShape,
     SingerProfile,
     apply_transpose,
     format_lyrics,
     is_cjk,
+    load_bank_shapes,
     load_reference_bank,
     parse_lyrics,
     penalty_score,
@@ -113,6 +116,24 @@ def test_select_reference_matches_linear_scan():
         best = min(totals)
         assert breakdown.total == pytest.approx(best)
         assert index == totals.index(best)  # earliest on ties
+
+
+@pytest.mark.parametrize("reject_fewer_lines", [False, True])
+def test_selection_over_shapes_equals_selection_over_sheets(reject_fewer_lines):
+    rng = random.Random(2318)
+    for _ in range(40):
+        target = random_sheet(rng)
+        bank = [random_sheet(rng) for _ in range(rng.randint(1, 15))]
+        scored = [penalty_score(target, c, reject_fewer_lines) for c in bank]
+        index = min(range(len(bank)), key=lambda k: scored[k].total)
+        shapes = [SheetShape.of(c) for c in bank]
+        for chosen_target, chosen_bank in ((target, bank), (SheetShape.of(target), shapes)):
+            if math.isinf(scored[index].total):
+                with pytest.raises(ValueError, match="every bank entry was rejected"):
+                    select_reference(chosen_target, chosen_bank, reject_fewer_lines)
+            else:
+                assert select_reference(chosen_target, chosen_bank, reject_fewer_lines) == \
+                    (index, scored[index])
 
 
 def test_select_reference_rejects_empty_bank():
@@ -265,3 +286,40 @@ def test_load_reference_bank_sorted(tmp_path):
 def test_load_reference_bank_requires_files(tmp_path):
     with pytest.raises(ValueError):
         load_reference_bank(tmp_path)
+
+
+def test_bank_shapes_are_the_shapes_of_the_loaded_sheets(tmp_path):
+    rng = random.Random(23)
+    for j in range(12):
+        (tmp_path / f"s{j:02d}.txt").write_text(format_lyrics(random_sheet(rng)), encoding="utf-8")
+    (tmp_path / "ignore.md").write_text("not lyrics\n", encoding="utf-8")
+    names, sheets = load_reference_bank(tmp_path)
+    assert load_bank_shapes(tmp_path) == (names, [SheetShape.of(s) for s in sheets])
+
+
+def test_bank_shapes_parse_only_files_whose_bytes_are_new(tmp_path, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(prep, "_BANK_SHAPES", {})
+    monkeypatch.setattr(prep, "parse_lyrics", lambda text: parsed.append(text) or parse_lyrics(text))
+    (tmp_path / "a.txt").write_text("[verse]\nla la\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("[chorus]\noh\noh oh\n", encoding="utf-8")
+    load_bank_shapes(tmp_path)
+    load_bank_shapes(tmp_path)
+    assert len(parsed) == 2
+    (tmp_path / "b.txt").write_text("[chorus]\noh\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("[verse]\nla la\n", encoding="utf-8")  # a.txt's bytes
+    names, shapes = load_bank_shapes(tmp_path)
+    assert parsed[2:] == ["[chorus]\noh\n"]
+    assert len(prep._BANK_SHAPES) == 2  # the old b.txt's bytes are forgotten
+    assert names == ["a.txt", "b.txt", "c.txt"]
+    assert shapes == [SheetShape((2,), (1,)), SheetShape((1,), (2,)), SheetShape((2,), (1,))]
+
+
+def test_bank_shapes_refuse_a_sheet_without_lines_and_name_it(tmp_path):
+    with pytest.raises(ValueError, match="no .txt lyric files"):
+        load_bank_shapes(tmp_path)
+    (tmp_path / "a.txt").write_text("[verse]\nla la\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("# empty sheet\n[verse]\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^bank file .*b\.txt has no lyric lines$"):
+            load_bank_shapes(tmp_path)
