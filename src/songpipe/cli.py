@@ -772,8 +772,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes a value such as "-1e-3" or "-inf" for an option, so a
+    # number that starts with "-" is joined to its flag as "--flag=VALUE".
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        flag = tokens[-1] if tokens else ""
+        if token.startswith("-") and flag.startswith("--") and flag != "--" and "=" not in flag:
+            with suppress(ValueError):
+                float(token)
+                tokens[-1] = f"{flag}={token}"
+                continue
+        tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

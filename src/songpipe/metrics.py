@@ -221,7 +221,7 @@ CHROMA_WINDOW = 8192
 
 #: Part of every chunk key of :func:`chroma_from_audio`'s memo: change it
 #: whenever a chunk's rows change for the same samples and parameters.
-CHROMA_VERSION = 1
+CHROMA_VERSION = 2
 
 
 def chroma_from_audio(
@@ -256,11 +256,13 @@ def chroma_from_audio(
     taken as the file stores them; any other source's channel mean is taken
     in float64.
 
-    The projection onto the note bins runs in float32.  A frame keeps the
-    classes it marks there only when :func:`_decided` proves that the
-    float64 projection marks the same ones; every other frame, and every
-    frame of a chunk with a non-finite sample, is measured by the float64
-    projection.  So every row is the float64 expression's, bit for bit.
+    The projection onto the note bins runs in float32.  A chunk keeps the
+    classes its frames mark there only when :func:`_decided` proves, for
+    every live frame, that the float64 projection marks the same ones.  Any
+    other chunk, and every chunk with a non-finite sample, is projected once
+    in float64 by :func:`_measured`, as one product of all its live frames.
+    So every row is the float64 expression's, bit for bit, whatever the BLAS
+    kernel and thread count.
 
     ``memo`` maps a chunk key to that chunk's rows.  A chunk's key is the
     SHA-256 of everything its rows depend on: the samples it reads, its frame
@@ -332,21 +334,18 @@ def chroma_from_audio(
             if basis is None:
                 basis = _note_bin_basis(window_size, n_fft, bins)
                 basis32, scale = basis.astype(np.float32), _error_scale(basis)
-            redo = np.ones(len(live), dtype=bool)
+            decided = False
             if squares is not None:
                 with np.errstate(over="ignore", invalid="ignore"):
                     proj = _frames(narrow, offsets[live], window_size) @ basis32
                     energy, order, strong = _classes(proj.astype(float), note_cols, note_pcs)
-                    redo = ~_decided(energy, order, proj, scale, squares[live])
-                if len(redo) > 1 and redo.sum() == 1:
-                    # numpy takes a one-row product by gemv, which sums in
-                    # another order than gemm; the float64 expression saw
-                    # this frame in a gemm of the chunk's live frames.
-                    redo[np.argmin(redo)] = True
-                _mark(rows, live[~redo], order[~redo], strong[~redo])
-            if redo.any():
-                _mark(rows, live[redo], *_measured(segment, offsets[live[redo]], window_size,
-                                                   basis, note_cols, note_pcs))
+                    decided = _decided(energy, order, proj, scale, squares[live]).all()
+            if not decided:
+                order, strong = _measured(segment, offsets[live], window_size, basis,
+                                          note_cols, note_pcs)
+            # Mark each frame's strong classes among its three strongest.
+            row, rank = np.nonzero(strong)
+            rows[live[row], order[row, rank - 3]] = 1.0
         if memo is not None:
             chunks[key] = rows.copy()
     if memo is not None:
@@ -378,16 +377,13 @@ def _classes(proj: np.ndarray, note_cols: np.ndarray,
     return energy, order, strong
 
 
-def _mark(rows: np.ndarray, frames: np.ndarray, order: np.ndarray, strong: np.ndarray) -> None:
-    """Mark each frame's strong classes among its three strongest (see :func:`_classes`)."""
-    row, rank = np.nonzero(strong)
-    rows[frames[row], order[row, rank - 3]] = 1.0
-
-
 def _measured(segment: np.ndarray, offsets: np.ndarray, window_size: int, basis: np.ndarray,
               note_cols: np.ndarray, note_pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_classes`' order and marks of the frames at ``offsets``, projected
-    in float64: the float64 expression that every row must equal."""
+    in float64: the float64 expression that every row must equal.  It is
+    always given all live frames of a chunk, so that it makes the product
+    the expression makes: BLAS may sum a row in another order when a
+    product has fewer rows."""
     with np.errstate(invalid="ignore"):  # a signalling NaN is cast to a NaN
         frames = _frames(segment, offsets, window_size).astype(float, copy=False)
     _, order, strong = _classes(frames @ basis, note_cols, note_pcs)

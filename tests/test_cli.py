@@ -697,6 +697,31 @@ def test_a_flag_value_that_starts_with_a_dash_is_given_after_an_equals_sign(caps
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--frame-rate", "-inf", "argument --frame-rate: frame_rate must be finite and > 0 fps, got -inf"),
+    ("--sigma", "-1e-3", "argument --sigma: sigma must be finite and > 0 s, got -0.001"),
+])
+def test_a_config_flag_value_that_starts_with_a_dash_may_follow_a_space(capsys, flag, value,
+                                                                        message):
+    # This used to exit 2 with "argument --sigma: expected one argument".
+    with pytest.raises(SystemExit) as code:
+        main(["condition", "s", "--chords", "c", "-o", "o", flag, value])
+    assert code.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_numeric_flag_value_that_starts_with_a_dash_may_follow_a_space(score_file, tmp_path,
+                                                                        capsys):
+    assert main(["harmonize", str(score_file), "--emission-weight", "-1e-3"]) == 1
+    beats = tmp_path / "a.beats"
+    beats.write_text("0.0 1\n0.5 2\n")
+    assert main(["eval", "--ref-beats", str(beats), "--est-beats", str(beats),
+                 "--tolerance", "-1e-3"]) == 1
+    err = capsys.readouterr().err
+    assert "error: emission_weight must be finite and non-negative, got -0.001" in err
+    assert "error: tolerance must be non-negative, got -0.001" in err
+
+
 def test_flag_defaults_are_the_config_and_weight_defaults():
     config = PipelineConfig("s", "o")
     for key, (argv, _, dest) in _FLAGS.items():

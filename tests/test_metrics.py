@@ -819,6 +819,18 @@ def test_chroma_from_audio_equals_the_float64_oracle_on_adversarial_inputs(
         assert counts["float64"] > 0  # the case reached the float64 fallback
 
 
+def test_an_undecided_chroma_chunk_is_projected_in_float64_whole(tmp_path, monkeypatch):
+    # The middle frame lies at the 5 % limit, its neighbours do not: the
+    # float64 product must still take all of the chunk's live frames, as the
+    # oracle's does, since BLAS may sum a row differently in a smaller product.
+    source, samples, sample_rate, frame_rate, kwargs = _adversarial_case("5 % limit 3",
+                                                                         tmp_path)
+    (live, _), = _float64_energies(samples, sample_rate, frame_rate)
+    counts = _counting_frames(monkeypatch)
+    chroma_from_audio(source, sample_rate, frame_rate, **kwargs)
+    assert counts["float64"] == len(live) == 3
+
+
 def test_the_adversarial_chroma_inputs_are_what_they_say(tmp_path):
     _, samples, sr, fps, kwargs = _adversarial_case("3rd and 4th tied in one bin", tmp_path)
     tied = [np.sort(energy, axis=1)[:, -4:-2] for _, energy in
