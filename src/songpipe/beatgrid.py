@@ -199,11 +199,6 @@ def _blend(before: float | None, after: float | None) -> float:
     return 2.0 / (1.0 / before + 1.0 / after)
 
 
-def grid_to_events(grid: BeatGrid) -> tuple[list[float], list[float]]:
-    """Project a grid to plain (beats, downbeats) event lists."""
-    return list(grid.beats), list(grid.downbeats)
-
-
 # ---------------------------------------------------------------------------
 # Two-column text format: time <TAB> position-in-bar (1 = downbeat)
 

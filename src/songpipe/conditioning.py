@@ -363,23 +363,6 @@ def nearest_targets(values: list[float], grid: list[float]) -> list[float]:
     return [grid[i] for i in chosen]
 
 
-def snap_boundaries(
-    boundaries: list[float],
-    downbeats: list[float],
-    section_edges: list[float],
-) -> list[float]:
-    """Snap each boundary to the nearest downbeat or section edge.
-
-    Targets are the union of the two lists; ties between equally distant
-    targets resolve to the earlier one.  The result is sorted with duplicates
-    removed.
-    """
-    targets = sorted(set(downbeats) | set(section_edges))
-    if not targets:
-        raise ValueError("no snap targets: downbeats and section edges both empty")
-    return sorted(set(nearest_targets(boundaries, targets)))
-
-
 def _snap_chords(chords: ChordSequence, targets_beats: list[float],
                  section_edges: list[float]) -> ChordSequence:
     """Snap every chord boundary onto the downbeat/section-edge grid.

@@ -89,10 +89,6 @@ class AudioBuffer:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_sec(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def peak(self) -> float:
         return float(np.abs(self.samples).max()) if self.n_samples else 0.0
 

@@ -23,7 +23,7 @@ import json
 import struct
 from typing import Iterator
 
-from .formats import read_document, read_file, replacing
+from .formats import read_document, read_file, write_file
 from .score import (
     DEFAULT_TEMPO_US,
     SECTION_LABELS,
@@ -426,12 +426,7 @@ def load_score(path) -> VocalScore:
 def save_score(score: VocalScore, path) -> None:
     """Write a score to ``path``; ``.mid``/``.midi`` selects SMF, else JSON.
 
-    The file replaces ``path`` whole or not at all (see :func:`formats.replacing`).
+    The file replaces ``path`` whole or not at all (see :func:`formats.write_file`).
     """
-    name = str(path).lower()
-    if name.endswith((".mid", ".midi")):
-        payload = write_smf(score)
-    else:
-        payload = score_to_json(score).encode("utf-8")
-    with replacing(path) as fh:
-        fh.write(payload)
+    midi = str(path).lower().endswith((".mid", ".midi"))
+    write_file(path, write_smf(score) if midi else score_to_json(score))

@@ -12,7 +12,6 @@ from songpipe.beatgrid import (
     VoicedSegment,
     detect_voiced_segments,
     format_beat_grid,
-    grid_to_events,
     interpolate_beats,
     parse_beat_grid,
 )
@@ -146,13 +145,6 @@ def test_grid_requires_strictly_increasing_beats():
         BeatGrid((0.0, 0.0), ())
     with pytest.raises(ValueError):
         BeatGrid((0.0, 1.0), (0.5,))  # downbeat not among beats
-
-
-def test_grid_to_events_round_trip():
-    grid = BeatGrid((0.0, 0.5, 1.0, 1.5, 2.0), (0.0, 2.0))
-    beats, downbeats = grid_to_events(grid)
-    assert beats == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert downbeats == [0.0, 2.0]
 
 
 def test_beat_text_round_trip():

@@ -176,6 +176,32 @@ def test_run_with_config_file(score_file, tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_run_seed_flag_reaches_the_manifest_config(score_file, tmp_path):
+    out = tmp_path / "seeded"
+    assert main(["run", "--score", str(score_file), "--output", str(out), "--seed", "7"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 7
+
+
+def test_run_needs_a_config_or_a_score(tmp_path, capsys):
+    assert main(["run", "--output", str(tmp_path / "o")]) == 1
+    assert "error: either --config or --score is required" in capsys.readouterr().err
+
+
+def test_set_section_keys_reach_conditions_json(score_file, tmp_path):
+    labels = ("C:maj", "A:min")
+    expected = list(enumerate(map(conditioning.KeyLabel.parse, labels)))
+    # So the keys below come from the labels, not from the estimates.
+    assert section_key_estimates(score_io.load_score(score_file)) != expected
+    out = tmp_path / "out"
+    # Without intro bars the song keeps the score's two sections.
+    _run(PipelineConfig(str(score_file), str(out), intro_bars=0, section_keys=labels))
+    conditions = tmp_path / "conditions.json"
+    assert main(["condition", str(score_file), "--chords", str(out / "chords.txt"),
+                 "-o", str(conditions), "--keys", ",".join(labels)]) == 0
+    for path in (out / "conditions.json", conditions):
+        assert list(conditioning.bundle_from_json(path.read_text()).keys) == expected
+
+
 def test_config_round_trip_and_validation(score_file):
     config = config_from_json(
         json.dumps(
@@ -241,6 +267,17 @@ def test_register_command(score_file, tmp_path, capsys):
                  "--profile", "bass:40:59"]) == 0
     shifted = score_io.load_score(out)
     assert shifted.notes  # wrote a loadable score
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("alto:50", "profile must look like name:low:high, got 'alto:50'"),
+    ("a:x:60", "invalid literal for int() with base 10: 'x'"),
+])
+def test_register_refuses_a_malformed_profile(score_file, capsys, spec, message):
+    with pytest.raises(SystemExit) as code:
+        main(["register", str(score_file), "--profile", spec])
+    assert code.value.code == 2
+    assert f"argument --profile: {message}" in capsys.readouterr().err
 
 
 def test_condition_plan_render_mix_commands(score_file, tmp_path, capsys):
@@ -620,6 +657,7 @@ def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path
     ("max_window_sec", "30"),
     ("intro_bars", "3"),
     ("intro_bars", 2.9),
+    ("profiles", "x"),
 ])
 def test_config_rejects_wrong_typed_values(key, value):
     # Each of these used to escape run as a TypeError, KeyError or
@@ -689,8 +727,7 @@ def test_a_flag_takes_what_its_config_key_takes(capsys, key, text):
     ("--sigma=-1e-3", "argument --sigma: sigma must be finite and > 0 s, got -0.001"),
 ])
 def test_a_flag_value_that_starts_with_a_dash_is_given_after_an_equals_sign(capsys, arg, message):
-    # argparse reads "--sigma -1e-3" as two options, as the README says; with
-    # "=" the value reaches the range check.
+    # The --flag=VALUE spelling: the value reaches the range check.
     with pytest.raises(SystemExit) as code:
         main(["condition", "s", "--chords", "c", "-o", "o", arg])
     assert code.value.code == 2
@@ -1671,6 +1708,7 @@ def _stage_files(score_file, tmp_path):
     ("eval --ref-text", b"\xff\xfe", "codec can't decode"),
     ("eval --hyp-text", b"la \xff\n", "codec can't decode"),
     ("run --config", '{"score_path": "s.mid",', "config is not valid JSON"),
+    ("run --config", '["s.mid"]', "config must be a JSON object"),
     ("render --plan", '{"format": "plan", "version": 1, "windows": [{"order": 1e400, '
      '"start_sec": 0, "end_sec": 1, "anchor_section": 0, '
      '"reference": {"kind": "none", "section": null}}]}', "malformed plan document"),

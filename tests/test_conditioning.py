@@ -27,7 +27,6 @@ from songpipe.conditioning import (
     parse_pitch_class,
     pitch_contour_from_score,
     rhythm_activation,
-    snap_boundaries,
     structure_labels,
     triad_pitch_classes,
 )
@@ -342,20 +341,6 @@ def test_structure_labels_equal_the_searchsorted_version_on_random_scores():
         got = structure_labels(score, duration, frame_rate)
         want = _old_structure_labels(score, duration, frame_rate)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_snap_boundaries_prefers_earlier_on_ties():
-    assert snap_boundaries([1.0], [0.5, 1.5], []) == [0.5]
-    assert snap_boundaries([1.4], [0.5, 1.5], []) == [1.5]
-
-
-def test_snap_boundaries_merges_duplicates():
-    assert snap_boundaries([0.9, 1.1], [1.0], [4.0]) == [1.0]
-
-
-def test_snap_boundaries_requires_targets():
-    with pytest.raises(ValueError):
-        snap_boundaries([0.3], [], [])
 
 
 def _nearest_min_oracle(values, grid):

@@ -263,7 +263,7 @@ def test_save_score_keeps_the_old_file_when_the_write_fails(tmp_path, monkeypatc
     save_score(simple_score([60, 62]), path)
     old = path.read_bytes()
     # A payload the binary file cannot take fails the write part-way.
-    monkeypatch.setattr(score_io, "write_smf", lambda score: "not bytes")
+    monkeypatch.setattr(score_io, "write_smf", lambda score: None)
     with pytest.raises(TypeError):
         save_score(simple_score([64, 65]), path)
     assert path.read_bytes() == old
