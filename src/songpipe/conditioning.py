@@ -384,7 +384,6 @@ def build_condition_bundle(
     keys: list[tuple[int, KeyLabel]],
     frame_rate: float = DEFAULT_FRAME_RATE,
     sigma: float = DEFAULT_SIGMA,
-    pitch_contour: np.ndarray | None = None,
 ) -> ConditionBundle:
     """Assemble every conditioning signal for a score on one frame grid.
 
@@ -392,8 +391,7 @@ def build_condition_bundle(
     before rasterization, so all conditioning transitions line up with
     structural transitions or the beat grid; chords that run past the end of
     the score are rejected.  ``keys`` must carry exactly one entry per
-    section.  An externally supplied ``pitch_contour`` (length T)
-    replaces the score-derived one.
+    section.
     """
     problems_keys = {i for i, _ in keys}
     if problems_keys != set(range(len(score.sections))):
@@ -417,22 +415,12 @@ def build_condition_bundle(
 
     rhythm = rhythm_activation(beats, downbeats, duration, frame_rate, sigma)
     chroma = chord_chromagram(snapped, duration, frame_rate)
-    structure = structure_labels(score, duration, frame_rate)
-    t = len(rhythm)
-    if pitch_contour is None:
-        contour = pitch_contour_from_score(score, duration, frame_rate)
-    else:
-        contour = np.asarray(pitch_contour, dtype=float)
-        if contour.shape != (t,):
-            raise ValueError(
-                f"external pitch contour has shape {contour.shape}, expected ({t},)"
-            )
     return ConditionBundle(
         frame_rate=frame_rate,
         rhythm=rhythm,
         chroma=chroma,
-        structure=structure,
-        pitch_contour=contour,
+        structure=structure_labels(score, duration, frame_rate),
+        pitch_contour=pitch_contour_from_score(score, duration, frame_rate),
         keys=tuple(sorted(keys)),
     )
 

@@ -34,15 +34,12 @@ def write_file(path, data: str | bytes) -> None:
         fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
 
-def file_sha256(path) -> str | None:
-    """SHA-256 of a file, read 1 MiB at a time; None if there is no such file."""
+def file_sha256(path) -> str:
+    """SHA-256 of a file, read 1 MiB at a time."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    except FileNotFoundError:
-        return None
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return digest.hexdigest()
 
 

@@ -27,9 +27,6 @@ STRUCTURE_WEIGHT = 0.2
 #: smaller absolute shift (negative before positive at equal size).
 OCTAVE_SHIFTS = (-12, 0, 12)
 
-#: Default singer tessituras as inclusive MIDI pitch ranges.
-DEFAULT_PROFILES: tuple["SingerProfile", ...] = ()  # filled in below
-
 
 @dataclass(frozen=True)
 class SingerProfile:
@@ -49,6 +46,7 @@ class SingerProfile:
         return self.low <= pitch <= self.high
 
 
+#: Default singer tessituras as inclusive MIDI pitch ranges.
 DEFAULT_PROFILES = (
     SingerProfile("male", 45, 64),
     SingerProfile("female", 55, 74),
@@ -64,12 +62,6 @@ class PenaltyBreakdown:
     structure: float
     total: float
 
-    def __post_init__(self) -> None:
-        for name in ("sentence", "profile", "structure"):
-            value = getattr(self, name)
-            if not math.isinf(value) and not 0.0 <= value:
-                raise ValueError(f"{name} penalty must be non-negative, got {value}")
-
 
 @dataclass(frozen=True)
 class RegisterDecision:
@@ -83,27 +75,17 @@ class RegisterDecision:
 
 @dataclass(frozen=True)
 class SheetShape:
-    """What reference selection reads of a sheet: per-line token counts and tag indices.
-
-    It answers ``len``, ``token_counts()`` and ``tag_indices()`` as a
-    :class:`LyricsSheet` does, so either can be scored.
-    """
+    """What reference selection reads of a sheet: per-line token counts and tag indices."""
 
     counts: tuple[int, ...]
     tags: tuple[int, ...]
 
     @classmethod
     def of(cls, sheet: LyricsSheet | SheetShape) -> SheetShape:
-        return cls(tuple(sheet.token_counts()), tuple(sheet.tag_indices()))
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def token_counts(self) -> tuple[int, ...]:
-        return self.counts
-
-    def tag_indices(self) -> tuple[int, ...]:
-        return self.tags
+        if isinstance(sheet, SheetShape):
+            return sheet
+        return cls(tuple(len(line.tokens) for line in sheet.lines),
+                   tuple(SECTION_LABELS.index(line.tag) for line in sheet.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +113,18 @@ def penalty_score(
     ``reject_fewer_lines`` a candidate with fewer lines than the target gets
     an infinite total (components still reported).
     """
-    if not len(target) or not len(candidate):
+    target, candidate = SheetShape.of(target), SheetShape.of(candidate)
+    counts_t, counts_c = target.counts, candidate.counts
+    if not counts_t or not counts_c:
         raise ValueError("both lyric sheets must carry at least one line")
-    n_t, n_c = len(target), len(candidate)
+    n_t, n_c = len(counts_t), len(counts_c)
     sentence = abs(n_t - n_c) / max(n_t, n_c)
 
-    counts_t, counts_c = target.token_counts(), candidate.token_counts()
     padded_t, padded_c = _pad_with_median(counts_t, counts_c)
     scale = max(max(counts_t), max(counts_c))
     profile = sum(abs(a - b) for a, b in zip(padded_t, padded_c)) / len(padded_t) / scale
 
-    tags_t, tags_c = target.tag_indices(), candidate.tag_indices()
+    tags_t, tags_c = target.tags, candidate.tags
     shorter, longer = min(n_t, n_c), max(n_t, n_c)
     mismatches = sum(1 for a, b in zip(tags_t, tags_c) if a != b)
     structure = (mismatches + (longer - shorter)) / longer
@@ -274,10 +257,7 @@ def parse_lyrics(text: str) -> LyricsSheet:
             stripped = stripped[close + 1 :].strip()
             if not stripped:
                 continue
-        tokens = tokenize_lyric_text(stripped)
-        if not tokens:
-            raise ValueError(f"lyric line {lineno}: no tokens")
-        lines.append(LyricLine(tag, tuple(tokens)))
+        lines.append(LyricLine(tag, tuple(tokenize_lyric_text(stripped))))
     return LyricsSheet(tuple(lines))
 
 
@@ -331,7 +311,7 @@ def load_bank_shapes(directory) -> tuple[list[str], list[SheetShape]]:
     names = _bank_names(directory)
     found = [read_file(os.path.join(directory, n), _keyed_shape, mode="rb") for n in names]
     for name, (_, shape) in zip(names, found):
-        if not len(shape):
+        if not shape.counts:
             raise ValueError(f"bank file {os.path.join(directory, name)} has no lyric lines")
     _BANK_SHAPES.clear()
     _BANK_SHAPES.update(found)

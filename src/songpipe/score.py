@@ -86,12 +86,6 @@ class LyricsSheet:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def token_counts(self) -> list[int]:
-        return [len(line.tokens) for line in self.lines]
-
-    def tag_indices(self) -> list[int]:
-        return [SECTION_LABELS.index(line.tag) for line in self.lines]
-
 
 @dataclass(frozen=True)
 class VocalScore:

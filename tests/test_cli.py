@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -1847,3 +1848,100 @@ def test_a_flattened_condition_matrix_is_named_on_resume(score_file, tmp_path, c
     assert "error in stage 'report': cannot read conditions.json: " in err
     assert f"{key} must be a list of rows of {width} numbers, got shape ({cells},)" in err
     assert (out / "report.json").read_bytes() == report
+
+
+# ---------------------------------------------------------------------------
+# Satellites: inputs that vanish, refusals on resume, the benchmark's traced names
+
+
+@pytest.mark.parametrize("stage, module, name, input_field", [
+    ("mix", render, "mix", "vocal_path"),
+    ("load", score_io, "load_score", "score_path"),
+    ("load", prep, "load_lyrics", "lyrics_path"),
+])
+def test_an_input_that_vanishes_after_its_stage_read_it_fails_that_stage(
+    score_file, tmp_path, monkeypatch, stage, module, name, input_field
+):
+    vocal = tmp_path / "v.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 4410))), vocal)
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text(_WORDS)
+    config = PipelineConfig(str(score_file), str(tmp_path / "out"),
+                            vocal_path=str(vocal), lyrics_path=str(lyrics))
+    path = getattr(config, input_field)
+    read = getattr(module, name)
+
+    def read_then_delete(*args, **kwargs):
+        result = read(*args, **kwargs)
+        os.remove(path)
+        return result
+    monkeypatch.setattr(module, name, read_then_delete)
+    with pytest.raises(StageError) as err:
+        run_pipeline(config)
+    assert (err.value.stage, str(err.value)) == \
+        (stage, f"[Errno 2] No such file or directory: {path!r}")
+
+
+@pytest.mark.parametrize("artifact, stage, edit, message", [
+    ("chords.txt", "condition", lambda t: t.replace("0.000000", "x", 1),
+     "chord line 1: bad time columns"),
+    ("chords.txt", "condition", lambda t: t.replace("C:maj", "Cmaj", 1),
+     "chord line 1: chord must look like 'C:maj'"),
+    ("conditions.json", "render", lambda d: d.update(num_frames=d["num_frames"] + 1),
+     "num_frames does not match matrix length"),
+    ("conditions.json", "render", lambda d: d.update(structure=d["structure"][:-1]),
+     "structure must have shape (T,)"),
+    ("conditions.json", "render", lambda d: d.update(pitch_contour=d["pitch_contour"][:-1]),
+     "pitch_contour must have shape (T,)"),
+    ("conditions.json", "render", lambda d: d.update(frame_rate=0),
+     "frame_rate must be positive"),
+    ("conditions.json", "render", lambda d: d["keys"][0].update(tonic=12),
+     "tonic must be in [0, 11]"),
+    ("plan.json", "render",
+     lambda d: d["windows"][0].update(end_sec=d["windows"][0]["start_sec"] + 50),
+     "exceeds the 47.0 s limit"),
+    ("input.score.json", "validate", lambda d: d["notes"][0].update(syllable=5),
+     "expected string or null, got int"),
+    ("input.score.json", "validate", lambda d: d.update(ticks_per_quarter=0),
+     "ticks_per_quarter must be >= 1, got 0"),
+    ("input.score.json", "validate", lambda d: d.update(tempo_map=[]),
+     "tempo map is empty"),
+    ("input.score.json", "validate", lambda d: d.update(tempo_map=[[0, 0]]),
+     "tempo map entry 0 has non-positive tempo 0"),
+    ("input.score.json", "validate", lambda d: d.update(tempo_map=[[0, 500000], [0, 400000]]),
+     "tempo map entry 1 not strictly after entry 0"),
+    ("input.score.json", "validate", lambda d: d["notes"][0].update(syllable=""),
+     "note 0 has empty syllable text"),
+    ("input.score.json", "validate", lambda d: d["sections"][0].update(end_tick=0),
+     "section 0 is empty or inverted"),
+    ("input.score.json", "validate", lambda d: d["sections"][-1].update(end_tick=14880),
+     "sections end at tick 14880 but notes run to tick 15360"),
+])
+def test_an_edited_artifact_that_breaks_a_rule_is_refused_on_resume(
+    finished_run, tmp_path, artifact, stage, edit, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run.output_dir, out)
+    path = out / artifact
+    if artifact.endswith(".json"):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text(edit(path.read_text()))
+    with pytest.raises(StageError) as err:
+        run_pipeline(replace(finished_run, output_dir=str(out)), stage)
+    assert err.value.stage == stage
+    assert message in str(err.value)
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # bench/spans.py wraps these module attributes by name; it imports no
+    # songpipe code, so it is loaded from its file.
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", pathlib.Path(__file__).parents[1] / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, attr) for module, attr, *_ in spans.WRAPPED
+               if not callable(getattr(importlib.import_module(f"songpipe.{module}"), attr, None))]
+    assert missing == []

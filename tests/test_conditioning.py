@@ -519,15 +519,12 @@ def test_bundle_to_json_equals_the_loop_oracle(seed, sigma, frame_rate, odd):
     chords = ChordSequence((ChordSpan(0.0, cut, rng.randrange(12), "maj"),
                             ChordSpan(cut, duration, rng.randrange(12), "min")))
     keys = [(i, KeyLabel(rng.randrange(12), "minor")) for i in range(len(score.sections))]
-    contour = None
+    bundle = build_condition_bundle(score, chords, keys, frame_rate, sigma)
     if odd:
-        t = math.ceil(duration * frame_rate)
-        contour = [rng.choice(_ODD_FLOATS) for _ in range(t)]
-    bundle = build_condition_bundle(score, chords, keys, frame_rate, sigma, contour)
-    if odd:
+        contour = np.array([rng.choice(_ODD_FLOATS) for _ in bundle.pitch_contour], dtype=float)
         rhythm = bundle.rhythm.copy()
         rhythm[:: 7] = rng.choice(_ODD_FLOATS)
-        bundle = replace(bundle, rhythm=rhythm)
+        bundle = replace(bundle, rhythm=rhythm, pitch_contour=contour)
     assert _first_difference(bundle_to_json(bundle), _bundle_to_json_loop_oracle(bundle)) is None
 
 

@@ -144,6 +144,33 @@ def test_smpte_division_is_rejected():
     assert "SMPTE" in str(err.value)
 
 
+_VERSE_NOTE = (
+    b"\x00\xff\x06\x05verse"
+    b"\x00\x90\x3c\x40"
+    + _vlq(480) + b"\x80\x3c\x40"
+    + _vlq(1440) + b"\xff\x2f\x00"
+)
+
+
+@pytest.mark.parametrize("data, message", [
+    (struct.pack(">4sIHHH", b"MThd", 6, 0, 1, 0) + _track(_VERSE_NOTE)[14:],
+     "time division must be positive"),
+    (struct.pack(">4sIHHH", b"MThd", 6, 0, 0, 480), "file declares zero tracks"),
+    (_track(b"\x00\xff"), "truncated meta event"),
+    (_track(b"\x00\xff\x06\x06chorus" + _VERSE_NOTE),
+     "section marker at tick 0 opens an empty section"),
+])
+def test_smf_header_and_event_refusals(data, message):
+    with pytest.raises(ScoreFormatError) as err:
+        read_smf(data)
+    assert message in str(err.value)
+
+
+def test_the_later_of_two_tempo_events_at_one_tick_wins():
+    events = b"\x00\xff\x51\x03\x07\xa1\x20" b"\x00\xff\x51\x03\x0f\x42\x40" + _VERSE_NOTE
+    assert read_smf(_track(events)).tempo_map == ((0, 1000000),)
+
+
 def test_empty_score_with_one_section_round_trips():
     score = VocalScore(sections=(Section("verse", 0, 1920),))
     assert read_smf(write_smf(score)) == score
