@@ -208,8 +208,8 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages.  Each reads earlier artifacts from the work dir and
-# writes its own; nothing is passed in memory between stages.
+# Pipeline stages.  Each is given the earlier artifacts its row of
+# _STAGE_TABLE names and writes its own; nothing else passes between stages.
 
 ART = {
     "input_score": "input.score.json",
@@ -293,77 +293,36 @@ def _read(outdir: str, key: str, stage: str):
         raise StageError(stage, str(exc)) from exc
 
 
-def _read_cache(outdir: str, key: str):
-    """Cache artifact ``key`` decoded, or None if it is missing or unreadable.
-
-    A cache only saves work: the stage that reads it rebuilds what it lacks.
-    """
-    if not os.path.exists(_art(outdir, key)):
-        return None
-    try:
-        return _read(outdir, key, "")
-    except StageError as exc:
-        LOGGER.info("%s; rebuilding it", exc)
-        return None
-
-
 def _write(outdir: str, key: str, value) -> None:
     write_file(_art(outdir, key), _codec(key)[0](value))
 
 
-#: The input-file hashes each stage that reads an outside file records, by
-#: the artifact it records them in.  Report copies them into the manifest.
-_INPUT_HASHES = {
-    "load_inputs": ("score_sha256", "lyrics_sha256"),
-    "mix_inputs": ("vocal_sha256",),
-}
-
-
-def _input_hashes(outdir: str) -> dict:
-    """The input-file hashes load and mix recorded, each None if not recorded.
-
-    An output directory written before these records existed has none; its
-    manifest then gives null hashes rather than hashes of the files as they
-    are now, which the run may not have read.
-    """
-    hashes = {}
-    for key, names in _INPUT_HASHES.items():
-        hashes.update(dict.fromkeys(names))
-        if not os.path.exists(_art(outdir, key)):
-            LOGGER.warning("no %s: manifest.json records no %s", ART[key], " or ".join(names))
-            continue
-        doc = _read(outdir, key, "report")
-        for name in names:
-            value = doc.get(name, 0) if isinstance(doc, dict) else 0
-            if not (value is None or isinstance(value, str)):
-                raise ValueError(f"{ART[key]} does not record {name} as a hash or null")
-            hashes[name] = value
-    return hashes
-
-
 def _stage_load(config: PipelineConfig, outdir: str) -> None:
-    _write(outdir, "input_score", score_io.load_score(config.score_path))
+    # Every input is read and checked before any output is touched, so a
+    # failed load leaves the directory as it was.
+    outputs = {"input_score": score_io.load_score(config.score_path),
+               "lyrics": None, "reference": None}
     hashes = {"score_sha256": file_sha256(config.score_path), "lyrics_sha256": None}
     if config.lyrics_path:
-        sheet = prep.load_lyrics(config.lyrics_path)
+        sheet = outputs["lyrics"] = prep.load_lyrics(config.lyrics_path)
         hashes["lyrics_sha256"] = file_sha256(config.lyrics_path)
-        _write(outdir, "lyrics", sheet)
         if config.reference_bank:
             names, bank = prep.load_bank_shapes(config.reference_bank)
             if not len(sheet):
                 raise ValueError(f"lyrics file {config.lyrics_path} has no lyric lines")
             index, breakdown = prep.select_reference(sheet, bank, config.reject_fewer_lines)
-            _write(outdir, "reference", {
+            outputs["reference"] = {
                 "bank_index": index,
                 "bank_file": names[index],
                 "penalty": asdict(breakdown),
-            })
-    for key, given in (("lyrics", config.lyrics_path),
-                       ("reference", config.lyrics_path and config.reference_bank)):
-        if not given:  # drop what an earlier run with this input wrote
+            }
+    outputs["load_inputs"] = hashes
+    for key, value in outputs.items():
+        if value is not None:
+            _write(outdir, key, value)
+        else:  # drop what an earlier run with this input wrote
             with suppress(FileNotFoundError):
                 os.remove(_art(outdir, key))
-    _write(outdir, "load_inputs", hashes)
 
 
 def _stage_validate(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
@@ -408,11 +367,11 @@ def _stage_plan(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
 
 def _stage_render(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
-    windows: list[planner.GenerationWindow],
+    windows: list[planner.GenerationWindow], recorded: dict[int, dict] | None,
+    old: render.WavReader | None,
 ) -> None:
-    recorded = _read_cache(outdir, "render_record")
     _write(outdir, "render_record",
-           render_windows(bundle, windows, config.sample_rate, outdir, recorded))
+           render_windows(bundle, windows, config.sample_rate, outdir, recorded, old))
 
 
 def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> None:
@@ -427,9 +386,18 @@ def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) ->
 
 def _stage_report(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
-    events: list[render.RenderEvent], accomp: render.WavReader,
+    events: list[render.RenderEvent], accomp: render.WavReader, loaded, mixed,
+    memo: dict | None,
 ) -> None:
-    memo = _read_cache(outdir, "chroma_memo") or {}
+    # The input-file hashes load and mix recorded; the manifest copies them.
+    hashes = {}
+    for key, doc, names in (("load_inputs", loaded, ("score_sha256", "lyrics_sha256")),
+                            ("mix_inputs", mixed, ("vocal_sha256",))):
+        for name in names:
+            hashes[name] = doc.get(name, 0) if isinstance(doc, dict) else 0
+            if not (hashes[name] is None or isinstance(hashes[name], str)):
+                raise ValueError(f"{ART[key]} does not record {name} as a hash or null")
+    memo = memo or {}
     report = self_report(bundle, events, accomp, memo)
     _write(outdir, "report", report)
     _write(outdir, "chroma_memo", memo)
@@ -440,21 +408,30 @@ def _stage_report(
     _write(outdir, "manifest", {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
-        "config": config.to_manifest_dict(_input_hashes(outdir)),
+        "config": config.to_manifest_dict(hashes),
         "artifacts": artifacts,
         "report": report,
     })
 
 
-def _drive(stage: str, core, inputs: tuple[str, ...]):
+def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
     """``core`` as a stage ``fn(config, outdir)``.
 
     The artifacts named by ``inputs`` are read and passed to ``core`` in
-    order; a ``ValueError`` or ``OSError`` from ``core`` becomes a
+    order, then those named by ``caches``, each None if it is missing or
+    unreadable: a cache only saves work, and ``core`` rebuilds what it
+    lacks.  A ``ValueError`` or ``OSError`` from ``core`` becomes a
     :class:`StageError` for ``stage``.
     """
     def run(config: PipelineConfig, outdir: str) -> None:
         values = [_read(outdir, key, stage) for key in inputs]
+        for key in caches:
+            try:
+                values.append(_read(outdir, key, stage)
+                              if os.path.exists(_art(outdir, key)) else None)
+            except StageError as exc:
+                LOGGER.info("%s; rebuilding it", exc)
+                values.append(None)
         try:
             core(config, outdir, *values)
         except (ValueError, OSError) as exc:
@@ -462,24 +439,26 @@ def _drive(stage: str, core, inputs: tuple[str, ...]):
     return run
 
 
-#: Each stage, its core and the artifacts it reads, in pipeline order.
+#: Each stage, its core, the artifacts it reads and the artifacts it reuses
+#: if they are there, in pipeline order.  A stage reads no other artifact.
 _STAGE_TABLE = (
-    ("load", _stage_load, ()),
-    ("validate", _stage_validate, ("input_score",)),
-    ("register", _stage_register, ("input_score",)),
-    ("harmonize", _stage_harmonize, ("registered_score",)),
-    ("condition", _stage_condition, ("song_score", "chords")),
-    ("plan", _stage_plan, ("song_score",)),
-    ("render", _stage_render, ("conditions", "plan")),
-    ("mix", _stage_mix, ("accompaniment",)),
-    ("report", _stage_report, ("conditions", "events", "accompaniment")),
+    ("load", _stage_load, (), ()),
+    ("validate", _stage_validate, ("input_score",), ()),
+    ("register", _stage_register, ("input_score",), ()),
+    ("harmonize", _stage_harmonize, ("registered_score",), ()),
+    ("condition", _stage_condition, ("song_score", "chords"), ()),
+    ("plan", _stage_plan, ("song_score",), ()),
+    ("render", _stage_render, ("conditions", "plan"), ("render_record", "accompaniment")),
+    ("mix", _stage_mix, ("accompaniment",), ()),
+    ("report", _stage_report, ("conditions", "events", "accompaniment", "load_inputs",
+                               "mix_inputs"), ("chroma_memo",)),
 )
 #: Stage name to ``fn(config, outdir)``, in pipeline order.
-_STAGE_FUNCS = {stage: _drive(stage, core, inputs) for stage, core, inputs in _STAGE_TABLE}
+_STAGE_FUNCS = {stage: _drive(stage, *row) for stage, *row in _STAGE_TABLE}
 STAGES = tuple(_STAGE_FUNCS)
 #: The artifacts more than one stage reads: decoded once per run_pipeline call.
 _SHARED = frozenset(key for key in ART
-                    if sum(key in inputs for _, _, inputs in _STAGE_TABLE) > 1)
+                    if sum(key in inputs for _, _, inputs, _ in _STAGE_TABLE) > 1)
 
 
 def run_pipeline(config: PipelineConfig, from_stage: str = "load") -> dict:

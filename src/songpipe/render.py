@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 import struct
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
@@ -617,9 +616,6 @@ def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None
 ACCOMPANIMENT_FILE = "accompaniment.wav"
 EVENTS_FILE = "events.txt"
 
-#: Window WAVs that versions before render record 2 wrote beside the song.
-WINDOW_FILE = re.compile(r"window_\d{3,}\.wav")
-
 #: Format name and version of the render record (``render.json``).
 RENDER_RECORD = ("render", 2)
 
@@ -630,17 +626,20 @@ def render_windows(
     sample_rate: int,
     outdir: str,
     recorded: dict[int, dict] | None = None,
+    old: WavReader | None = None,
 ) -> dict:
     """Render every window of a plan into :data:`ACCOMPANIMENT_FILE` in ``outdir``.
 
     The windows, by start time, must tile the song up to the bundle's last
-    frame; only then are window WAVs of older versions removed.  Each
-    window's float32 samples are written once, in plan order, at the
-    window's offset in the new file.  A window whose ``recorded`` entry (see
+    frame; only then is any file written.  Each window's float32 samples are
+    written once, in plan order, at the window's offset in the new file; no
+    file per window is written.  A window whose ``recorded`` entry (see
     :func:`record_from_json`) has its :func:`window_fingerprint` is copied
-    from the old file, :data:`STREAM_FRAMES` frames at a time, and hashed as
-    it is copied.  Any other window, and one whose copy's SHA-256 is not the
-    entry's or whose old file is not a mono float32 WAV at ``sample_rate``,
+    from ``old``, the accompaniment of an earlier render (it may be the file
+    being replaced, which stays in place until the new one is whole),
+    :data:`STREAM_FRAMES` frames at a time, and hashed as it is copied.  Any
+    other window, and one whose copy's SHA-256 is not the entry's or whose
+    ``old`` is None or not a mono float32 WAV at ``sample_rate``,
     is rendered again over that range: encoded by :func:`wav_bytes`, with the
     bytes after its header written and hashed.  The float32 cast of a
     concatenation is the concatenation of the casts, so the file holds the
@@ -661,14 +660,7 @@ def render_windows(
     if not (bundle.num_frames - 1) / fr - 1e-9 < last.end_sec <= bundle.num_frames / fr + 1e-9:
         raise ValueError(f"window {last.order} ends at {last.end_sec} s, not in the last frame "
                          f"of the {bundle.duration_sec} s conditions")
-    for name in os.listdir(outdir):
-        if WINDOW_FILE.fullmatch(name):
-            os.remove(os.path.join(outdir, name))
     path = os.path.join(outdir, ACCOMPANIMENT_FILE)
-    try:
-        old = WavReader(path)
-    except (FileNotFoundError, WavFormatError):
-        old = None
     if old and (old.header.sample_format, old.channels, old.sample_rate) != (
         "float32", 1, sample_rate
     ):

@@ -1,6 +1,7 @@
 """Pipeline orchestration and subcommands, exercised through ``main(argv)``."""
 from __future__ import annotations
 
+import builtins
 import hashlib
 import importlib.util
 import json
@@ -12,6 +13,7 @@ import re
 import shutil
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from unittest import mock
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from songpipe import cli, conditioning, harmony, metrics, planner, prep, render, score_io
+from songpipe import cli, conditioning, formats, harmony, metrics, planner, prep, render, score_io
 from songpipe.cli import (
     _STAGE_FUNCS,
     ART,
@@ -445,18 +447,6 @@ def test_an_unknown_event_kind_in_the_log_is_named_at_report(score_file, tmp_pat
             "'baet'") in capsys.readouterr().err
 
 
-def test_rerun_into_a_used_directory_drops_stale_windows(score_file, tmp_path):
-    out, fresh = tmp_path / "out", tmp_path / "fresh"
-    _run(PipelineConfig(str(score_file), str(out), max_window_sec=4.0))
-    many = len(json.loads((out / "render.json").read_text())["windows"])
-    for order in range(many):  # as a version that wrote window WAVs left them
-        (out / f"window_{order:03d}.wav").write_bytes(b"stale")
-    _run(PipelineConfig(str(score_file), str(out)))
-    _run(PipelineConfig(str(score_file), str(fresh)))
-    assert len(json.loads((out / "render.json").read_text())["windows"]) < many
-    assert _read_bytes_map(out) == _read_bytes_map(fresh)
-
-
 @pytest.mark.parametrize("bad", [60.0, 47.5, 0.0, -3.0])
 def test_config_rejects_out_of_range_max_window(bad):
     with pytest.raises(ValueError, match="47"):
@@ -616,12 +606,11 @@ def test_harmonize_command_skips_an_intro_longer_than_the_score(tmp_path, capsys
     assert len(conditioning.parse_chords(with_flag).entries) == 2
 
 
-def test_render_command_matches_run_and_drops_stale_windows(score_file, tmp_path):
+def test_render_command_matches_run(score_file, tmp_path):
     out = tmp_path / "out"
     _run(PipelineConfig(str(score_file), str(out)))
     stage_dir = tmp_path / "render_out"
     stage_dir.mkdir()
-    (stage_dir / "window_099.wav").write_bytes(b"stale")
     assert main(["render", "--conditions", str(out / "conditions.json"),
                  "--plan", str(out / "plan.json"), "-o", str(stage_dir)]) == 0
     written = _read_bytes_map(stage_dir)
@@ -1253,21 +1242,20 @@ def test_a_flipped_byte_in_any_window_of_the_accompaniment_renders_that_window_a
         assert _read_bytes_map(out) == fresh
 
 
-def test_window_wavs_and_a_version_1_record_of_an_older_version_are_replaced(
+def test_a_version_1_render_record_of_an_older_version_is_replaced(
     score_file, tmp_path, monkeypatch, caplog
 ):
     out = tmp_path / "out"
     config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
     run_pipeline(config)
     fresh = _read_bytes_map(out)
-    # The directory as a version that wrote a WAV per window left it.
+    # The record as a version that wrote a WAV per window left it.
     bundle = conditioning.bundle_from_json(fresh["conditions.json"].decode())
     windows = planner.plan_from_json(fresh["plan.json"].decode())
     entries = []
     for window in windows:
         audio, events = render.render_stub(bundle, window, config.sample_rate)
         name, data = f"window_{window.order:03d}.wav", render.wav_bytes(audio)
-        (out / name).write_bytes(data)
         entries.append({"file": name, "sha256": hashlib.sha256(data).hexdigest(),
                         "fingerprint": render.window_fingerprint(bundle, window,
                                                                  config.sample_rate),
@@ -1280,7 +1268,6 @@ def test_window_wavs_and_a_version_1_record_of_an_older_version_are_replaced(
     assert ("cannot read render.json: unsupported render version 1; rebuilding it"
             in caplog.text)
     assert len(renders) == len(windows)
-    assert not [n for n in os.listdir(out) if n.startswith("window_")]
     assert _read_bytes_map(out) == fresh
 
 
@@ -1669,19 +1656,137 @@ def test_a_sheet_without_lyric_lines_is_named(score_file, tmp_path, capsys, empt
     assert f"error in stage 'load': {named} has no lyric lines" in capsys.readouterr().err
 
 
-def test_a_directory_without_input_hash_records_gives_null_hashes(score_file, tmp_path, caplog):
+def test_a_missing_or_malformed_input_hash_record_fails_report(score_file, tmp_path):
     out = tmp_path / "out"
     config = PipelineConfig(str(score_file), str(out))
     run_pipeline(config)
+    record = (out / "load.json").read_bytes()
     (out / "load.json").unlink()
-    with caplog.at_level("WARNING", logger="songpipe.cli"):
-        manifest = run_pipeline(config, "report")
-    assert manifest["config"]["score_sha256"] is None
-    assert "no load.json" in caplog.text
+    with pytest.raises(StageError, match=r"missing artifact load\.json; run earlier stages first"
+                       ) as err:
+        run_pipeline(config, "report")
+    assert err.value.stage == "report"
+    (out / "load.json").write_bytes(record)
     (out / "mix.json").write_text('{"vocal_sha256": 7}\n')
     with pytest.raises(StageError, match="mix.json does not record vocal_sha256") as err:
         run_pipeline(config, "report")
     assert err.value.stage == "report"
+
+
+@pytest.mark.parametrize("failing", ["lyrics", "bank", "empty"])
+def test_a_load_that_fails_changes_no_file(score_file, tmp_path, failing):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    for name, text in _BANK_TEXTS.items():
+        (bank / name).write_text(text)
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text(_WORDS)
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out), lyrics_path=str(lyrics),
+                            reference_bank=str(bank))
+    run_pipeline(config)
+    before = _read_bytes_map(out)
+    # Another score, read before the input that fails.
+    other = tmp_path / "other.mid"
+    other.write_bytes(score_io.write_smf(simple_score(MELODY[::-1])))
+    if failing == "lyrics":
+        lyrics.write_bytes(b"[verse]\nla \xff la\n")
+    elif failing == "bank":
+        (bank / "b.txt").write_bytes(b"[verse]\nla \xff la\n")
+    else:
+        lyrics.write_text("[verse]\n")
+    with pytest.raises(StageError) as err:
+        run_pipeline(replace(config, score_path=str(other)))
+    assert err.value.stage == "load"
+    assert _read_bytes_map(out) == before
+
+
+#: The atomic writes of a run without lyrics or a vocal, in order.
+_WRITES = (
+    "input.score.json", "load.json", "validation.json", "register.json",
+    "registered.score.json", "song.score.json", "chords.txt", "harmonize.json",
+    "conditions.json", "plan.json", "accompaniment.wav", "events.txt", "render.json",
+    "mix.wav", "mix.json", "report.json", "chroma_memo.json", "manifest.json",
+)
+
+
+def _crash_at_write(monkeypatch, k: int) -> list[str]:
+    """Make the ``k``-th atomic write (none for 0) write some bytes, then raise ``OSError``.
+
+    Returns the names of the files that writes were begun on, in order.
+    """
+    begun = []
+    original = formats.replacing
+
+    @contextmanager
+    def replacing(path):
+        begun.append(os.path.basename(path))
+        with original(path) as fh:
+            if len(begun) == k:
+                fh.write(b"RIFF")
+                raise OSError(f"no space left on device writing {begun[-1]}")
+            yield fh
+    monkeypatch.setattr(formats, "replacing", replacing)
+    monkeypatch.setattr(render, "replacing", replacing)
+    return begun
+
+
+@pytest.fixture(scope="module")
+def seed_3_song(tmp_path_factory):
+    """``random_score`` seed 3 as a MIDI file, and the files of a clean run of it."""
+    base = tmp_path_factory.mktemp("seed_3")
+    score = base / "song.mid"
+    score.write_bytes(score_io.write_smf(random_score(random.Random(3))))
+    with pytest.MonkeyPatch.context() as patch:
+        begun = _crash_at_write(patch, 0)
+        run_pipeline(PipelineConfig(str(score), str(base / "clean")))
+    assert tuple(begun) == _WRITES
+    return score, _read_bytes_map(base / "clean")
+
+
+@pytest.mark.parametrize("k, name", enumerate(_WRITES, start=1))
+def test_a_crash_at_any_write_leaves_no_temporary_file_and_a_rerun_heals(
+    seed_3_song, tmp_path, monkeypatch, k, name
+):
+    score, clean = seed_3_song
+    config = PipelineConfig(str(score), str(tmp_path / "out"))
+    with monkeypatch.context() as patch:
+        begun = _crash_at_write(patch, k)
+        with pytest.raises(StageError, match=f"writing {re.escape(name)}"):
+            run_pipeline(config)
+    assert begun[-1] == name
+    assert not [n for n in os.listdir(tmp_path / "out") if n.endswith(".tmp")]
+    run_pipeline(config)
+    assert _read_bytes_map(tmp_path / "out") == clean
+
+
+def test_every_artifact_a_stage_reads_is_named_in_its_row(score_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    vocal = tmp_path / "vocal.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 44100))), vocal)
+    config = PipelineConfig(str(score_file), str(out), vocal_path=str(vocal))
+    run_pipeline(config)  # so that each stage finds the caches it reuses
+    opened = []
+    real_open = builtins.open
+
+    def spying_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", spying_open)
+    for stage, _, *keys in cli._STAGE_TABLE:
+        opened.clear()
+        _STAGE_FUNCS[stage](config, str(out))
+        written, read = set(), set()  # read: from an earlier run, not from this call
+        for path, mode in opened:
+            name = os.path.basename(path)
+            if os.path.dirname(path) != str(out):
+                continue
+            if set(mode) & set("wax+"):
+                written.add(name[1:-len(".tmp")])  # see formats.replacing
+            elif name not in written:
+                read.add(name)
+        named = {ART[key] for row in keys for key in row}
+        assert (stage, read) == (stage, named)
 
 
 def _stage_files(score_file, tmp_path):
