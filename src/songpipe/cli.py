@@ -224,8 +224,8 @@ ART = {
     "harmonize_meta": "harmonize.json",
     "conditions": "conditions.json",
     "plan": "plan.json",
-    "accompaniment": render.ACCOMPANIMENT_FILE,
-    "events": render.EVENTS_FILE,
+    "accompaniment": "accompaniment.wav",
+    "events": "events.txt",
     "render_record": "render.json",
     "mix": "mix.wav",
     "mix_inputs": "mix.json",
@@ -370,8 +370,10 @@ def _stage_render(
     windows: list[planner.GenerationWindow], recorded: dict[int, dict] | None,
     old: render.WavReader | None,
 ) -> None:
-    _write(outdir, "render_record",
-           render_windows(bundle, windows, config.sample_rate, outdir, recorded, old))
+    record, events = render_windows(bundle, windows, config.sample_rate,
+                                    _art(outdir, "accompaniment"), recorded, old)
+    _write(outdir, "events", events)
+    _write(outdir, "render_record", record)
 
 
 def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> None:
@@ -556,15 +558,17 @@ def _cmd_render(args) -> int:
     bundle = read_file(args.conditions, conditioning.bundle_from_json)
     windows = read_file(args.plan, planner.plan_from_json)
     os.makedirs(args.output_dir, exist_ok=True)
-    render_windows(bundle, windows, args.sample_rate, args.output_dir)
+    _, events = render_windows(bundle, windows, args.sample_rate,
+                               _art(args.output_dir, "accompaniment"))
+    _write(args.output_dir, "events", events)
     print(f"rendered {len(windows)} windows into {args.output_dir}")
     return 0
 
 
 def _cmd_mix(args) -> int:
-    mixed = render.mix(render.open_wav(args.vocal), render.open_wav(args.accompaniment),
-                       args.output)
-    print(f"wrote {args.output} (peak {mixed.peak():.3f})")
+    peak = render.mix(render.open_wav(args.vocal), render.open_wav(args.accompaniment),
+                      args.output)
+    print(f"wrote {args.output} (peak {peak:.3f})")
     return 0
 
 

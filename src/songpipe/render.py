@@ -88,9 +88,6 @@ class AudioBuffer:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    def peak(self) -> float:
-        return float(np.abs(self.samples).max()) if self.n_samples else 0.0
-
     def read(self, lo: int, hi: int) -> np.ndarray:
         """Samples ``[lo, hi)`` (``0 <= lo``), clipped to the buffer; as :meth:`WavReader.read`."""
         return self.samples[:, lo:hi]
@@ -317,18 +314,18 @@ def render_stub(
     return AudioBuffer(sample_rate, out[None, :]), events
 
 
-def mix(vocal, accompaniment, path=None):
-    """Sum two sources and normalize the peak to 0.95.
+def mix(vocal, accompaniment, path) -> float:
+    """Sum two sources into a float32 WAV at ``path``, its peak normalized to 0.95.
 
     Each source is an :class:`AudioBuffer` or a :class:`WavReader`.  Sample
     rates must match; the shorter source is zero-padded and a mono source is
     duplicated up to stereo when channel counts differ.  All-silent input
-    stays silent instead of being scaled; a NaN or infinite sum is refused.
+    stays silent instead of being scaled; a NaN or infinite sum, or a peak
+    too small to scale to 0.95, is refused before anything is written.
 
     The sum is formed :data:`STREAM_FRAMES` frames at a time, twice: once for
-    the global peak, once to scale and store it.  With ``path`` it streams
-    into a float32 WAV there and a :class:`WavReader` of that file is
-    returned; without, the mix is returned as an :class:`AudioBuffer`.
+    the global peak, once to scale it and stream it into the file.  Returns
+    the peak of the scaled sum.
     """
     if vocal.sample_rate != accompaniment.sample_rate:
         raise ValueError(
@@ -348,25 +345,18 @@ def mix(vocal, accompaniment, path=None):
             out[:, : part.shape[1]] += part
         return out
 
-    peak = np.max([np.abs(total(lo)).max() for lo in starts]) if n else 0.0
+    peak = float(np.max([np.abs(total(lo)).max() for lo in starts])) if n else 0.0
     if not np.isfinite(peak):  # NaN would skip the scaling and inf would scale by 0
         raise ValueError(f"cannot mix: a summed sample is not finite (peak {peak})")
-
-    def scaled(lo: int) -> np.ndarray:
-        out = total(lo)
-        if peak > 0.0:
-            out *= MIX_PEAK / peak
-        return out
-
-    if path is None:
-        mixed = np.empty((channels, n))
-        for lo in starts:
-            mixed[:, lo : lo + STREAM_FRAMES] = scaled(lo)
-        return AudioBuffer(vocal.sample_rate, mixed)
+    scale = MIX_PEAK / peak if peak > 0.0 else 1.0
+    if scale == np.inf:  # below about 5.3e-309 the factor overflows
+        raise ValueError(f"cannot mix: the summed peak {peak} is too small to scale")
     with wav_writer(path, vocal.sample_rate, channels, n) as write:
         for lo in starts:
-            write(scaled(lo))
-    return WavReader(path)
+            out = total(lo)
+            out *= scale
+            write(out)
+    return peak * scale  # the largest scaled sample, as rounding is monotonic
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +548,6 @@ class WavReader:
             raise WavFormatError("file is shorter than its header says")
         return data
 
-    def peak(self) -> float:
-        return max(
-            (float(np.abs(self.read(lo, lo + STREAM_FRAMES)).max())
-             for lo in range(0, self.n_samples, STREAM_FRAMES)),
-            default=0.0,
-        )
-
 
 def open_wav(path) -> WavReader:
     """A :class:`WavReader` on ``path``; a format error names the file."""
@@ -609,14 +592,10 @@ def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None
 
 
 # ---------------------------------------------------------------------------
-# A whole plan rendered into a directory, with a record of each window's bytes
+# A whole plan rendered into one WAV, with a record of each window's bytes
 
 
-#: The whole song and its event log, as :func:`render_windows` names them.
-ACCOMPANIMENT_FILE = "accompaniment.wav"
-EVENTS_FILE = "events.txt"
-
-#: Format name and version of the render record (``render.json``).
+#: Format name and version of the render record.
 RENDER_RECORD = ("render", 2)
 
 
@@ -624,14 +603,14 @@ def render_windows(
     bundle: ConditionBundle,
     windows: list[GenerationWindow],
     sample_rate: int,
-    outdir: str,
+    path,
     recorded: dict[int, dict] | None = None,
     old: WavReader | None = None,
-) -> dict:
-    """Render every window of a plan into :data:`ACCOMPANIMENT_FILE` in ``outdir``.
+) -> tuple[dict, list[RenderEvent]]:
+    """Render every window of a plan into one mono float32 WAV at ``path``.
 
     The windows, by start time, must tile the song up to the bundle's last
-    frame; only then is any file written.  Each window's float32 samples are
+    frame; only then is the file written.  Each window's float32 samples are
     written once, in plan order, at the window's offset in the new file; no
     file per window is written.  A window whose ``recorded`` entry (see
     :func:`record_from_json`) has its :func:`window_fingerprint` is copied
@@ -643,12 +622,12 @@ def render_windows(
     is rendered again over that range: encoded by :func:`wav_bytes`, with the
     bytes after its header written and hashed.  The float32 cast of a
     concatenation is the concatenation of the casts, so the file holds the
-    whole song's bytes.  The windows' events, sorted, go to
-    :data:`EVENTS_FILE`.  One window's audio, or one copy chunk, is in
+    whole song's bytes.  One window's audio, or one copy chunk, is in
     memory at a time.
 
-    Returns the render record: per window in plan order, its order,
-    fingerprint, the SHA-256 of its bytes in the file, and events.
+    Returns the render record and the windows' events, sorted.  The record
+    holds, per window in plan order, its order, fingerprint, the SHA-256 of
+    its bytes in the file, and events.
     """
     if not windows:
         raise ValueError("the plan has no windows")
@@ -660,7 +639,6 @@ def render_windows(
     if not (bundle.num_frames - 1) / fr - 1e-9 < last.end_sec <= bundle.num_frames / fr + 1e-9:
         raise ValueError(f"window {last.order} ends at {last.end_sec} s, not in the last frame "
                          f"of the {bundle.duration_sec} s conditions")
-    path = os.path.join(outdir, ACCOMPANIMENT_FILE)
     if old and (old.header.sample_format, old.channels, old.sample_rate) != (
         "float32", 1, sample_rate
     ):
@@ -693,8 +671,7 @@ def render_windows(
             entries.append(entry)
             events.extend(RenderEvent(t, kind) for t, kind in entry["events"])
     events.sort(key=lambda e: (e.time_sec, e.kind))
-    write_file(os.path.join(outdir, EVENTS_FILE), format_events(events))
-    return {"format": RENDER_RECORD[0], "version": RENDER_RECORD[1], "windows": entries}
+    return {"format": RENDER_RECORD[0], "version": RENDER_RECORD[1], "windows": entries}, events
 
 
 def _copied(old: WavReader, fh, first: int, end: int) -> str:
@@ -708,7 +685,7 @@ def _copied(old: WavReader, fh, first: int, end: int) -> str:
 
 
 def record_from_json(text: str) -> dict[int, dict]:
-    """The well-formed window entries of a render record (``render.json``), by order.
+    """The well-formed window entries of a render record, by order.
 
     An entry that is not well formed is left out, so only its window renders again.
     """

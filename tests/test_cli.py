@@ -306,7 +306,18 @@ def test_condition_plan_render_mix_commands(score_file, tmp_path, capsys):
     mixed = tmp_path / "mixed.wav"
     assert main(["mix", str(vocal), str(stage_dir / "accompaniment.wav"),
                  "-o", str(mixed)]) == 0
-    assert render.read_wav(mixed).peak() == pytest.approx(0.95, abs=1e-6)
+    assert np.abs(render.read_wav(mixed).samples).max() == pytest.approx(0.95, abs=1e-6)
+
+
+def test_mix_command_prints_the_peak_it_wrote(tmp_path, capsys):
+    vocal, accompaniment = tmp_path / "vocal.wav", tmp_path / "accompaniment.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 1000))), vocal)
+    tone = 0.3 * np.sin(np.linspace(0.0, 50.0, 800))[None, :]
+    for samples, peak in ((tone, "0.950"), (np.zeros((1, 800)), "0.000")):
+        render.write_wav(render.AudioBuffer(44100, samples), accompaniment)
+        out = str(tmp_path / f"mix_{peak}.wav")
+        assert main(["mix", str(vocal), str(accompaniment), "-o", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (peak {peak})\n"
 
 
 def test_condition_command_rejects_wrong_key_count(score_file, tmp_path, capsys):
@@ -855,8 +866,9 @@ def test_spliced_accompaniment_matches_the_concatenated_windows(seed, sample_rat
     bundle = conditioning.build_condition_bundle(song, chords, section_keys(song, None))
     windows = planner.plan_inference(song)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(render, "STREAM_FRAMES", chunk):
-        render_windows(bundle, windows, sample_rate, tmp)
-        with open(os.path.join(tmp, ART["accompaniment"]), "rb") as fh:
+        path = os.path.join(tmp, ART["accompaniment"])
+        render_windows(bundle, windows, sample_rate, path)
+        with open(path, "rb") as fh:
             assert fh.read() == _accompaniment_oracle(bundle, windows, sample_rate)
 
 
@@ -1776,15 +1788,8 @@ def test_every_artifact_a_stage_reads_is_named_in_its_row(score_file, tmp_path, 
     for stage, _, *keys in cli._STAGE_TABLE:
         opened.clear()
         _STAGE_FUNCS[stage](config, str(out))
-        written, read = set(), set()  # read: from an earlier run, not from this call
-        for path, mode in opened:
-            name = os.path.basename(path)
-            if os.path.dirname(path) != str(out):
-                continue
-            if set(mode) & set("wax+"):
-                written.add(name[1:-len(".tmp")])  # see formats.replacing
-            elif name not in written:
-                read.add(name)
+        read = {os.path.basename(path) for path, mode in opened
+                if os.path.dirname(path) == str(out) and not set(mode) & set("wax+")}
         named = {ART[key] for row in keys for key in row}
         assert (stage, read) == (stage, named)
 

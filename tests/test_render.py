@@ -101,7 +101,7 @@ def test_click_lands_on_the_exact_sample():
 def test_downbeat_clicks_are_louder():
     beat, _ = render_stub(_bundle(beat_frames=[50]), _window(0.0, 2.0), SR)
     down, _ = render_stub(_bundle(down_frames=[50]), _window(0.0, 2.0), SR)
-    assert down.peak() / beat.peak() == pytest.approx(DOWNBEAT_GAIN)
+    assert np.abs(down.samples).max() / np.abs(beat.samples).max() == pytest.approx(DOWNBEAT_GAIN)
 
 
 def test_coincident_beat_and_downbeat_click_once():
@@ -188,43 +188,66 @@ def test_render_rejects_windows_outside_the_bundle():
         render_stub(bundle, _window(0.0, 3.0), SR)
 
 
-def test_mix_normalizes_peak():
+def test_mix_normalizes_peak(tmp_path):
     silence = AudioBuffer(SR, np.zeros((1, 1000)))
     tone = AudioBuffer(SR, 0.5 * np.sin(np.linspace(0, 20, 1000))[None, :])
-    out = mix(silence, tone)
-    assert out.peak() == pytest.approx(MIX_PEAK, rel=1e-12)
+    path = tmp_path / "mix.wav"
+    assert mix(silence, tone, path) == pytest.approx(MIX_PEAK, rel=1e-12)
+    assert np.abs(read_wav(path).samples).max() == pytest.approx(MIX_PEAK, rel=1e-7)  # float32
 
 
-def test_mix_keeps_silence_silent():
+def test_mix_keeps_silence_silent(tmp_path):
     a = AudioBuffer(SR, np.zeros((1, 500)))
     b = AudioBuffer(SR, np.zeros((2, 300)))
-    out = mix(a, b)
-    assert out.peak() == 0.0
+    path = tmp_path / "mix.wav"
+    assert mix(a, b, path) == 0.0
+    out = read_wav(path)
+    assert np.abs(out.samples).max() == 0.0
     assert out.channels == 2 and out.n_samples == 500
 
 
-def test_mix_upmixes_mono_to_stereo():
+def test_mix_upmixes_mono_to_stereo(tmp_path):
     mono = AudioBuffer(SR, np.full((1, 100), 0.25))
     stereo = AudioBuffer(SR, np.stack([np.full(100, 0.5), np.full(100, -0.5)]))
-    out = mix(mono, stereo)
+    path = tmp_path / "mix.wav"
+    mix(mono, stereo, path)
+    out = read_wav(path)
     assert out.channels == 2
     assert out.samples[0, 0] == pytest.approx(MIX_PEAK)  # 0.75 scaled to peak
     assert out.samples[1, 0] == pytest.approx(-0.25 * MIX_PEAK / 0.75)
 
 
-def test_mix_rejects_rate_mismatch():
+def test_mix_rejects_rate_mismatch(tmp_path):
     with pytest.raises(ValueError):
-        mix(AudioBuffer(44100, np.zeros((1, 10))), AudioBuffer(48000, np.zeros((1, 10))))
+        mix(AudioBuffer(44100, np.zeros((1, 10))), AudioBuffer(48000, np.zeros((1, 10))),
+            tmp_path / "mix.wav")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_mix_rejects_a_sample_that_is_not_finite(bad):
+def test_mix_rejects_a_sample_that_is_not_finite(bad, tmp_path):
     # A NaN peak would skip the scaling and pass the NaN through; an
     # infinite one would scale every sample by 0, turning the inf into NaN.
     samples = np.full((1, 100), 0.25)
     samples[0, 40] = bad
     with pytest.raises(ValueError, match="not finite"):
-        mix(AudioBuffer(SR, np.zeros((1, 100))), AudioBuffer(SR, samples))
+        mix(AudioBuffer(SR, np.zeros((1, 100))), AudioBuffer(SR, samples), tmp_path / "mix.wav")
+    assert not list(tmp_path.iterdir())
+
+
+def test_mix_rejects_a_peak_too_small_to_scale(tmp_path):
+    # 0.95 / 5e-324 overflows to inf, which would write [inf, nan, -inf].
+    path = tmp_path / "mix.wav"
+    silence = AudioBuffer(SR, np.zeros((1, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^cannot mix: the summed peak .* too small"):
+            mix(AudioBuffer(SR, [[5e-324, 0.0, -2.5e-324]]), silence, path)
+        assert not list(tmp_path.iterdir())
+        # A peak of 1e-308 is still scaled: 0.95 / 1e-308 is below the float64 maximum.
+        assert mix(AudioBuffer(SR, [[1e-308, 0.0, -0.5e-308]]), silence, path) == \
+            pytest.approx(MIX_PEAK, rel=1e-12)
+    assert read_wav(path).samples[0].tolist() == pytest.approx([MIX_PEAK, 0.0, -MIX_PEAK / 2])
 
 
 def test_a_signalling_nan_sample_reads_as_nan_without_a_warning(tmp_path):
@@ -240,7 +263,8 @@ def test_a_signalling_nan_sample_reads_as_nan_without_a_warning(tmp_path):
         for read in (WavReader(path).read(0, 8), wav_from_bytes(data).samples):
             assert np.isnan(read).tolist() == [[i == 3 for i in range(8)]]
         with pytest.raises(ValueError, match="cannot mix: a summed sample is not finite"):
-            mix(AudioBuffer(SR, np.zeros((1, 8))), WavReader(path))
+            mix(AudioBuffer(SR, np.zeros((1, 8))), WavReader(path), tmp_path / "mix.wav")
+    assert sorted(os.listdir(tmp_path)) == ["snan.wav"]
 
 
 def test_audio_buffer_validation():
@@ -418,16 +442,16 @@ def test_streamed_mix_matches_the_in_memory_mix_byte_for_byte(
         accomp_path = os.path.join(tmp, "accompaniment.wav")
         write_wav(AudioBuffer(SR, vocal), vocal_path, vocal_format)
         write_wav(AudioBuffer(SR, accompaniment), accomp_path)
-        expected = wav_bytes(_mix_oracle(read_wav(vocal_path), read_wav(accomp_path)))
+        oracle = _mix_oracle(read_wav(vocal_path), read_wav(accomp_path))
+        expected = wav_bytes(oracle)
 
         out = os.path.join(tmp, "mix.wav")
-        mixed = mix(open_wav(vocal_path), open_wav(accomp_path), out)
+        peak = mix(open_wav(vocal_path), open_wav(accomp_path), out)
         with open(out, "rb") as fh:
             assert fh.read() == expected
         assert sorted(os.listdir(tmp)) == ["accompaniment.wav", "mix.wav", "vocal.wav"]
-        assert mixed.n_samples == max(vocal.shape[1], accompaniment.shape[1])
-        in_memory = mix(read_wav(vocal_path), read_wav(accomp_path))
-        assert wav_bytes(in_memory) == expected
+        assert oracle.n_samples == max(vocal.shape[1], accompaniment.shape[1])
+        assert peak == np.abs(oracle.samples).max(initial=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -634,9 +658,14 @@ def test_window_files_and_their_hashes_are_the_bytes_of_wav_bytes(tmp_path):
                      beat_frames=(10, 60, 110), down_frames=(10,))
     windows = [GenerationWindow(start, end, 0, order, WindowReference(REFERENCE_NONE))
                for order, (start, end) in enumerate([(1.0, 3.0), (0.0, 1.0)])]
-    entries = render.render_windows(bundle, windows, SR, str(tmp_path))["windows"]
+    path = tmp_path / "song.wav"
+    record, events = render.render_windows(bundle, windows, SR, str(path))
+    assert os.listdir(tmp_path) == ["song.wav"]
+    entries = record["windows"]
     assert [entry["order"] for entry in entries] == [0, 1]
-    song = (tmp_path / render.ACCOMPANIMENT_FILE).read_bytes()
+    assert events == sorted((e for w in windows for e in render_stub(bundle, w, SR)[1]),
+                            key=lambda e: (e.time_sec, e.kind))
+    song = path.read_bytes()
     start = len(song) - 4 * 3 * SR  # the windows tile 3 s of mono float32
     for window, entry in zip(windows, entries):
         audio = render_stub(bundle, window, SR)[0]
