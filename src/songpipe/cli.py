@@ -32,8 +32,8 @@ import numpy as np
 from . import beatgrid, conditioning, harmony, metrics, planner, prep, render, score_io
 from .conditioning import ChordSequence, KeyLabel
 from .formats import content_lines, file_sha256, json_text, read_file, write_file
-from .harmony import harmonize_song, section_key_estimates, section_keys  # noqa: F401
-from .metrics import self_report, steady_frames  # noqa: F401
+from .harmony import harmonize_song, section_keys
+from .metrics import self_report
 from .prep import DEFAULT_PROFILES, SingerProfile
 from .render import render_windows
 from .score import VocalScore, validate_score
@@ -422,8 +422,8 @@ def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
     The artifacts named by ``inputs`` are read and passed to ``core`` in
     order, then those named by ``caches``, each None if it is missing or
     unreadable: a cache only saves work, and ``core`` rebuilds what it
-    lacks.  A ``ValueError`` or ``OSError`` from ``core`` becomes a
-    :class:`StageError` for ``stage``.
+    lacks.  A ``ValueError``, ``OSError`` or ``MemoryError`` from ``core``
+    becomes a :class:`StageError` for ``stage``.
     """
     def run(config: PipelineConfig, outdir: str) -> None:
         values = [_read(outdir, key, stage) for key in inputs]
@@ -436,7 +436,7 @@ def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
                 values.append(None)
         try:
             core(config, outdir, *values)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             raise StageError(stage, str(exc)) from exc
     return run
 
@@ -494,10 +494,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_harmonize(args) -> int:
-    weights = harmony.HarmonizerWeights(
-        args.emission_weight, args.transition_weight, args.change_penalty
-    )
-    _, chords = harmonize_song(score_io.load_score(args.score), args.intro_bars, weights)
+    _, chords = harmonize_song(score_io.load_score(args.score), args.intro_bars)
     text = conditioning.format_chords(chords)
     if args.output:
         write_file(args.output, text)
@@ -683,10 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write chords here instead of stdout")
     _add_flag(p, "intro_bars", default=0,
               help="prepend this many bars of duplicated opening chords")
-    weights = harmony.HarmonizerWeights()
-    p.add_argument("--emission-weight", type=float, default=weights.emission_weight)
-    p.add_argument("--transition-weight", type=float, default=weights.transition_weight)
-    p.add_argument("--change-penalty", type=float, default=weights.chord_change_penalty)
     p.set_defaults(func=_cmd_harmonize)
 
     p = sub.add_parser("register", help="pick a singer profile and octave shift")
@@ -769,7 +762,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(tokens)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

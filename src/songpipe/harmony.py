@@ -176,9 +176,7 @@ def path_score(
     return float(total)
 
 
-def harmonize_song(
-    score: VocalScore, intro_bars: int, weights: HarmonizerWeights | None = None
-) -> tuple[VocalScore, ChordSequence]:
+def harmonize_song(score: VocalScore, intro_bars: int) -> tuple[VocalScore, ChordSequence]:
     """The song to accompany and its chords, one span per bar of the song.
 
     An instrumental intro of ``intro_bars`` bars is prepended only when the
@@ -187,7 +185,7 @@ def harmonize_song(
     Song bar ``b`` carries score bar ``b``'s chord while ``b < intro_bars`` and
     score bar ``b - intro_bars``'s after that; the intro runs at tick 0's tempo.
     """
-    chords = harmonize(score, weights)
+    chords = harmonize(score)
     # Chord i is score bar i's: only a collapsed final bar can be missing.
     if any(s.label == "intro" for s in score.sections) or not 0 < intro_bars <= len(chords):
         return score, chords

@@ -22,7 +22,6 @@ import hashlib
 import os
 import struct
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,11 +350,12 @@ def mix(vocal, accompaniment, path) -> float:
     scale = MIX_PEAK / peak if peak > 0.0 else 1.0
     if scale == np.inf:  # below about 5.3e-309 the factor overflows
         raise ValueError(f"cannot mix: the summed peak {peak} is too small to scale")
-    with wav_writer(path, vocal.sample_rate, channels, n) as write:
+    with replacing(path) as fh:
+        fh.write(_wav_header("float32", channels, vocal.sample_rate, n))
         for lo in starts:
             out = total(lo)
             out *= scale
-            write(out)
+            fh.write(_wav_payload(out, "float32"))
     return peak * scale  # the largest scaled sample, as rounding is monotonic
 
 
@@ -560,31 +560,6 @@ def open_wav(path) -> WavReader:
 def read_wav(path) -> AudioBuffer:
     reader = open_wav(path)
     return AudioBuffer(reader.sample_rate, reader.read(0, reader.n_samples))
-
-
-@contextmanager
-def wav_writer(path, sample_rate: int, channels: int, n_frames: int):
-    """Yield ``write(samples)``, which appends (channels, k) float32 frames to a new WAV.
-
-    The header, sized for ``n_frames`` frames, is written first.  The file
-    replaces ``path`` (see :func:`replacing`) only if exactly ``n_frames``
-    frames were written.
-    """
-    header = _wav_header("float32", channels, sample_rate, n_frames)
-    written = 0
-    with replacing(path) as fh:
-        fh.write(header)
-
-        def write(samples: np.ndarray) -> None:
-            nonlocal written
-            if samples.ndim != 2 or samples.shape[0] != channels:
-                raise ValueError(f"expected ({channels}, k) samples, got {samples.shape}")
-            fh.write(_wav_payload(samples, "float32"))
-            written += samples.shape[1]
-
-        yield write
-        if written != n_frames:
-            raise ValueError(f"WAV header declares {n_frames} frames, {written} were written")
 
 
 def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None:

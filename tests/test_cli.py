@@ -33,9 +33,9 @@ from songpipe.cli import (
     main,
     render_windows,
     run_pipeline,
-    section_key_estimates,
     section_keys,
 )
+from songpipe.harmony import section_key_estimates
 from songpipe.score import Note, Section, VocalScore
 
 from helpers import bpm_to_us, random_score, simple_score
@@ -354,15 +354,14 @@ def test_eval_command_requires_pairs(tmp_path, capsys):
     assert main(["eval"]) == 1
 
 
-def test_nan_weight_and_tolerance_flags_are_rejected(score_file, tmp_path, capsys):
-    # These used to exit 0: C:maj for every bar, and F1 0.0 for identical beat files.
-    assert main(["harmonize", str(score_file), "--emission-weight", "nan"]) == 1
+def test_nan_weight_and_tolerance_flags_are_rejected(tmp_path, capsys):
+    # This used to exit 0 with F1 0.0 for identical beat files.
     beats = tmp_path / "a.beats"
     beats.write_text("0.0 1\n0.5 2\n")
     assert main(["eval", "--ref-beats", str(beats), "--est-beats", str(beats),
                  "--tolerance", "nan"]) == 1
     err = capsys.readouterr().err
-    assert "emission_weight must be finite" in err and "tolerance must be non-negative" in err
+    assert "tolerance must be non-negative" in err
 
 
 def test_section_key_estimates_cover_empty_sections():
@@ -748,15 +747,12 @@ def test_a_config_flag_value_that_starts_with_a_dash_may_follow_a_space(capsys, 
     assert message in capsys.readouterr().err
 
 
-def test_a_numeric_flag_value_that_starts_with_a_dash_may_follow_a_space(score_file, tmp_path,
-                                                                        capsys):
-    assert main(["harmonize", str(score_file), "--emission-weight", "-1e-3"]) == 1
+def test_a_numeric_flag_value_that_starts_with_a_dash_may_follow_a_space(tmp_path, capsys):
     beats = tmp_path / "a.beats"
     beats.write_text("0.0 1\n0.5 2\n")
     assert main(["eval", "--ref-beats", str(beats), "--est-beats", str(beats),
                  "--tolerance", "-1e-3"]) == 1
     err = capsys.readouterr().err
-    assert "error: emission_weight must be finite and non-negative, got -0.001" in err
     assert "error: tolerance must be non-negative, got -0.001" in err
 
 
@@ -766,9 +762,6 @@ def test_flag_defaults_are_the_config_and_weight_defaults():
         value = getattr(cli.build_parser().parse_args(argv), dest)
         # harmonize prepends no intro unless asked; run's default is 4 bars.
         assert value == (0 if key == "intro_bars" else getattr(config, key)), key
-    args = cli.build_parser().parse_args(["harmonize", "s"])
-    weights = (args.emission_weight, args.transition_weight, args.change_penalty)
-    assert harmony.HarmonizerWeights(*weights) == harmony.HarmonizerWeights()
 
 
 def test_config_built_in_code_rejects_wrong_typed_section_keys():
@@ -785,6 +778,25 @@ def test_condition_command_rejects_chords_past_the_score(score_file, tmp_path, c
     assert main(["condition", str(score_file), "--chords", str(chords),
                  "-o", str(tmp_path / "c.json")]) == 1
     assert "chords run to 24.0 s, past the end of the score (16.0 s)" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_a_frame_rate_too_large_to_allocate_is_an_error_not_a_traceback(score_file, tmp_path,
+                                                                        capsys):
+    # These used to escape as a MemoryError traceback.  1e16 frames per second
+    # asks for a frame axis of over 100 PiB, past any 64-bit address space in use.
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps({"score_path": str(score_file),
+                                       "output_dir": str(tmp_path / "job"),
+                                       "frame_rate": 1e16}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "error in stage 'condition': Unable to allocate" in capsys.readouterr().err
+    assert not (tmp_path / "job" / "conditions.json").exists()
+    chords = tmp_path / "chords.txt"
+    assert main(["harmonize", str(score_file), "-o", str(chords)]) == 0
+    assert main(["condition", str(score_file), "--chords", str(chords),
+                 "--frame-rate", "1e16", "-o", str(tmp_path / "c.json")]) == 1
+    assert "error: Unable to allocate" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
 
 
@@ -1371,6 +1383,22 @@ def test_memo_entries_that_do_not_fit_are_measured_again(score_file, tmp_path, m
     assert _read_bytes_map(out) == fresh
 
 
+def test_report_over_a_silent_accompaniment_has_no_key_segments(score_file, tmp_path, capsys):
+    # Silent audio has no chroma in any section, so no section is keyed.
+    out = tmp_path / "out"
+    argv = ["run", "--score", str(score_file), "--output", str(out)]
+    assert main(argv) == 0
+    reader = render.open_wav(out / "accompaniment.wav")
+    render.write_wav(render.AudioBuffer(reader.sample_rate, np.zeros((1, reader.n_samples))),
+                     out / "accompaniment.wav")
+    assert main(argv + ["--from", "report"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["key_accuracy_audio_vs_conditions"] is None
+    assert report["num_key_segments"] == 0
+    assert report["chord_f1_audio_vs_conditions"] == 0.0
+    assert "key_accuracy_audio_vs_conditions: None" in capsys.readouterr().out
+
+
 #: Each artifact a resume reads, and the first stage that reads it.
 _FIRST_READER = {
     "input.score.json": "validate",
@@ -1456,9 +1484,9 @@ def test_a_resume_over_any_corrupt_artifact_returns_or_names_the_stage(
 def test_steady_frames_drop_the_radius_around_each_chord_change():
     chroma = np.zeros((20, 12))
     chroma[8:, 0] = 1.0  # one change, at frame 8
-    steady = cli.steady_frames(chroma, 3)
+    steady = metrics.steady_frames(chroma, 3)
     assert np.flatnonzero(~steady).tolist() == [5, 6, 7, 8, 9, 10]
-    assert cli.steady_frames(chroma[:8], 3).all()  # song edges are not changes
+    assert metrics.steady_frames(chroma[:8], 3).all()  # song edges are not changes
 
 
 def test_key_accuracy_skips_frames_whose_window_straddles_a_chord_change(tmp_path):

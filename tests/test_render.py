@@ -36,7 +36,6 @@ from songpipe.render import (
     render_stub,
     wav_bytes,
     wav_from_bytes,
-    wav_writer,
     write_wav,
 )
 
@@ -483,17 +482,25 @@ def test_wav_reader_checks_chunk_sizes_against_the_file_size(tmp_path):
         open_wav(path)
 
 
-def test_wav_writer_keeps_the_old_file_when_the_stream_fails(tmp_path):
+def test_mix_keeps_the_old_file_when_the_stream_fails(tmp_path):
+    class FailingBuffer(AudioBuffer):
+        """Reads that fail once the peak pass is over and the write pass is under way."""
+
+        reads = 0
+
+        def read(self, lo, hi):
+            FailingBuffer.reads += 1
+            if FailingBuffer.reads > 4:  # 3 chunks in the peak pass, 1 in the write pass
+                raise RuntimeError("interrupted mid-stream")
+            return super().read(lo, hi)
+
     path = tmp_path / "x.wav"
     write_wav(AudioBuffer(SR, np.full((1, 10), 0.5)), path)
     before = path.read_bytes()
-    with pytest.raises(ValueError, match="declares 10 frames, 4 were written"):
-        with wav_writer(path, SR, 1, 10) as write:
-            write(np.zeros((1, 4)))
-    with pytest.raises(RuntimeError):
-        with wav_writer(path, SR, 1, 10) as write:
-            write(np.zeros((1, 4)))
-            raise RuntimeError("interrupted mid-stream")
+    silence = AudioBuffer(SR, np.zeros((1, 10)))
+    with mock.patch.object(render, "STREAM_FRAMES", 4), pytest.raises(RuntimeError):
+        mix(FailingBuffer(SR, np.full((1, 10), 0.25)), silence, path)
+    assert FailingBuffer.reads == 5
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["x.wav"]
 

@@ -1,6 +1,7 @@
 """SMF and canonical-JSON codecs: hand-built frames, round trips, fuzz."""
 from __future__ import annotations
 
+import json
 import os
 import random
 import struct
@@ -159,6 +160,8 @@ _VERSE_NOTE = (
     (_track(b"\x00\xff"), "truncated meta event"),
     (_track(b"\x00\xff\x06\x06chorus" + _VERSE_NOTE),
      "section marker at tick 0 opens an empty section"),
+    (_track(b"\x80\x80\x80\x80\x00" + _VERSE_NOTE),
+     "variable-length quantity longer than 4 bytes"),
 ])
 def test_smf_header_and_event_refusals(data, message):
     with pytest.raises(ScoreFormatError) as err:
@@ -245,6 +248,25 @@ def test_json_round_trip_keeps_title_and_prompt():
 def test_bad_json_documents_raise_typed_errors(text):
     with pytest.raises(ScoreFormatError):
         score_from_json(text)
+
+
+def _negative_onset(notes):
+    notes[0]["onset_tick"] = -5
+
+
+def _swapped(notes):
+    notes[0], notes[1] = notes[1], notes[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_negative_onset, "note 0 has negative onset -5"),
+    (_swapped, "note 1 onset 0 before note 0"),
+])
+def test_json_scores_with_notes_out_of_place_are_refused(edit, message):
+    doc = json.loads(score_to_json(simple_score([60, 62])))
+    edit(doc["notes"])
+    with pytest.raises(ScoreFormatError, match=message):
+        score_from_json(json.dumps(doc))
 
 
 def test_smf_fuzz_random_bytes_never_crash():
