@@ -422,8 +422,8 @@ def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
     The artifacts named by ``inputs`` are read and passed to ``core`` in
     order, then those named by ``caches``, each None if it is missing or
     unreadable: a cache only saves work, and ``core`` rebuilds what it
-    lacks.  A ``ValueError``, ``OSError`` or ``MemoryError`` from ``core``
-    becomes a :class:`StageError` for ``stage``.
+    lacks.  A ``ValueError``, ``OSError``, ``ArithmeticError`` or
+    ``MemoryError`` from ``core`` becomes a :class:`StageError` for ``stage``.
     """
     def run(config: PipelineConfig, outdir: str) -> None:
         values = [_read(outdir, key, stage) for key in inputs]
@@ -436,7 +436,7 @@ def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
                 values.append(None)
         try:
             core(config, outdir, *values)
-        except (ValueError, OSError, MemoryError) as exc:
+        except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
             raise StageError(stage, str(exc)) from exc
     return run
 
@@ -762,7 +762,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(tokens)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

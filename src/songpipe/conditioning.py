@@ -260,7 +260,8 @@ def rhythm_activation(
         # six-song conditioning batch by 5 MB on every run.
         np.minimum(right, values.size - 1, out=right)
         for nearest in (values[left], values[right]):
-            bump = np.exp(-((times - nearest) ** 2) / (2.0 * sigma * sigma))
+            with np.errstate(over="ignore"):  # a tiny sigma overflows: exp(-inf) is 0
+                bump = np.exp(-((times - nearest) ** 2) / (2.0 * sigma * sigma))
             np.maximum(out[:, column], bump, out=out[:, column])
     return np.clip(out, 0.0, 1.0)
 

@@ -60,15 +60,6 @@ class HarmonizerWeights:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def chord_index(root: int, quality: str) -> int:
-    """Index of a chord in the canonical tie-break ordering."""
-    if not 0 <= root <= 11:
-        raise ValueError(f"chord root must be in [0, 11], got {root}")
-    if quality not in ("maj", "min"):
-        raise ValueError(f"chord quality must be 'maj' or 'min', got {quality!r}")
-    return root * 2 + (0 if quality == "maj" else 1)
-
-
 def bar_pitch_class_weights(score: VocalScore) -> np.ndarray:
     """Per-bar pitch-class tick totals, shape (num_bars, 12).
 

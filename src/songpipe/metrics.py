@@ -35,21 +35,11 @@ KS_MINOR_PROFILE = (6.33, 2.68, 3.52, 5.38, 2.60, 3.53, 2.54, 4.75, 3.98, 2.69, 
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Counts and derived rates of a one-to-one matching evaluation."""
+    """Counts and F1 score of a one-to-one matching evaluation."""
 
     true_positives: int
     false_positives: int
     false_negatives: int
-
-    @property
-    def precision(self) -> float:
-        denom = self.true_positives + self.false_positives
-        return self.true_positives / denom if denom else 0.0
-
-    @property
-    def recall(self) -> float:
-        denom = self.true_positives + self.false_negatives
-        return self.true_positives / denom if denom else 0.0
 
     @property
     def f1(self) -> float:
@@ -271,8 +261,11 @@ def chroma_from_audio(
     mean is exactly float32 (so a float32 WAV and its decoded array key
     alike), and as float64 bytes under another tag otherwise.  A chunk whose
     key is in ``memo`` is copied from it instead of measured.  On return
-    ``memo`` holds the keys and rows of this call's chunks only.
+    ``memo`` (a throwaway dict when None) holds the keys and rows of this
+    call's chunks only.
     """
+    if memo is None:
+        memo = {}
     source = samples if hasattr(samples, "read") else AudioBuffer(sample_rate, samples)
     n_samples = source.n_samples
     as_stored = (isinstance(source, WavReader) and source.channels == 1
@@ -312,17 +305,16 @@ def chroma_from_audio(
             if np.array_equal(narrow, segment):
                 segment = narrow
         relative = chunk_starts - lo
-        if memo is not None:
-            digest = hashlib.sha256(params + repr(
-                (segment.dtype.name, len(relative), len(segment))).encode("ascii"))
-            digest.update(np.ascontiguousarray(relative, dtype="<i8"))
-            digest.update(np.ascontiguousarray(segment, dtype=segment.dtype.newbyteorder("<")))
-            key = digest.hexdigest()
-            cached = memo.get(key)
-            if cached is not None and cached.shape == rows.shape:
-                rows[:] = cached
-                chunks[key] = cached
-                continue
+        digest = hashlib.sha256(params + repr(
+            (segment.dtype.name, len(relative), len(segment))).encode("ascii"))
+        digest.update(np.ascontiguousarray(relative, dtype="<i8"))
+        digest.update(np.ascontiguousarray(segment, dtype=segment.dtype.newbyteorder("<")))
+        key = digest.hexdigest()
+        cached = memo.get(key)
+        if cached is not None and cached.shape == rows.shape:
+            rows[:] = cached
+            chunks[key] = cached
+            continue
         if (lo, hi) != (begin, end):
             narrow = _padded(narrow, lo - begin, end - begin)
             segment = (narrow if segment.dtype == np.float32
@@ -346,11 +338,9 @@ def chroma_from_audio(
             # Mark each frame's strong classes among its three strongest.
             row, rank = np.nonzero(strong)
             rows[live[row], order[row, rank - 3]] = 1.0
-        if memo is not None:
-            chunks[key] = rows.copy()
-    if memo is not None:
-        memo.clear()
-        memo.update(chunks)
+        chunks[key] = rows.copy()
+    memo.clear()
+    memo.update(chunks)
     return out
 
 

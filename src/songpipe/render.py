@@ -351,11 +351,11 @@ def mix(vocal, accompaniment, path) -> float:
     if scale == np.inf:  # below about 5.3e-309 the factor overflows
         raise ValueError(f"cannot mix: the summed peak {peak} is too small to scale")
     with replacing(path) as fh:
-        fh.write(_wav_header("float32", channels, vocal.sample_rate, n))
+        fh.write(_wav_header(channels, vocal.sample_rate, n))
         for lo in starts:
             out = total(lo)
             out *= scale
-            fh.write(_wav_payload(out, "float32"))
+            fh.write(_wav_payload(out))
     return peak * scale  # the largest scaled sample, as rounding is monotonic
 
 
@@ -381,8 +381,9 @@ def parse_events(text: str) -> list[RenderEvent]:
 
 
 # ---------------------------------------------------------------------------
-# WAV (RIFF) I/O: PCM-16 and IEEE float-32, 1-2 channels.  Files are read by
-# frame range and written chunk by chunk, so no whole song need be in memory.
+# WAV (RIFF) I/O, 1-2 channels: PCM-16 and IEEE float-32 are read, float-32 is
+# written.  Files are read by frame range and written chunk by chunk, so no
+# whole song need be in memory.
 
 #: Frames per chunk when audio streams through :func:`mix` and file copies.
 STREAM_FRAMES = 1 << 17
@@ -410,29 +411,22 @@ class WavHeader:
         return self.channels * _WAV_FORMATS[self.sample_format][1] // 8
 
 
-def _wav_header(sample_format: str, channels: int, sample_rate: int, n_frames: int) -> bytes:
-    """The bytes of a WAV file before its frames, sized for ``n_frames`` frames."""
-    if sample_format not in ("pcm16", "float32"):
-        raise ValueError(f"sample_format must be 'pcm16' or 'float32', got {sample_format!r}")
-    fmt_tag, bits, _ = _WAV_FORMATS[sample_format]
+def _wav_header(channels: int, sample_rate: int, n_frames: int) -> bytes:
+    """The bytes of a float32 WAV file before its frames, sized for ``n_frames`` frames."""
+    fmt_tag, bits, _ = _WAV_FORMATS["float32"]
     block_align = channels * bits // 8
     byte_rate = sample_rate * block_align
     fmt = struct.pack("<HHIIHH", fmt_tag, channels, sample_rate, byte_rate, block_align, bits)
-    chunks = [b"fmt " + struct.pack("<I", len(fmt)) + fmt]
-    if fmt_tag == 3:  # float WAVs conventionally carry a fact chunk
-        chunks.append(b"fact" + struct.pack("<II", 4, n_frames))
+    fact = b"fact" + struct.pack("<II", 4, n_frames)  # float WAVs conventionally carry one
     data_size = n_frames * block_align
-    chunks.append(b"data" + struct.pack("<I", data_size))
-    head = b"WAVE" + b"".join(chunks)
+    head = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+            + b"data" + struct.pack("<I", data_size))
     return b"RIFF" + struct.pack("<I", len(head) + data_size) + head
 
 
-def _wav_payload(samples: np.ndarray, sample_format: str) -> memoryview:
-    """Interleaved frames of (channels, n) float samples in ``sample_format``, as a view."""
-    interleaved = samples.T.reshape(-1)
-    if sample_format == "pcm16":
-        interleaved = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-    return memoryview(interleaved.astype(_WAV_FORMATS[sample_format][2]))
+def _wav_payload(samples: np.ndarray) -> memoryview:
+    """Interleaved float32 frames of (channels, n) float samples, as a view."""
+    return memoryview(samples.T.reshape(-1).astype("<f4"))
 
 
 def _parse_wav_header(read_at, size: int) -> WavHeader:
@@ -494,14 +488,11 @@ def _wav_samples(raw: np.ndarray, header: WavHeader) -> np.ndarray:
     return np.ascontiguousarray(flat.reshape(-1, header.channels).T)
 
 
-def wav_bytes(buffer: AudioBuffer, sample_format: str = "float32") -> bytes:
-    """Encode a buffer as a RIFF/WAVE byte string.
-
-    ``float32`` is bit-exact for float32-representable samples; ``pcm16``
-    quantizes to 16-bit integers (values outside [-1, 1] clip).
-    """
-    header = _wav_header(sample_format, buffer.channels, buffer.sample_rate, buffer.n_samples)
-    return header + _wav_payload(buffer.samples, sample_format)
+def wav_bytes(buffer: AudioBuffer) -> bytes:
+    """Encode a buffer as a float32 RIFF/WAVE byte string, bit-exact for
+    float32-representable samples."""
+    return (_wav_header(buffer.channels, buffer.sample_rate, buffer.n_samples)
+            + _wav_payload(buffer.samples))
 
 
 def wav_from_bytes(data: bytes) -> AudioBuffer:
@@ -562,8 +553,8 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(reader.sample_rate, reader.read(0, reader.n_samples))
 
 
-def write_wav(buffer: AudioBuffer, path, sample_format: str = "float32") -> None:
-    write_file(path, wav_bytes(buffer, sample_format))
+def write_wav(buffer: AudioBuffer, path) -> None:
+    write_file(path, wav_bytes(buffer))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +609,7 @@ def render_windows(
         "float32", 1, sample_rate
     ):
         old = None  # its frames are not stored as this render stores them
-    header = _wav_header("float32", 1, sample_rate, window_samples(last, sample_rate)[1])
+    header = _wav_header(1, sample_rate, window_samples(last, sample_rate)[1])
     entries: list[dict] = []
     events: list[RenderEvent] = []
     with replacing(path) as fh:

@@ -1,10 +1,13 @@
-"""Shared builders for test scores, lyric sheets and buffers."""
+"""Shared builders for test scores, lyric sheets, buffers and PCM-16 WAVs."""
 from __future__ import annotations
 
+import io
 import random
+import wave
 
 import numpy as np
 
+from songpipe.render import AudioBuffer
 from songpipe.score import LyricLine, LyricsSheet, Note, Section, VocalScore
 
 
@@ -128,3 +131,19 @@ def random_buffer(rng: random.Random, max_samples: int = 4000) -> "np.ndarray":
         dtype=np.float32,
     ).astype(float)
     return data
+
+
+def pcm16_wav_bytes(buffer: AudioBuffer) -> bytes:
+    """A PCM-16 WAV of ``buffer``, written by the standard library's ``wave``.
+
+    Each sample is scaled by 32768, rounded and clipped to 16 bits, so songpipe's
+    reader is tested against a writer that is not its own.
+    """
+    frames = np.clip(np.round(buffer.samples.T * 32768.0), -32768, 32767).astype("<i2")
+    out = io.BytesIO()
+    with wave.open(out, "wb") as wav:
+        wav.setnchannels(buffer.channels)
+        wav.setsampwidth(2)
+        wav.setframerate(buffer.sample_rate)
+        wav.writeframes(frames.tobytes())
+    return out.getvalue()

@@ -38,7 +38,7 @@ from songpipe.cli import (
 from songpipe.harmony import section_key_estimates
 from songpipe.score import Note, Section, VocalScore
 
-from helpers import bpm_to_us, random_score, simple_score
+from helpers import bpm_to_us, pcm16_wav_bytes, random_score, simple_score
 
 MELODY = [60, 62, 64, 65, 67, 65, 64, 62] * 4  # 8 bars of C-major noodling
 
@@ -781,6 +781,75 @@ def test_condition_command_rejects_chords_past_the_score(score_file, tmp_path, c
     assert not (tmp_path / "c.json").exists()
 
 
+def test_a_frame_rate_too_small_to_render_is_an_error_not_a_traceback(score_file, tmp_path,
+                                                                     capsys):
+    # This used to escape as an OverflowError traceback: the schema accepts
+    # 1e-305 frames per second, and a frame's time in samples overflows to inf.
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps({"score_path": str(score_file),
+                                       "output_dir": str(tmp_path / "job"),
+                                       "frame_rate": 1e-305}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert ("error in stage 'render': cannot convert float infinity to integer\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "job" / "accompaniment.wav").exists()
+
+
+def test_the_render_command_over_a_tiny_frame_rate_is_an_error_not_a_traceback(
+    score_file, tmp_path, capsys
+):
+    chords, conditions, plan = (tmp_path / n for n in ("chords.txt", "c.json", "plan.json"))
+    assert main(["harmonize", str(score_file), "-o", str(chords)]) == 0
+    assert main(["condition", str(score_file), "--chords", str(chords),
+                 "--frame-rate", "1e-305", "-o", str(conditions)]) == 0
+    assert main(["plan", str(score_file), "-o", str(plan)]) == 0
+    capsys.readouterr()
+    assert main(["render", "--conditions", str(conditions), "--plan", str(plan),
+                 "-o", str(tmp_path / "out")]) == 1
+    assert "error: cannot convert float infinity to integer\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "accompaniment.wav").exists()
+
+
+def test_a_frame_rate_edited_too_large_for_the_report_is_a_stage_error(score_file, tmp_path,
+                                                                       capsys):
+    # The radius of steady_frames used to overflow numpy's int64 as a traceback.
+    out = tmp_path / "out"
+    args = ["run", "--score", str(score_file), "--output", str(out)]
+    assert main(args) == 0
+    doc = json.loads((out / "conditions.json").read_text())
+    doc["frame_rate"] = 1e300
+    (out / "conditions.json").write_text(json.dumps(doc))
+    report = (out / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(args + ["--from", "report"]) == 1
+    assert ("error in stage 'report': Python int too large to convert to C long\n"
+            in capsys.readouterr().err)
+    assert (out / "report.json").read_bytes() == report
+
+
+def test_a_vocal_with_sample_rate_0_is_refused_by_name(score_file, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    data = bytearray(render.wav_bytes(render.AudioBuffer(44100, np.zeros((1, 100)))))
+    data[24:28] = bytes(4)  # the sample-rate field of the fmt chunk
+    (tmp_path / "v.wav").write_bytes(data)
+    assert main(["run", "--score", str(score_file), "--vocal", "v.wav", "--output", "out"]) == 1
+    assert ("error in stage 'mix': cannot read v.wav: invalid sample rate 0\n"
+            in capsys.readouterr().err)
+
+
+def test_a_key_without_a_mode_is_refused(tmp_path, capsys):
+    path = tmp_path / "three.mid"
+    path.write_bytes(score_io.write_smf(
+        simple_score(MELODY + MELODY[:16], labels=["verse", "chorus", "bridge"])))
+    chords = tmp_path / "chords.txt"
+    assert main(["harmonize", str(path), "-o", str(chords)]) == 0
+    capsys.readouterr()
+    assert main(["condition", str(path), "--chords", str(chords), "--keys", "C,D:maj,E:min",
+                 "-o", str(tmp_path / "c.json")]) == 1
+    assert capsys.readouterr().err == "error: key label must look like 'C:maj', got 'C'\n"
+
+
 def test_a_frame_rate_too_large_to_allocate_is_an_error_not_a_traceback(score_file, tmp_path,
                                                                         capsys):
     # These used to escape as a MemoryError traceback.  1e16 frames per second
@@ -1228,7 +1297,7 @@ def test_a_recorded_window_of_another_layout_is_rendered_again(score_file, tmp_p
     # The song's samples in a file whose record vouches for each window's
     # frames, as the file holds them, by SHA-256.
     if forgery == "pcm16":
-        render.write_wav(audio, path, "pcm16")
+        path.write_bytes(pcm16_wav_bytes(audio))
     elif forgery == "stereo":
         render.write_wav(render.AudioBuffer(audio.sample_rate, np.vstack([audio.samples] * 2)),
                          path)
@@ -2025,6 +2094,12 @@ def test_an_input_that_vanishes_after_its_stage_read_it_fails_that_stage(
      "chord line 1: bad time columns"),
     ("chords.txt", "condition", lambda t: t.replace("C:maj", "Cmaj", 1),
      "chord line 1: chord must look like 'C:maj'"),
+    ("chords.txt", "condition", lambda t: t.replace("0.000000 2.000000", "2.000000 0.000000", 1),
+     "cannot read chords.txt: chord span [2.0, 0.0) is empty or inverted"),
+    ("conditions.json", "render", lambda d: d["keys"][0].update(mode="dorian"),
+     "malformed conditions document: mode must be 'major' or 'minor', got 'dorian'"),
+    ("plan.json", "render", lambda d: d["windows"][0].update(end_sec=d["windows"][0]["start_sec"]),
+     "malformed plan document: window [8.0, 8.0) is empty or inverted"),
     ("conditions.json", "render", lambda d: d.update(num_frames=d["num_frames"] + 1),
      "num_frames does not match matrix length"),
     ("conditions.json", "render", lambda d: d.update(structure=d["structure"][:-1]),

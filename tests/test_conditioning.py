@@ -93,6 +93,15 @@ def test_rhythm_activation_takes_max_of_overlapping_events():
     assert act[51, 0] == pytest.approx(expected)
 
 
+def test_a_tiny_sigma_gives_exact_spikes_without_a_warning():
+    # The quotient overflows to inf, so exp(-inf) is 0 off the events; numpy
+    # used to warn of the overflow.
+    act = rhythm_activation([0.5], [1.0], 2.0, frame_rate=50, sigma=1e-155)
+    expected = np.zeros((100, 2))
+    expected[25, 0] = expected[50, 1] = 1.0
+    assert np.array_equal(act, expected)
+
+
 def test_rhythm_activation_rejects_out_of_range_events():
     with pytest.raises(ValueError):
         rhythm_activation([2.5], [], 2.0)

@@ -19,7 +19,6 @@ from songpipe.harmony import (
     CHORDS,
     HarmonizerWeights,
     bar_pitch_class_weights,
-    chord_index,
     emission_matrix,
     harmonize,
     harmonize_song,
@@ -62,10 +61,10 @@ def _best_path_by_enumeration(emis: np.ndarray, trans: np.ndarray) -> tuple[floa
 
 
 def test_chord_index_ordering():
-    assert chord_index(0, "maj") == 0
-    assert chord_index(0, "min") == 1
-    assert chord_index(7, "maj") == 14
-    assert chord_index(11, "min") == 23
+    assert CHORDS.index((0, "maj")) == 0
+    assert CHORDS.index((0, "min")) == 1
+    assert CHORDS.index((7, "maj")) == 14
+    assert CHORDS.index((11, "min")) == 23
     assert CHORDS[4] == (2, "maj")
 
 
@@ -83,9 +82,9 @@ def test_bar_weights_split_straddling_notes():
 def test_emission_is_in_triad_fraction():
     score = _bars_score([[60, 64, 67, 62]])  # C E G D: 3 of 4 quarters in C:maj
     emis = emission_matrix(bar_pitch_class_weights(score))
-    assert emis[0, chord_index(0, "maj")] == pytest.approx(0.75)
-    assert emis[0, chord_index(2, "min")] == pytest.approx(0.25)  # only the D
-    assert emis[0, chord_index(9, "min")] == pytest.approx(0.5)  # A:min = {9,0,4}
+    assert emis[0, CHORDS.index((0, "maj"))] == pytest.approx(0.75)
+    assert emis[0, CHORDS.index((2, "min"))] == pytest.approx(0.25)  # only the D
+    assert emis[0, CHORDS.index((9, "min"))] == pytest.approx(0.5)  # A:min = {9,0,4}
 
 
 def test_emission_zero_for_rest_bar():
@@ -136,10 +135,10 @@ def test_matrices_equal_the_loops_bit_for_bit_on_random_input():
 def test_transition_matrix_values():
     trans = transition_matrix(HarmonizerWeights())
     c_maj, g_maj, a_min, fs_min = (
-        chord_index(0, "maj"),
-        chord_index(7, "maj"),
-        chord_index(9, "min"),
-        chord_index(6, "min"),
+        CHORDS.index((0, "maj")),
+        CHORDS.index((7, "maj")),
+        CHORDS.index((9, "min")),
+        CHORDS.index((6, "min")),
     )
     assert trans[c_maj, c_maj] == pytest.approx(0.3)  # stay: 3 common tones
     assert trans[c_maj, g_maj] == pytest.approx(0.1 * 1 - 0.05)

