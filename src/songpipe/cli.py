@@ -208,8 +208,9 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages.  Each is given the earlier artifacts its row of
-# _STAGE_TABLE names and writes its own; nothing else passes between stages.
+# Pipeline stages.  Each core is given the earlier artifacts its row of
+# _STAGE_TABLE names and returns the text artifacts it made, which _drive
+# writes; nothing else passes between stages.
 
 ART = {
     "input_score": "input.score.json",
@@ -293,13 +294,7 @@ def _read(outdir: str, key: str, stage: str):
         raise StageError(stage, str(exc)) from exc
 
 
-def _write(outdir: str, key: str, value) -> None:
-    write_file(_art(outdir, key), _codec(key)[0](value))
-
-
-def _stage_load(config: PipelineConfig, outdir: str) -> None:
-    # Every input is read and checked before any output is touched, so a
-    # failed load leaves the directory as it was.
+def _stage_load(config: PipelineConfig, outdir: str) -> dict:
     outputs = {"input_score": score_io.load_score(config.score_path),
                "lyrics": None, "reference": None}
     hashes = {"score_sha256": file_sha256(config.score_path), "lyrics_sha256": None}
@@ -307,7 +302,7 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
         sheet = outputs["lyrics"] = prep.load_lyrics(config.lyrics_path)
         hashes["lyrics_sha256"] = file_sha256(config.lyrics_path)
         if config.reference_bank:
-            names, bank = prep.load_bank_shapes(config.reference_bank)
+            names, bank = prep.load_reference_bank(config.reference_bank)
             if not len(sheet):
                 raise ValueError(f"lyrics file {config.lyrics_path} has no lyric lines")
             index, breakdown = prep.select_reference(sheet, bank, config.reject_fewer_lines)
@@ -317,80 +312,70 @@ def _stage_load(config: PipelineConfig, outdir: str) -> None:
                 "penalty": asdict(breakdown),
             }
     outputs["load_inputs"] = hashes
-    for key, value in outputs.items():
-        if value is not None:
-            _write(outdir, key, value)
-        else:  # drop what an earlier run with this input wrote
-            with suppress(FileNotFoundError):
-                os.remove(_art(outdir, key))
+    return outputs
 
 
-def _stage_validate(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
+def _stage_validate(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
     # Always empty: the score reader refuses a score that breaks an invariant.
-    _write(outdir, "validation", {"violations": validate_score(score)})
+    return {"validation": {"violations": validate_score(score)}}
 
 
-def _stage_register(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
+def _stage_register(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
     decision = prep.register_match(score, config.profiles)
-    registered = prep.apply_transpose(score, decision.shift)
-    _write(outdir, "register", {
+    return {"register": {
         "profile": decision.profile.name,
         "low": decision.profile.low,
         "high": decision.profile.high,
         "shift": decision.shift,
         "in_range": decision.in_range,
         "total_notes": decision.total_notes,
-    })
-    _write(outdir, "registered_score", registered)
+    }, "registered_score": prep.apply_transpose(score, decision.shift)}
 
 
-def _stage_harmonize(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
+def _stage_harmonize(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
     song, chords = harmonize_song(score, config.intro_bars)
-    _write(outdir, "song_score", song)
-    _write(outdir, "chords", chords)
-    _write(outdir, "harmonize_meta",
-           {"intro_prepended": song is not score, "intro_bars": config.intro_bars})
+    return {"song_score": song, "chords": chords, "harmonize_meta":
+            {"intro_prepended": song is not score, "intro_bars": config.intro_bars}}
 
 
 def _stage_condition(
     config: PipelineConfig, outdir: str, score: VocalScore, chords: ChordSequence
-) -> None:
-    _write(outdir, "conditions", conditioning.build_condition_bundle(
+) -> dict:
+    return {"conditions": conditioning.build_condition_bundle(
         score, chords, section_keys(score, config.section_keys),
         config.frame_rate, config.sigma,
-    ))
+    )}
 
 
-def _stage_plan(config: PipelineConfig, outdir: str, score: VocalScore) -> None:
-    _write(outdir, "plan", planner.plan_inference(score, config.max_window_sec))
+def _stage_plan(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
+    return {"plan": planner.plan_inference(score, config.max_window_sec)}
 
 
 def _stage_render(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
     windows: list[planner.GenerationWindow], recorded: dict[int, dict] | None,
     old: render.WavReader | None,
-) -> None:
+) -> dict:
     record, events = render_windows(bundle, windows, config.sample_rate,
                                     _art(outdir, "accompaniment"), recorded, old)
-    _write(outdir, "events", events)
-    _write(outdir, "render_record", record)
+    return {"events": events, "render_record": record}
 
 
-def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> None:
+def _stage_mix(config: PipelineConfig, outdir: str, accomp: render.WavReader) -> dict:
     if config.vocal_path:
         vocal = render.open_wav(config.vocal_path)
     else:  # no vocal track given: an empty one, which mix zero-pads to silence
         vocal = render.AudioBuffer(accomp.sample_rate, np.zeros((1, 0)))
     render.mix(vocal, accomp, _art(outdir, "mix"))
-    _write(outdir, "mix_inputs",
-           {"vocal_sha256": file_sha256(config.vocal_path) if config.vocal_path else None})
+    return {"mix_inputs":
+            {"vocal_sha256": file_sha256(config.vocal_path) if config.vocal_path else None}}
 
 
 def _stage_report(
     config: PipelineConfig, outdir: str, bundle: conditioning.ConditionBundle,
     events: list[render.RenderEvent], accomp: render.WavReader, loaded, mixed,
     memo: dict | None,
-) -> None:
+) -> dict:
     # The input-file hashes load and mix recorded; the manifest copies them.
     hashes = {}
     for key, doc, names in (("load_inputs", loaded, ("score_sha256", "lyrics_sha256")),
@@ -400,20 +385,17 @@ def _stage_report(
             if not (hashes[name] is None or isinstance(hashes[name], str)):
                 raise ValueError(f"{ART[key]} does not record {name} as a hash or null")
     memo = memo or {}
-    report = self_report(bundle, events, accomp, memo)
-    _write(outdir, "report", report)
-    _write(outdir, "chroma_memo", memo)
-    artifacts = {
-        key: name for key, name in ART.items()
-        if key != "manifest" and os.path.exists(_art(outdir, key))
-    }
-    _write(outdir, "manifest", {
+    outputs = {"report": self_report(bundle, events, accomp, memo), "chroma_memo": memo}
+    # The manifest lists what this core returns and what is already on disk.
+    outputs["manifest"] = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "config": config.to_manifest_dict(hashes),
-        "artifacts": artifacts,
-        "report": report,
-    })
+        "artifacts": {key: name for key, name in ART.items() if key in outputs
+                      or key != "manifest" and os.path.exists(_art(outdir, key))},
+        "report": outputs["report"],
+    }
+    return outputs
 
 
 def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
@@ -422,8 +404,11 @@ def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
     The artifacts named by ``inputs`` are read and passed to ``core`` in
     order, then those named by ``caches``, each None if it is missing or
     unreadable: a cache only saves work, and ``core`` rebuilds what it
-    lacks.  A ``ValueError``, ``OSError``, ``ArithmeticError`` or
-    ``MemoryError`` from ``core`` becomes a :class:`StageError` for ``stage``.
+    lacks.  ``core`` returns ``{key: value}`` of the text artifacts it made,
+    None for one this run does not make, whose file is removed.  All are
+    encoded before any file is written or removed, so a core that fails
+    leaves them as they were.  A ``ValueError``, ``OSError``,
+    ``ArithmeticError`` or ``MemoryError`` becomes a :class:`StageError`.
     """
     def run(config: PipelineConfig, outdir: str) -> None:
         values = [_read(outdir, key, stage) for key in inputs]
@@ -435,7 +420,14 @@ def _drive(stage: str, core, inputs: tuple[str, ...], caches: tuple[str, ...]):
                 LOGGER.info("%s; rebuilding it", exc)
                 values.append(None)
         try:
-            core(config, outdir, *values)
+            made = core(config, outdir, *values)
+            texts = {key: _codec(key)[0](v) for key, v in made.items() if v is not None}
+            for key in made:
+                if key in texts:
+                    write_file(_art(outdir, key), texts[key])
+                else:  # drop what an earlier run wrote
+                    with suppress(FileNotFoundError):
+                        os.remove(_art(outdir, key))
         except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
             raise StageError(stage, str(exc)) from exc
     return run
@@ -557,7 +549,7 @@ def _cmd_render(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     _, events = render_windows(bundle, windows, args.sample_rate,
                                _art(args.output_dir, "accompaniment"))
-    _write(args.output_dir, "events", events)
+    write_file(_art(args.output_dir, "events"), render.format_events(events))
     print(f"rendered {len(windows)} windows into {args.output_dir}")
     return 0
 

@@ -188,8 +188,8 @@ class ConditionBundle:
             raise ValueError(
                 f"pitch_contour must have shape (T,), got {self.pitch_contour.shape}"
             )
-        if self.frame_rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
+        if not 0 < self.frame_rate < math.inf:
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
 
     @property
     def num_frames(self) -> int:
@@ -477,10 +477,15 @@ def rows_of(value, width: int, name: str) -> np.ndarray:
 
 def bundle_from_json(text: str | bytes) -> ConditionBundle:
     def build(doc: dict) -> tuple[ConditionBundle, int]:
+        rhythm, chroma = rows_of(doc["rhythm"], 2, "rhythm"), rows_of(doc["chroma"], 12, "chroma")
+        if not ((chroma == 0) | (chroma == 1)).all():
+            raise ValueError("chroma cells must be 0 or 1")
+        if not ((rhythm >= 0) & (rhythm <= 1)).all():  # NaN fails both
+            raise ValueError("rhythm values must be in [0, 1]")
         return ConditionBundle(
             frame_rate=float(doc["frame_rate"]),
-            rhythm=rows_of(doc["rhythm"], 2, "rhythm"),
-            chroma=rows_of(doc["chroma"], 12, "chroma"),
+            rhythm=rhythm,
+            chroma=chroma,
             structure=np.asarray(doc["structure"], dtype=np.int64),
             pitch_contour=np.asarray(doc["pitch_contour"], dtype=float),
             keys=tuple(

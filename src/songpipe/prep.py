@@ -279,36 +279,23 @@ def load_lyrics(path) -> LyricsSheet:
     return read_file(path, parse_lyrics)
 
 
-def _bank_names(directory) -> list[str]:
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
-    if not names:
-        raise ValueError(f"no .txt lyric files under {directory}")
-    return names
-
-
-def load_reference_bank(directory) -> tuple[list[str], list[LyricsSheet]]:
-    """Load every ``*.txt`` lyric file under a directory, sorted by name.
-
-    Returns parallel lists of file names and parsed sheets; the index into
-    these lists is the bank index reported by :func:`select_reference`.
-    """
-    names = _bank_names(directory)
-    return names, [load_lyrics(os.path.join(directory, n)) for n in names]
-
-
 #: The shapes of the bank read last, by the SHA-256 of each file's bytes.
 #: Keys are contents, so a hit is the shape of exactly those bytes.
 _BANK_SHAPES: dict[bytes, SheetShape] = {}
 
 
-def load_bank_shapes(directory) -> tuple[list[str], list[SheetShape]]:
-    """:func:`load_reference_bank`'s names, with the :class:`SheetShape` of each sheet.
+def load_reference_bank(directory) -> tuple[list[str], list[SheetShape]]:
+    """Every ``*.txt`` lyric file under a directory, sorted by name, as a :class:`SheetShape`.
 
-    Every call lists the directory and reads every file, but parses only a
-    file whose bytes the previous successful call did not read.  Errors are
+    Returns parallel lists of file names and shapes; the index into these
+    lists is the bank index reported by :func:`select_reference`.  Every call
+    lists the directory and reads every file, but parses only a file whose
+    bytes the previous successful call did not read.  Errors are
     :func:`load_lyrics`'s, and a file without lyric lines is refused by name.
     """
-    names = _bank_names(directory)
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
+    if not names:
+        raise ValueError(f"no .txt lyric files under {directory}")
     found = [read_file(os.path.join(directory, n), _keyed_shape, mode="rb") for n in names]
     for name, (_, shape) in zip(names, found):
         if not shape.counts:

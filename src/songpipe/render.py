@@ -19,6 +19,7 @@ seamlessly.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from bisect import bisect_left, bisect_right
@@ -374,9 +375,12 @@ def parse_events(text: str) -> list[RenderEvent]:
         if kind not in EVENT_KINDS:
             raise ValueError(f"event line {lineno}: unknown kind {kind!r}")
         try:
-            events.append(RenderEvent(float(time), kind))
+            seconds = float(time)
         except ValueError:
             raise ValueError(f"event line {lineno}: bad time column") from None
+        if not math.isfinite(seconds):
+            raise ValueError(f"event line {lineno}: time {time} is not finite")
+        events.append(RenderEvent(seconds, kind))
     return events
 
 
@@ -387,6 +391,10 @@ def parse_events(text: str) -> list[RenderEvent]:
 
 #: Frames per chunk when audio streams through :func:`mix` and file copies.
 STREAM_FRAMES = 1 << 17
+
+#: The most bytes of frames a float32 WAV holds (about 24,347 s of 44.1 kHz
+#: mono): its 32-bit RIFF size counts them and the 48 header bytes after it.
+WAV_MAX_DATA = 0xFFFFFFFF - 48
 
 #: ``sample_format`` to (format tag, bits per sample, little-endian dtype).
 _WAV_FORMATS = {"pcm16": (1, 16, "<i2"), "float32": (3, 32, "<f4")}
@@ -412,13 +420,20 @@ class WavHeader:
 
 
 def _wav_header(channels: int, sample_rate: int, n_frames: int) -> bytes:
-    """The bytes of a float32 WAV file before its frames, sized for ``n_frames`` frames."""
+    """The bytes of a float32 WAV file before its frames, sized for ``n_frames`` frames.
+
+    More than :data:`WAV_MAX_DATA` bytes of frames, in all or per second, is refused.
+    """
     fmt_tag, bits, _ = _WAV_FORMATS["float32"]
     block_align = channels * bits // 8
     byte_rate = sample_rate * block_align
+    data_size = n_frames * block_align
+    if max(data_size, byte_rate) > WAV_MAX_DATA:
+        raise ValueError(f"a WAV of {n_frames} frames of {channels} channel(s) at {sample_rate} Hz "
+                         f"is too large for one RIFF file: its 32-bit sizes allow at most "
+                         f"{WAV_MAX_DATA} bytes of frames, in all and per second")
     fmt = struct.pack("<HHIIHH", fmt_tag, channels, sample_rate, byte_rate, block_align, bits)
     fact = b"fact" + struct.pack("<II", 4, n_frames)  # float WAVs conventionally carry one
-    data_size = n_frames * block_align
     head = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
             + b"data" + struct.pack("<I", data_size))
     return b"RIFF" + struct.pack("<I", len(head) + data_size) + head
@@ -664,7 +679,8 @@ def record_from_json(text: str) -> dict[int, dict]:
             except (KeyError, TypeError, ValueError):
                 continue
             if (type(order) is int and isinstance(fingerprint, str) and isinstance(sha256, str)
-                    and all(type(t) is float and kind in EVENT_KINDS for t, kind in events)):
+                    and all(type(t) is float and math.isfinite(t) and kind in EVENT_KINDS
+                            for t, kind in events)):
                 # rebuilt from its fields, so a reused entry is written as a new one is
                 entries[order] = {"order": order, "fingerprint": fingerprint, "sha256": sha256,
                                   "events": events}

@@ -1221,6 +1221,7 @@ def test_a_resume_without_edits_renders_and_measures_nothing(score_file, tmp_pat
     ("record entry with a short event", 1),
     ("record entry with events 5", 1),
     ("record entry with an unknown event kind", 1),
+    ("record entry with a NaN event time", 1),
     ("record version", "all"),
     ("record format", "all"),
     ("memo", 0),
@@ -1254,6 +1255,9 @@ def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, m
         (out / "render.json").write_text(json.dumps(record))
     elif tamper == "record entry with an unknown event kind":
         record["windows"][2]["events"][0][1] = "baet"
+        (out / "render.json").write_text(json.dumps(record))
+    elif tamper == "record entry with a NaN event time":
+        record["windows"][2]["events"][0][0] = math.nan
         (out / "render.json").write_text(json.dumps(record))
     elif tamper == "record version":
         record["version"] = 0
@@ -2129,6 +2133,16 @@ def test_an_input_that_vanishes_after_its_stage_read_it_fails_that_stage(
      "section 0 is empty or inverted"),
     ("input.score.json", "validate", lambda d: d["sections"][-1].update(end_tick=14880),
      "sections end at tick 14880 but notes run to tick 15360"),
+    ("conditions.json", "render", lambda d: d["chroma"].__setitem__(0, [math.nan] * 12),
+     "malformed conditions document: chroma cells must be 0 or 1"),
+    ("conditions.json", "render", lambda d: d["chroma"].__setitem__(0, [2.0] * 12),
+     "malformed conditions document: chroma cells must be 0 or 1"),
+    ("conditions.json", "render", lambda d: d["rhythm"].__setitem__(0, [math.inf, 0]),
+     "malformed conditions document: rhythm values must be in [0, 1]"),
+    ("events.txt", "report", lambda t: "NaN\tbeat\n" + t.split("\n", 1)[1],
+     "event line 1: time NaN is not finite"),
+    ("conditions.json", "render", lambda d: d.update(frame_rate=math.inf),
+     "frame_rate must be positive and finite, got inf"),
 ])
 def test_an_edited_artifact_that_breaks_a_rule_is_refused_on_resume(
     finished_run, tmp_path, artifact, stage, edit, message
@@ -2158,3 +2172,51 @@ def test_every_name_the_benchmark_traces_exists():
     missing = [(module, attr) for module, attr, *_ in spans.WRAPPED
                if not callable(getattr(importlib.import_module(f"songpipe.{module}"), attr, None))]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# A stage writes nothing until all it made is encoded; WAVs RIFF cannot hold
+
+
+@pytest.mark.parametrize("stage, change, module, name", [
+    ("harmonize", {"intro_bars": 2}, conditioning, "format_chords"),
+    ("register", {"profiles": (prep.SingerProfile("bass", 40, 60),)}, score_io, "score_to_json"),
+])
+def test_a_stage_that_fails_before_it_writes_changes_no_file(
+    score_file, tmp_path, monkeypatch, stage, change, module, name
+):
+    out = tmp_path / "out"
+    config = PipelineConfig(str(score_file), str(out))
+    run_pipeline(config)
+    before = _read_bytes_map(out)
+
+    def fail(*args, **kwargs):
+        raise ValueError("cannot encode")
+    # The stage's first artifact encodes, and the one this encoder makes does not.
+    monkeypatch.setattr(module, name, fail)
+    with pytest.raises(StageError) as err:
+        run_pipeline(replace(config, **change), stage)
+    assert (err.value.stage, str(err.value)) == (stage, "cannot encode")
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+    assert _read_bytes_map(out) == before
+
+
+def test_a_wav_too_large_for_one_riff_file_is_refused_by_name(score_file, tmp_path, capsys):
+    # struct.pack used to raise struct.error here, which escaped as a traceback.
+    # The header is built before any window renders, so nothing is allocated.
+    out, rendered = tmp_path / "job", tmp_path / "rendered"
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps({"score_path": str(score_file), "output_dir": str(out),
+                                       "sample_rate": 200_000_000}))
+    message = ("a WAV of 4800000000 frames of 1 channel(s) at 200000000 Hz is too large for one "
+               "RIFF file: its 32-bit sizes allow at most 4294967247 bytes of frames, "
+               "in all and per second\n")
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.endswith(f"error in stage 'render': {message}")
+    assert main(["render", "--conditions", str(out / "conditions.json"),
+                 "--plan", str(out / "plan.json"), "-o", str(rendered),
+                 "--sample-rate", "200000000"]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
+    for directory in (out, rendered):
+        assert not [n for n in os.listdir(directory)
+                    if n == ART["accompaniment"] or n.endswith(".tmp")]

@@ -19,7 +19,7 @@ from songpipe.prep import (
     apply_transpose,
     format_lyrics,
     is_cjk,
-    load_bank_shapes,
+    load_lyrics,
     load_reference_bank,
     parse_lyrics,
     penalty_score,
@@ -278,9 +278,9 @@ def test_load_reference_bank_sorted(tmp_path):
     (tmp_path / "b.txt").write_text("[verse]\nsecond sheet\n", encoding="utf-8")
     (tmp_path / "a.txt").write_text("[verse]\nfirst sheet\n", encoding="utf-8")
     (tmp_path / "ignore.md").write_text("not lyrics\n", encoding="utf-8")
-    names, sheets = load_reference_bank(tmp_path)
+    names, shapes = load_reference_bank(tmp_path)
     assert names == ["a.txt", "b.txt"]
-    assert sheets[0].lines[0].tokens == ("first", "sheet")
+    assert shapes[0] == SheetShape((2,), (1,))  # two tokens, tagged verse
 
 
 def test_load_reference_bank_requires_files(tmp_path):
@@ -293,8 +293,9 @@ def test_bank_shapes_are_the_shapes_of_the_loaded_sheets(tmp_path):
     for j in range(12):
         (tmp_path / f"s{j:02d}.txt").write_text(format_lyrics(random_sheet(rng)), encoding="utf-8")
     (tmp_path / "ignore.md").write_text("not lyrics\n", encoding="utf-8")
-    names, sheets = load_reference_bank(tmp_path)
-    assert load_bank_shapes(tmp_path) == (names, [SheetShape.of(s) for s in sheets])
+    names = sorted(p.name for p in tmp_path.glob("*.txt"))
+    assert load_reference_bank(tmp_path) == (
+        names, [SheetShape.of(load_lyrics(tmp_path / n)) for n in names])
 
 
 def test_bank_shapes_parse_only_files_whose_bytes_are_new(tmp_path, monkeypatch):
@@ -303,12 +304,12 @@ def test_bank_shapes_parse_only_files_whose_bytes_are_new(tmp_path, monkeypatch)
     monkeypatch.setattr(prep, "parse_lyrics", lambda text: parsed.append(text) or parse_lyrics(text))
     (tmp_path / "a.txt").write_text("[verse]\nla la\n", encoding="utf-8")
     (tmp_path / "b.txt").write_text("[chorus]\noh\noh oh\n", encoding="utf-8")
-    load_bank_shapes(tmp_path)
-    load_bank_shapes(tmp_path)
+    load_reference_bank(tmp_path)
+    load_reference_bank(tmp_path)
     assert len(parsed) == 2
     (tmp_path / "b.txt").write_text("[chorus]\noh\n", encoding="utf-8")
     (tmp_path / "c.txt").write_text("[verse]\nla la\n", encoding="utf-8")  # a.txt's bytes
-    names, shapes = load_bank_shapes(tmp_path)
+    names, shapes = load_reference_bank(tmp_path)
     assert parsed[2:] == ["[chorus]\noh\n"]
     assert len(prep._BANK_SHAPES) == 2  # the old b.txt's bytes are forgotten
     assert names == ["a.txt", "b.txt", "c.txt"]
@@ -317,9 +318,9 @@ def test_bank_shapes_parse_only_files_whose_bytes_are_new(tmp_path, monkeypatch)
 
 def test_bank_shapes_refuse_a_sheet_without_lines_and_name_it(tmp_path):
     with pytest.raises(ValueError, match="no .txt lyric files"):
-        load_bank_shapes(tmp_path)
+        load_reference_bank(tmp_path)
     (tmp_path / "a.txt").write_text("[verse]\nla la\n", encoding="utf-8")
     (tmp_path / "b.txt").write_text("# empty sheet\n[verse]\n", encoding="utf-8")
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^bank file .*b\.txt has no lyric lines$"):
-            load_bank_shapes(tmp_path)
+            load_reference_bank(tmp_path)

@@ -760,3 +760,12 @@ def test_render_stub_holds_little_more_than_its_window():
         tracemalloc.stop()
     assert audio.samples.nbytes == 40 * SR * 8
     assert peak <= 2.5 * audio.samples.nbytes
+
+
+def test_the_wav_header_refuses_sizes_a_riff_file_cannot_hold():
+    frames = render.WAV_MAX_DATA // 4  # the most mono float32 frames
+    header = render._wav_header(1, 44100, frames)
+    assert struct.unpack("<I", header[4:8]) == (48 + 4 * frames,)
+    for channels, sample_rate, n_frames in ((1, 44100, frames + 1), (2, 1 << 30, 1)):
+        with pytest.raises(ValueError, match="too large for one RIFF file"):
+            render._wav_header(channels, sample_rate, n_frames)
