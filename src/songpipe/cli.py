@@ -5,7 +5,7 @@
     load -> validate -> register -> harmonize -> condition -> plan
          -> render -> mix -> report
 
-writing one artifact per stage into the output directory, with a manifest
+writing the stages' artifacts into the output directory, with a manifest
 describing everything produced.  Every stage reads only on-disk artifacts
 from earlier stages, so any intermediate file can be edited by hand and the
 pipeline resumed from that point (``--from STAGE``) without touching what
@@ -36,7 +36,7 @@ from .harmony import harmonize_song, section_keys
 from .metrics import self_report
 from .prep import DEFAULT_PROFILES, SingerProfile
 from .render import render_windows
-from .score import VocalScore, validate_score
+from .score import VocalScore
 
 LOGGER = logging.getLogger(__name__)
 
@@ -214,15 +214,12 @@ def _add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
 
 ART = {
     "input_score": "input.score.json",
-    "lyrics": "lyrics.txt",
     "load_inputs": "load.json",
     "reference": "reference.json",
-    "validation": "validation.json",
     "register": "register.json",
     "registered_score": "registered.score.json",
     "song_score": "song.score.json",
     "chords": "chords.txt",
-    "harmonize_meta": "harmonize.json",
     "conditions": "conditions.json",
     "plan": "plan.json",
     "accompaniment": "accompaniment.wav",
@@ -251,7 +248,6 @@ def _codec(key: str):
         "input_score": score,
         "registered_score": score,
         "song_score": score,
-        "lyrics": (prep.format_lyrics, prep.parse_lyrics),
         "chords": (conditioning.format_chords, conditioning.parse_chords),
         "conditions": (conditioning.bundle_to_json, conditioning.bundle_from_json),
         "plan": (planner.plan_to_json, planner.plan_from_json),
@@ -295,11 +291,10 @@ def _read(outdir: str, key: str, stage: str):
 
 
 def _stage_load(config: PipelineConfig, outdir: str) -> dict:
-    outputs = {"input_score": score_io.load_score(config.score_path),
-               "lyrics": None, "reference": None}
+    outputs = {"input_score": score_io.load_score(config.score_path), "reference": None}
     hashes = {"score_sha256": file_sha256(config.score_path), "lyrics_sha256": None}
     if config.lyrics_path:
-        sheet = outputs["lyrics"] = prep.load_lyrics(config.lyrics_path)
+        sheet = prep.load_lyrics(config.lyrics_path)
         hashes["lyrics_sha256"] = file_sha256(config.lyrics_path)
         if config.reference_bank:
             names, bank = prep.load_reference_bank(config.reference_bank)
@@ -316,8 +311,7 @@ def _stage_load(config: PipelineConfig, outdir: str) -> dict:
 
 
 def _stage_validate(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
-    # Always empty: the score reader refuses a score that breaks an invariant.
-    return {"validation": {"violations": validate_score(score)}}
+    return {}  # reading the score refused any score that breaks an invariant
 
 
 def _stage_register(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
@@ -334,8 +328,7 @@ def _stage_register(config: PipelineConfig, outdir: str, score: VocalScore) -> d
 
 def _stage_harmonize(config: PipelineConfig, outdir: str, score: VocalScore) -> dict:
     song, chords = harmonize_song(score, config.intro_bars)
-    return {"song_score": song, "chords": chords, "harmonize_meta":
-            {"intro_prepended": song is not score, "intro_bars": config.intro_bars}}
+    return {"song_score": song, "chords": chords}
 
 
 def _stage_condition(

@@ -220,11 +220,6 @@ _CJK_CHAR = re.compile(
 )
 
 
-def is_cjk(char: str) -> bool:
-    """True for CJK ideographs (including extensions) and kana."""
-    return _CJK_CHAR.fullmatch(char) is not None
-
-
 def tokenize_lyric_text(text: str) -> list[str]:
     """Split lyric text into tokens.
 
@@ -259,19 +254,6 @@ def parse_lyrics(text: str) -> LyricsSheet:
                 continue
         lines.append(LyricLine(tag, tuple(tokenize_lyric_text(stripped))))
     return LyricsSheet(tuple(lines))
-
-
-def format_lyrics(sheet: LyricsSheet) -> str:
-    """Render a sheet in the plain-text format (one ``[tag]`` per run of lines)."""
-    out = []
-    current = None
-    for line in sheet.lines:
-        if line.tag != current:
-            out.append(f"[{line.tag}]")
-            current = line.tag
-        joiner = "" if all(len(t) == 1 and is_cjk(t) for t in line.tokens) else " "
-        out.append(joiner.join(line.tokens))
-    return "\n".join(out) + ("\n" if out else "")
 
 
 def load_lyrics(path) -> LyricsSheet:

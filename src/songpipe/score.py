@@ -25,6 +25,8 @@ DEFAULT_TICKS_PER_QUARTER = 480
 #: Microseconds per quarter note assumed before the first tempo event (120 BPM).
 DEFAULT_TEMPO_US = 500_000
 
+MAX_TEMPO_US, MAX_TICKS_PER_QUARTER = 0xFFFFFF, 0x7FFF  # what a MIDI file can hold
+
 #: Beats per bar; the model is fixed to 4/4 meter.
 BEATS_PER_BAR = 4
 
@@ -144,6 +146,9 @@ def validate_score(score: VocalScore) -> list[str]:
         problems.append(f"time signature must be 4/4, got {score.time_signature}")
     if score.ticks_per_quarter < 1:
         problems.append(f"ticks_per_quarter must be >= 1, got {score.ticks_per_quarter}")
+    elif score.ticks_per_quarter > MAX_TICKS_PER_QUARTER:
+        problems.append(f"ticks_per_quarter must be <= {MAX_TICKS_PER_QUARTER} (the MIDI "
+                        f"limit), got {score.ticks_per_quarter}")
 
     if not score.tempo_map:
         problems.append("tempo map is empty")
@@ -158,6 +163,9 @@ def validate_score(score: VocalScore) -> list[str]:
         for i, (_, tempo) in enumerate(score.tempo_map):
             if tempo < 1:
                 problems.append(f"tempo map entry {i} has non-positive tempo {tempo}")
+            elif tempo > MAX_TEMPO_US:
+                problems.append(f"tempo map entry {i} has tempo {tempo} above the MIDI limit "
+                                f"of {MAX_TEMPO_US} us per quarter")
 
     for i, note in enumerate(score.notes):
         if not 0 <= note.pitch <= 127:

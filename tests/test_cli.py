@@ -65,7 +65,7 @@ def test_run_pipeline_produces_every_artifact(score_file, tmp_path):
     out = tmp_path / "out"
     manifest = _run(PipelineConfig(str(score_file), str(out)))
     for name in ART.values():
-        if name in ("lyrics.txt", "reference.json"):  # no lyrics configured
+        if name == "reference.json":  # no lyrics or bank configured
             continue
         assert (out / name).exists(), f"missing {name}"
     assert "window_files" not in manifest
@@ -79,10 +79,8 @@ def test_run_pipeline_produces_every_artifact(score_file, tmp_path):
 def test_auto_intro_is_prepended(score_file, tmp_path):
     out = tmp_path / "out"
     _run(PipelineConfig(str(score_file), str(out)))
-    meta = json.loads((out / "harmonize.json").read_text())
-    assert meta["intro_prepended"] is True
     song = score_io.score_from_json((out / "song.score.json").read_text())
-    assert song.sections[0].label == "intro"
+    assert [s.label for s in song.sections] == ["intro", "verse", "chorus"]
     assert song.num_bars == 12  # 8 sung bars plus 4 intro bars
     chords = conditioning.parse_chords((out / "chords.txt").read_text())
     assert chords.end_sec == pytest.approx(24.0)  # 12 bars at 120 BPM
@@ -94,9 +92,8 @@ def test_intro_not_duplicated_when_score_has_one(tmp_path):
     path.write_bytes(score_io.write_smf(score))
     out = tmp_path / "out"
     _run(PipelineConfig(str(path), str(out)))
-    meta = json.loads((out / "harmonize.json").read_text())
-    assert meta["intro_prepended"] is False
     song = score_io.score_from_json((out / "song.score.json").read_text())
+    assert [s.label for s in song.sections] == ["intro", "verse"]
     assert song.num_bars == 8
 
 
@@ -129,7 +126,7 @@ def test_editing_chords_and_resuming_changes_only_downstream(score_file, tmp_pat
     after = _read_bytes_map(out)
 
     unchanged = [
-        "input.score.json", "validation.json", "register.json",
+        "input.score.json", "register.json",
         "registered.score.json", "song.score.json", "plan.json",
     ]
     for name in unchanged:
@@ -249,7 +246,19 @@ def test_the_score_reader_names_every_violation(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--score", str(bad), "--output", str(out)]) == 1
     assert f"error in stage 'load': {reason}" in capsys.readouterr().err
-    assert not (out / "validation.json").exists()
+    assert not (out / "input.score.json").exists()
+
+
+def test_register_apply_of_a_score_a_midi_file_cannot_hold_is_an_error(tmp_path, capsys):
+    doc = json.loads(score_io.score_to_json(simple_score([60] * 8)))
+    doc["ticks_per_quarter"] = 70000
+    score = tmp_path / "s.json"
+    score.write_text(json.dumps(doc))
+    assert main(["register", str(score), "--apply", str(tmp_path / "out.mid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "ticks_per_quarter must be <= 32767 (the MIDI limit), got 70000" in err
+    assert not (tmp_path / "out.mid").exists()
 
 
 def test_harmonize_command(score_file, tmp_path, capsys):
@@ -1653,7 +1662,6 @@ def test_a_run_with_lyrics_and_a_reference_bank_records_the_selection(score_file
     assert index == 1
     assert json.loads((out / "reference.json").read_text()) == {
         "bank_index": index, "bank_file": "b.txt", "penalty": asdict(breakdown)}
-    assert (out / "lyrics.txt").read_text() == prep.format_lyrics(sheet)
     digest = hashlib.sha256(lyrics.read_bytes()).hexdigest()
     assert json.loads((out / "load.json").read_text())["lyrics_sha256"] == digest
     assert manifest["config"]["lyrics_sha256"] == digest
@@ -1661,6 +1669,28 @@ def test_a_run_with_lyrics_and_a_reference_bank_records_the_selection(score_file
     first = _read_bytes_map(out)
     run_pipeline(config)
     assert _read_bytes_map(out) == first
+
+
+def test_the_files_of_a_full_run_are_the_manifest_artifacts_and_the_readme_table(
+    score_file, tmp_path
+):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "a.txt").write_text("[verse]\nla la la\n")
+    lyrics = tmp_path / "words.txt"
+    lyrics.write_text("[verse]\nla la la\n[chorus]\noh oh\n")
+    vocal = tmp_path / "vocal.wav"
+    render.write_wav(render.AudioBuffer(44100, np.zeros((1, 44100))), vocal)
+    out = tmp_path / "out"
+    manifest = run_pipeline(PipelineConfig(str(score_file), str(out), vocal_path=str(vocal),
+                                           lyrics_path=str(lyrics), reference_bank=str(bank)))
+    # The manifest lists every file but itself, so fresh runs and reruns list the same.
+    listed = sorted([*manifest["artifacts"].values(), ART["manifest"]])
+    assert sorted(os.listdir(out)) == listed == sorted(ART.values())
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| file | stage | contents |\n| --- | --- | --- |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    assert sorted(row.split("`")[1] for row in rows) == sorted(ART.values())
 
 
 @pytest.mark.parametrize("keep", [None, "lyrics"])
@@ -1673,11 +1703,10 @@ def test_a_rerun_without_lyrics_or_a_bank_drops_the_files_they_gave(score_file, 
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     run_pipeline(PipelineConfig(str(score_file), str(out), lyrics_path=str(lyrics),
                                 reference_bank=str(bank)))
-    assert {"lyrics.txt", "reference.json"} <= set(os.listdir(out))
+    assert "reference.json" in os.listdir(out)
     lyrics_path = str(lyrics) if keep else None
     run_pipeline(PipelineConfig(str(score_file), str(out), lyrics_path=lyrics_path))
     manifest = run_pipeline(PipelineConfig(str(score_file), str(fresh), lyrics_path=lyrics_path))
-    assert ("lyrics" in manifest["artifacts"]) is bool(keep)
     assert "reference" not in manifest["artifacts"]
     assert _read_bytes_map(out) == _read_bytes_map(fresh)
 
@@ -1816,10 +1845,10 @@ def test_a_load_that_fails_changes_no_file(score_file, tmp_path, failing):
 
 #: The atomic writes of a run without lyrics or a vocal, in order.
 _WRITES = (
-    "input.score.json", "load.json", "validation.json", "register.json",
-    "registered.score.json", "song.score.json", "chords.txt", "harmonize.json",
-    "conditions.json", "plan.json", "accompaniment.wav", "events.txt", "render.json",
-    "mix.wav", "mix.json", "report.json", "chroma_memo.json", "manifest.json",
+    "input.score.json", "load.json", "register.json", "registered.score.json",
+    "song.score.json", "chords.txt", "conditions.json", "plan.json", "accompaniment.wav",
+    "events.txt", "render.json", "mix.wav", "mix.json", "report.json", "chroma_memo.json",
+    "manifest.json",
 )
 
 
@@ -1987,8 +2016,8 @@ def test_the_harmonize_stage_calls_harmonize_once(score_file, tmp_path, monkeypa
     calls = _counting(monkeypatch, harmony, "harmonize")
     _STAGE_FUNCS["harmonize"](config, config.output_dir)
     assert len(calls) == 1
-    meta = json.loads((tmp_path / "out" / ART["harmonize_meta"]).read_text())
-    assert meta["intro_prepended"] is (intro_bars > 0)
+    song = score_io.load_score(tmp_path / "out" / ART["song_score"])
+    assert (song.sections[0].label == "intro") is (intro_bars > 0)
 
 
 @pytest.mark.parametrize("edit", ["overlap", "gap", "late first", "truncated last"])
@@ -2143,6 +2172,10 @@ def test_an_input_that_vanishes_after_its_stage_read_it_fails_that_stage(
      "event line 1: time NaN is not finite"),
     ("conditions.json", "render", lambda d: d.update(frame_rate=math.inf),
      "frame_rate must be positive and finite, got inf"),
+    ("input.score.json", "validate", lambda d: d.update(ticks_per_quarter=70000),
+     "ticks_per_quarter must be <= 32767 (the MIDI limit), got 70000"),
+    ("song.score.json", "condition", lambda d: d["tempo_map"][0].__setitem__(1, 10**12),
+     "tempo map entry 0 has tempo 1000000000000 above the MIDI limit of 16777215 us per quarter"),
 ])
 def test_an_edited_artifact_that_breaks_a_rule_is_refused_on_resume(
     finished_run, tmp_path, artifact, stage, edit, message

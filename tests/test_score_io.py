@@ -191,6 +191,30 @@ def test_round_trip_preserves_syllables_and_prompts():
     assert read_smf(write_smf(score)) == score
 
 
+def test_a_score_at_the_midi_limits_writes_and_reads_back_equal():
+    tpq = 0x7FFF
+    score = VocalScore(
+        notes=(Note(0, tpq, 60, "la"),),
+        tempo_map=((0, 0xFFFFFF), (tpq, 1)),
+        ticks_per_quarter=tpq,
+        sections=(Section("verse", 0, 4 * tpq),),
+    )
+    assert read_smf(write_smf(score)) == score
+    assert score_from_json(score_to_json(score)) == score
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"tempo_map": ((0, 0x1000000),)}, "tempo 16777216 above the MIDI limit"),
+    ({"ticks_per_quarter": 0x8000}, "ticks_per_quarter must be <= 32767"),
+])
+def test_a_score_beyond_the_midi_limits_is_refused_by_the_writer_and_the_reader(edit, message):
+    score = VocalScore(sections=(Section("verse", 0, 1920),), **edit)
+    with pytest.raises(ValueError, match=message):
+        write_smf(score)
+    with pytest.raises(ScoreFormatError, match=message):
+        score_from_json(score_to_json(score))
+
+
 def test_write_rejects_invalid_scores():
     score = VocalScore(notes=(Note(0, 480, 60),))  # notes but no sections
     with pytest.raises(ValueError):
