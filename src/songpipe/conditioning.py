@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import data_lines, read_document
+from .formats import data_lines, read_document, typed
 from .score import SECTION_LABELS, VocalScore, tick_to_seconds
 
 DEFAULT_FRAME_RATE = 50.0
@@ -305,7 +305,7 @@ def chord_chromagram(
 
 def pitch_contour_from_score(
     score: VocalScore,
-    duration_sec: float | None = None,
+    duration_sec: float,
     frame_rate: float = DEFAULT_FRAME_RATE,
 ) -> np.ndarray:
     """Framewise MIDI pitch of the sounding note; 0.0 in vocal silence.
@@ -313,8 +313,6 @@ def pitch_contour_from_score(
     At a boundary frame where one note ends exactly as the next begins, the
     frame reports the later note.
     """
-    if duration_sec is None:
-        duration_sec = score.duration_seconds()
     t = math.ceil(duration_sec * frame_rate)
     out = np.zeros(t)
     spans = _frame_spans(t, frame_rate, [
@@ -328,14 +326,12 @@ def pitch_contour_from_score(
 
 def structure_labels(
     score: VocalScore,
-    duration_sec: float | None = None,
+    duration_sec: float,
     frame_rate: float = DEFAULT_FRAME_RATE,
 ) -> np.ndarray:
     """Framewise section-label ids; frames at/after the last section keep its id."""
     if not score.sections:
         raise ValueError("score has no sections")
-    if duration_sec is None:
-        duration_sec = score.duration_seconds()
     t = math.ceil(duration_sec * frame_rate)
     out = np.zeros(t, dtype=np.int64)
     # Section i holds the frames from its start to the next one's; the first
@@ -482,17 +478,24 @@ def bundle_from_json(text: str | bytes) -> ConditionBundle:
             raise ValueError("chroma cells must be 0 or 1")
         if not ((rhythm >= 0) & (rhythm <= 1)).all():  # NaN fails both
             raise ValueError("rhythm values must be in [0, 1]")
+        lists = doc["structure"], doc["pitch_contour"]
+        if not all(type(v) is list and set(map(type, v)) <= {int, float} for v in lists):
+            raise ValueError("structure and pitch_contour must be lists of numbers")
+        structure, contour = (np.asarray(v, dtype=float) for v in lists)
+        if not ((structure >= 0) & (structure < len(SECTION_LABELS)) & (structure % 1 == 0)).all():
+            raise ValueError(f"structure ids must be whole numbers in [0, {len(SECTION_LABELS)})")
+        if not ((contour >= 0) & (contour <= 127)).all():
+            raise ValueError("pitch_contour values must be finite and in [0, 127]")
         return ConditionBundle(
-            frame_rate=float(doc["frame_rate"]),
+            frame_rate=typed(doc["frame_rate"], float, "frame_rate"),
             rhythm=rhythm,
             chroma=chroma,
-            structure=np.asarray(doc["structure"], dtype=np.int64),
-            pitch_contour=np.asarray(doc["pitch_contour"], dtype=float),
-            keys=tuple(
-                (int(k["section"]), KeyLabel(int(k["tonic"]), str(k["mode"])))
-                for k in doc["keys"]
-            ),
-        ), int(doc["num_frames"])
+            structure=structure.astype(np.int64),
+            pitch_contour=contour,
+            keys=tuple((typed(k["section"], int, "key section"),
+                        KeyLabel(typed(k["tonic"], int, "tonic"), k["mode"]))
+                       for k in doc["keys"]),
+        ), typed(doc["num_frames"], int, "num_frames")
 
     bundle, num_frames = read_document(text, CONDITIONS_JSON_FORMAT, CONDITIONS_JSON_VERSION,
                                        build)

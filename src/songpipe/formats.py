@@ -84,6 +84,17 @@ def read_document(text: str | bytes, name: str, version: int, build,
         raise error(f"malformed {name} document: {exc}") from exc
 
 
+def typed(value, kind: type, name: str):
+    """``value``, a JSON document's field ``name``, as ``kind``: int takes an integer or a
+    whole-number float (the config's rule), float any number and str a string.  Anything
+    else, a bool included, is a ``ValueError`` naming ``name``."""
+    if type(value) is kind or type(value) in (int, float) and (
+            kind is float or kind is int and float(value).is_integer()):
+        return kind(value)
+    words = {int: "a whole number", float: "a number", str: "a string"}[kind]
+    raise ValueError(f"{name} must be {words}, got {value!r}")
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """``(line number, stripped line)`` of each line that is not blank or a ``#`` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):

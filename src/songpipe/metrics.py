@@ -206,8 +206,14 @@ _KS_TEMPLATES = tuple(
 #: Frames per matrix product in :func:`chroma_from_audio`.
 _CHROMA_CHUNK = 256
 
-#: Samples in :func:`chroma_from_audio`'s analysis window.
+#: Samples in :func:`chroma_from_audio`'s analysis window, the MIDI notes it
+#: measures (C3 to B5, the high end excluded) and the RMS below which a frame is silent.
 CHROMA_WINDOW = 8192
+CHROMA_LOW_MIDI, CHROMA_HIGH_MIDI = 48, 84
+CHROMA_SILENCE = 1e-4
+_N_FFT = 4 * CHROMA_WINDOW  # the DFT grid of the note bins
+_NOTE_FREQS = 440.0 * 2.0 ** ((np.arange(CHROMA_LOW_MIDI, CHROMA_HIGH_MIDI) - 69) / 12.0)
+_NOTE_PCS = np.arange(CHROMA_LOW_MIDI, CHROMA_HIGH_MIDI) % 12
 
 #: Part of every chunk key of :func:`chroma_from_audio`'s memo: change it
 #: whenever a chunk's rows change for the same samples and parameters.
@@ -219,22 +225,19 @@ def chroma_from_audio(
     sample_rate: int,
     frame_rate: float,
     num_frames: int | None = None,
-    low_midi: int = 48,
-    high_midi: int = 84,
-    window_size: int = CHROMA_WINDOW,
-    silence_threshold: float = 1e-4,
     memo: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Estimate a binary (T, 12) chromagram from audio by DFT peak picking.
 
-    Each frame takes a Hann-windowed slice centred on the frame time and
-    evaluates the DFT directly at the bin nearest every equal-tempered note
-    frequency between ``low_midi`` and ``high_midi``, on a grid of
-    ``4 * window_size`` bins: these are exactly the bins a zero-padded
-    ``4 * window_size``-point FFT of the slice would give, without computing
-    the rest.  The magnitudes fold into pitch classes (the strongest note of
-    each class) and the three strongest classes are marked — or none when the
-    slice is essentially silent.  Designed as an independent check of the
+    Each frame takes a Hann-windowed slice of ``CHROMA_WINDOW`` samples
+    centred on the frame time and evaluates the DFT directly at the bin
+    nearest every equal-tempered note frequency from ``CHROMA_LOW_MIDI`` up
+    to ``CHROMA_HIGH_MIDI``, on a grid of ``4 * CHROMA_WINDOW`` bins: these
+    are exactly the bins a zero-padded ``4 * CHROMA_WINDOW``-point FFT of
+    the slice would give, without computing the rest.  The magnitudes fold
+    into pitch classes (the strongest note of each class) and the three
+    strongest classes are marked — or none when the slice's RMS is below
+    ``CHROMA_SILENCE``.  Designed as an independent check of the
     stub renderer's triad pad, not a general transcription tool.
 
     ``samples`` is a 1-D or (channels, n) array of 1 or 2 channels, a
@@ -256,10 +259,11 @@ def chroma_from_audio(
 
     ``memo`` maps a chunk key to that chunk's rows.  A chunk's key is the
     SHA-256 of everything its rows depend on: the samples it reads, its frame
-    starts relative to the first of them, and the parameters.  The samples
-    are hashed as float32 bytes, under their own tag, when their channel
-    mean is exactly float32 (so a float32 WAV and its decoded array key
-    alike), and as float64 bytes under another tag otherwise.  A chunk whose
+    starts relative to the first of them, the sample rate and the constants
+    above.  The samples are hashed as float32 bytes, under their own tag,
+    when their channel mean is exactly float32 (so a float32 WAV and its
+    decoded array key alike), and as float64 bytes under another tag
+    otherwise.  A chunk whose
     key is in ``memo`` is copied from it instead of measured.  On return
     ``memo`` (a throwaway dict when None) holds the keys and rows of this
     call's chunks only.
@@ -272,20 +276,15 @@ def chroma_from_audio(
                  and source.header.sample_format == "float32")
     if num_frames is None:
         num_frames = int(np.ceil(n_samples / sample_rate * frame_rate))
-    n_fft = 4 * window_size
-    note_freqs = 440.0 * 2.0 ** ((np.arange(low_midi, high_midi) - 69) / 12.0)
-    note_bins = np.round(note_freqs * n_fft / sample_rate).astype(int)
-    note_pcs = np.arange(low_midi, high_midi) % 12
+    note_bins = np.round(_NOTE_FREQS * _N_FFT / sample_rate).astype(int)
     # Notes that share a bin share one basis column, so they tie exactly.
     bins, note_cols = np.unique(note_bins, return_inverse=True)
     basis = None  # built on the first chunk measured
 
-    half = window_size // 2
-    span = 2 * half  # samples read per frame; an odd window ends in a zero
     centres = np.rint(np.arange(num_frames) / frame_rate * sample_rate)
-    starts = centres.astype(np.int64) - half
-    params = repr((CHROMA_VERSION, sample_rate, low_midi, high_midi, window_size,
-                   silence_threshold)).encode("ascii")
+    starts = centres.astype(np.int64) - CHROMA_WINDOW // 2
+    params = repr((CHROMA_VERSION, sample_rate, CHROMA_LOW_MIDI, CHROMA_HIGH_MIDI,
+                   CHROMA_WINDOW, CHROMA_SILENCE)).encode("ascii")
 
     out = np.zeros((num_frames, 12))
     chunks: dict[str, np.ndarray] = {}
@@ -293,7 +292,7 @@ def chroma_from_audio(
         chunk_starts = starts[first : first + _CHROMA_CHUNK]
         rows = out[first : first + len(chunk_starts)]
         # The samples this chunk's rows read, clipped to the signal.
-        begin, end = int(chunk_starts[0]), int(chunk_starts[-1]) + span
+        begin, end = int(chunk_starts[0]), int(chunk_starts[-1]) + CHROMA_WINDOW
         lo = min(max(begin, 0), n_samples)
         hi = max(min(end, n_samples), lo)
         if as_stored:
@@ -320,21 +319,20 @@ def chroma_from_audio(
             segment = (narrow if segment.dtype == np.float32
                        else _padded(segment, lo - begin, end - begin))
         offsets = chunk_starts - begin
-        silent, squares = _silent(segment, offsets, window_size, silence_threshold)
+        silent, squares = _silent(segment, offsets)
         live = np.flatnonzero(~silent)
         if live.size:
             if basis is None:
-                basis = _note_bin_basis(window_size, n_fft, bins)
+                basis = _note_bin_basis(bins)
                 basis32, scale = basis.astype(np.float32), _error_scale(basis)
             decided = False
             if squares is not None:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    proj = _frames(narrow, offsets[live], window_size) @ basis32
-                    energy, order, strong = _classes(proj.astype(float), note_cols, note_pcs)
+                    proj = _frames(narrow, offsets[live]) @ basis32
+                    energy, order, strong = _classes(proj.astype(float), note_cols)
                     decided = _decided(energy, order, proj, scale, squares[live]).all()
             if not decided:
-                order, strong = _measured(segment, offsets[live], window_size, basis,
-                                          note_cols, note_pcs)
+                order, strong = _measured(segment, offsets[live], basis, note_cols)
             # Mark each frame's strong classes among its three strongest.
             row, rank = np.nonzero(strong)
             rows[live[row], order[row, rank - 3]] = 1.0
@@ -351,15 +349,14 @@ def _padded(samples: np.ndarray, at: int, size: int) -> np.ndarray:
     return padded
 
 
-def _classes(proj: np.ndarray, note_cols: np.ndarray,
-             note_pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _classes(proj: np.ndarray, note_cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each row's class energies (the strongest note of each pitch class, from
     the cos then sin halves of ``proj``), its classes in stable ascending order
     of energy, and which of its three strongest exceed 5 % of the strongest."""
     n_bins = proj.shape[1] // 2
     magnitude = np.hypot(proj[:, :n_bins], proj[:, n_bins:])
     energy = np.zeros((len(proj), 12))
-    np.maximum.at(energy, (slice(None), note_pcs), magnitude[:, note_cols])
+    np.maximum.at(energy, (slice(None), _NOTE_PCS), magnitude[:, note_cols])
     order = np.argsort(energy, axis=1, kind="stable")
     strong = np.take_along_axis(energy, order[:, -3:], axis=1) > 0.05 * energy.max(
         axis=1, keepdims=True
@@ -367,16 +364,16 @@ def _classes(proj: np.ndarray, note_cols: np.ndarray,
     return energy, order, strong
 
 
-def _measured(segment: np.ndarray, offsets: np.ndarray, window_size: int, basis: np.ndarray,
-              note_cols: np.ndarray, note_pcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _measured(segment: np.ndarray, offsets: np.ndarray, basis: np.ndarray,
+              note_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_classes`' order and marks of the frames at ``offsets``, projected
     in float64: the float64 expression that every row must equal.  It is
     always given all live frames of a chunk, so that it makes the product
     the expression makes: BLAS may sum a row in another order when a
     product has fewer rows."""
     with np.errstate(invalid="ignore"):  # a signalling NaN is cast to a NaN
-        frames = _frames(segment, offsets, window_size).astype(float, copy=False)
-    _, order, strong = _classes(frames @ basis, note_cols, note_pcs)
+        frames = _frames(segment, offsets).astype(float, copy=False)
+    _, order, strong = _classes(frames @ basis, note_cols)
     return order, strong
 
 
@@ -481,70 +478,61 @@ def memo_from_json(text: str) -> dict[str, np.ndarray]:
     return read_document(text, MEMO_FORMAT, MEMO_VERSION, build)
 
 
-def _frames(segment: np.ndarray, offsets: np.ndarray, window_size: int) -> np.ndarray:
-    """One row per offset: ``window_size`` samples of ``segment`` from it, an odd
-    window ending in a zero, in ``segment``'s dtype."""
-    span = 2 * (window_size // 2)
-    frames = sliding_window_view(segment, span)[offsets]
-    if window_size > span:
-        frames = np.hstack([frames, np.zeros((len(frames), 1), dtype=frames.dtype)])
-    return frames
+def _frames(segment: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """One row per offset: ``CHROMA_WINDOW`` samples of ``segment`` from it,
+    in ``segment``'s dtype."""
+    return sliding_window_view(segment, CHROMA_WINDOW)[offsets]
 
 
-def _silent(segment: np.ndarray, offsets: np.ndarray, window_size: int,
-            threshold: float) -> tuple[np.ndarray, np.ndarray | None]:
+def _silent(segment: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Whether each frame of :func:`_frames` is silent, exactly as
-    ``np.sqrt((frames**2).mean(axis=1)) < threshold`` decides it in float64,
-    and each frame's energy plus its error (a bound of its sum of squares),
-    or None when the squares of ``segment`` do not sum to a finite number.
+    ``np.sqrt((frames**2).mean(axis=1)) < CHROMA_SILENCE`` decides it in
+    float64, and each frame's energy plus its error (a bound of its sum of
+    squares), or None when the squares of ``segment`` do not sum to a finite
+    number.
 
     A prefix sum of the squared samples gives each frame's energy ``E`` (the
-    sum of its squares) in O(1).  With ``u = 2**-53`` and ``n`` samples in
-    ``segment``, every prefix is within ``n*u`` (to first order) of its exact
-    value relative to itself, as the terms are not negative, so ``E`` is
-    within ``4*(n+1)*u`` times its ending prefix of the exact sum ``S``.  The
-    expression above sums the same squares in another order, within
-    ``window_size*u*S`` of ``S``, then rounds twice more (mean and square
-    root), as does the limit ``threshold**2 * window_size``.  So a frame
-    whose ``E`` lies, with its error, farther than ``2*(window_size+8)*u``
-    relative from that limit is decided by ``E``.  The rest are measured by
-    the expression itself, as are all frames of a segment whose squares do
-    not sum to a finite number, and all frames when the limit is not a
-    normal number far from underflow (where the relative bounds would not
-    hold) or ``threshold`` is not positive.  A float32 ``segment`` is
-    squared in float64, where the square of a float32 number is exact.
+    sum of its squares) in O(1).  With ``u = 2**-53``, ``W = CHROMA_WINDOW``
+    and ``n`` samples in ``segment``, every prefix is within ``n*u`` (to
+    first order) of its exact value relative to itself, as the terms are not
+    negative, so ``E`` is within ``4*(n+1)*u`` times its ending prefix of the
+    exact sum ``S``.  The expression above sums the same squares in another
+    order, within ``W*u*S`` of ``S``, then rounds twice more (mean and square
+    root), as does the limit ``CHROMA_SILENCE**2 * W``, a normal number far
+    from underflow.  So a frame whose ``E`` lies, with its error, farther
+    than ``2*(W+8)*u`` relative from that limit is decided by ``E``.  The
+    rest, and all frames of a segment whose squares do not sum to a finite
+    number, are measured by the expression itself.  A float32 ``segment``
+    is squared in float64, where the square of a float32 number is exact.
     """
     sums = np.empty(len(segment) + 1)
     sums[0] = 0.0
     with np.errstate(invalid="ignore"):  # a signalling NaN is cast to a NaN
         np.cumsum(np.square(segment, dtype=float), out=sums[1:])
-    span = 2 * (window_size // 2)
-    limit = threshold * threshold * window_size
     silent = np.zeros(len(offsets), dtype=bool)
     unsure = np.ones(len(offsets), dtype=bool)
     squares = None
     if np.isfinite(sums[-1]):
-        ends = sums[offsets + span]
+        ends = sums[offsets + CHROMA_WINDOW]
         energy = ends - sums[offsets]
         error = 4 * (len(segment) + 1) * 2.0**-53 * ends
         squares = energy + error
-        if threshold > 0 and 2.0**-900 < limit < 2.0**900:
-            margin = 2 * (window_size + 8) * 2.0**-53 * limit
-            silent = squares < limit - margin
-            unsure = ~silent & ~(energy - error > limit + margin)
+        limit = CHROMA_SILENCE * CHROMA_SILENCE * CHROMA_WINDOW
+        margin = 2 * (CHROMA_WINDOW + 8) * 2.0**-53 * limit
+        silent = squares < limit - margin
+        unsure = ~silent & ~(energy - error > limit + margin)
     if unsure.any():
-        frames = _frames(segment, offsets[unsure], window_size)
         with np.errstate(invalid="ignore"):
-            squared = np.square(frames, dtype=float)
-        silent[unsure] = np.sqrt(squared.mean(axis=1)) < threshold
+            squared = np.square(_frames(segment, offsets[unsure]), dtype=float)
+        silent[unsure] = np.sqrt(squared.mean(axis=1)) < CHROMA_SILENCE
     return silent, squares
 
 
-def _note_bin_basis(window_size: int, n_fft: int, bins: np.ndarray) -> np.ndarray:
-    """Hann-weighted cos columns then sin columns of the given n_fft-point DFT bins."""
-    # Reduce k*n modulo n_fft in integers so the phase stays exact for large n.
-    phase = (np.outer(np.arange(window_size), bins) % n_fft) * (2.0 * np.pi / n_fft)
-    hann = np.hanning(window_size)[:, None]
+def _note_bin_basis(bins: np.ndarray) -> np.ndarray:
+    """Hann-weighted cos columns then sin columns of the given ``_N_FFT``-point DFT bins."""
+    # Reduce k*n modulo _N_FFT in integers so the phase stays exact for large n.
+    phase = (np.outer(np.arange(CHROMA_WINDOW), bins) % _N_FFT) * (2.0 * np.pi / _N_FFT)
+    hann = np.hanning(CHROMA_WINDOW)[:, None]
     return np.hstack([hann * np.cos(phase), hann * np.sin(phase)])
 
 

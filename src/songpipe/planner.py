@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .conditioning import beat_downbeat_events
-from .formats import json_text, read_document
+from .formats import json_text, read_document, typed
 from .score import VocalScore, tick_to_seconds
 
 #: Longest span the downstream generator can produce in one call, seconds.
@@ -225,13 +225,14 @@ def plan_to_json(windows: list[GenerationWindow]) -> str:
 def plan_from_json(text: str | bytes) -> list[GenerationWindow]:
     windows = read_document(text, PLAN_JSON_FORMAT, PLAN_JSON_VERSION, lambda doc: [
         GenerationWindow(
-            float(w["start_sec"]),
-            float(w["end_sec"]),
-            int(w["anchor_section"]),
-            int(w["order"]),
+            typed(w["start_sec"], float, "start_sec"),
+            typed(w["end_sec"], float, "end_sec"),
+            typed(w["anchor_section"], int, "anchor_section"),
+            typed(w["order"], int, "order"),
             WindowReference(
-                str(w["reference"]["kind"]),
-                None if w["reference"]["section"] is None else int(w["reference"]["section"]),
+                typed(w["reference"]["kind"], str, "reference kind"),
+                None if w["reference"]["section"] is None
+                else typed(w["reference"]["section"], int, "reference section"),
             ),
         )
         for w in doc["windows"]

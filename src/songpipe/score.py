@@ -94,14 +94,12 @@ class VocalScore:
     """A monophonic vocal score with tempo map and section annotations.
 
     ``tempo_map`` is a sequence of ``(tick, microseconds_per_quarter)`` pairs,
-    sorted by tick with the first entry at tick 0.  ``time_signature`` must be
-    ``(4, 4)``; the field exists so readers can reject other meters with a
-    clear message instead of silently assuming one.
+    sorted by tick with the first entry at tick 0.  The meter is always 4/4
+    (:data:`BEATS_PER_BAR`); the readers refuse any other by name.
     """
 
     notes: tuple[Note, ...] = ()
     tempo_map: tuple[tuple[int, int], ...] = ((0, DEFAULT_TEMPO_US),)
-    time_signature: tuple[int, int] = (4, 4)
     ticks_per_quarter: int = DEFAULT_TICKS_PER_QUARTER
     sections: tuple[Section, ...] = ()
     title: str = ""
@@ -112,7 +110,6 @@ class VocalScore:
         object.__setattr__(
             self, "tempo_map", tuple((int(t), int(u)) for t, u in self.tempo_map)
         )
-        object.__setattr__(self, "time_signature", tuple(self.time_signature))
         object.__setattr__(self, "sections", tuple(self.sections))
 
     @property
@@ -142,8 +139,6 @@ def validate_score(score: VocalScore) -> list[str]:
     """
     problems: list[str] = []
 
-    if tuple(score.time_signature) != (4, 4):
-        problems.append(f"time signature must be 4/4, got {score.time_signature}")
     if score.ticks_per_quarter < 1:
         problems.append(f"ticks_per_quarter must be >= 1, got {score.ticks_per_quarter}")
     elif score.ticks_per_quarter > MAX_TICKS_PER_QUARTER:

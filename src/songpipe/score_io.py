@@ -23,7 +23,7 @@ import json
 import struct
 from typing import Iterator
 
-from .formats import read_document, read_file, write_file
+from .formats import read_document, read_file, typed, write_file
 from .score import (
     DEFAULT_TEMPO_US,
     SECTION_LABELS,
@@ -257,7 +257,6 @@ def _assemble_score(events: list[tuple[int, int, tuple]], division: int) -> Voca
     markers: list[tuple[int, str, str | None]] = []
     lyrics: dict[int, str] = {}
     open_notes: dict[int, int] = {}  # pitch -> onset tick
-    timesig_seen: tuple[int, int] | None = None
     end_tick = 0
 
     for tick, _, event in events:
@@ -268,13 +267,9 @@ def _assemble_score(events: list[tuple[int, int, tuple]], division: int) -> Voca
                 tempo_map[-1] = (tick, event[1])
             else:
                 tempo_map.append((tick, event[1]))
-        elif kind == "timesig":
-            timesig_seen = (event[1], event[2])
-            if timesig_seen != (4, 4):
-                raise ScoreFormatError(
-                    f"only 4/4 meter is supported, file declares "
-                    f"{timesig_seen[0]}/{timesig_seen[1]}"
-                )
+        elif kind == "timesig" and event[1:] != (4, 4):
+            raise ScoreFormatError(
+                f"only 4/4 meter is supported, file declares {event[1]}/{event[2]}")
         elif kind == "marker":
             label, _, prompt = event[1].partition(":")
             label = label.strip()
@@ -319,7 +314,6 @@ def _assemble_score(events: list[tuple[int, int, tuple]], division: int) -> Voca
     score = VocalScore(
         notes=tuple(notes),
         tempo_map=tuple(tempo_map),
-        time_signature=(4, 4),
         ticks_per_quarter=division,
         sections=tuple(sections),
     )
@@ -340,7 +334,7 @@ def score_to_json(score: VocalScore) -> str:
         "version": SCORE_JSON_VERSION,
         "title": score.title,
         "ticks_per_quarter": score.ticks_per_quarter,
-        "time_signature": list(score.time_signature),
+        "time_signature": [4, 4],  # the only meter a score has
         "tempo_map": [[t, u] for t, u in score.tempo_map],
         "sections": [
             {
@@ -375,29 +369,31 @@ def score_from_json(text: str | bytes) -> VocalScore:
 
 
 def _score_from_doc(doc: dict) -> VocalScore:
+    if doc["time_signature"] != [4, 4]:
+        raise ValueError(f"time signature must be 4/4, got {doc['time_signature']!r}")
     return VocalScore(
         notes=tuple(
             Note(
-                int(n["onset_tick"]),
-                int(n["duration_ticks"]),
-                int(n["pitch"]),
+                typed(n["onset_tick"], int, "onset_tick"),
+                typed(n["duration_ticks"], int, "duration_ticks"),
+                typed(n["pitch"], int, "pitch"),
                 _opt_str(n.get("syllable")),
             )
             for n in doc["notes"]
         ),
-        tempo_map=tuple((int(t), int(u)) for t, u in doc["tempo_map"]),
-        time_signature=tuple(int(x) for x in doc["time_signature"]),
-        ticks_per_quarter=int(doc["ticks_per_quarter"]),
+        tempo_map=tuple((typed(t, int, "tempo_map tick"), typed(u, int, "tempo_map tempo"))
+                        for t, u in doc["tempo_map"]),
+        ticks_per_quarter=typed(doc["ticks_per_quarter"], int, "ticks_per_quarter"),
         sections=tuple(
             Section(
-                str(s["label"]),
-                int(s["start_tick"]),
-                int(s["end_tick"]),
+                typed(s["label"], str, "section label"),
+                typed(s["start_tick"], int, "start_tick"),
+                typed(s["end_tick"], int, "end_tick"),
                 _opt_str(s.get("prompt")),
             )
             for s in doc["sections"]
         ),
-        title=str(doc.get("title", "")),
+        title=typed(doc.get("title", ""), str, "title"),
     )
 
 

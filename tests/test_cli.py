@@ -2176,6 +2176,33 @@ def test_an_input_that_vanishes_after_its_stage_read_it_fails_that_stage(
      "ticks_per_quarter must be <= 32767 (the MIDI limit), got 70000"),
     ("song.score.json", "condition", lambda d: d["tempo_map"][0].__setitem__(1, 10**12),
      "tempo map entry 0 has tempo 1000000000000 above the MIDI limit of 16777215 us per quarter"),
+    # A hand-edited value is refused, not coerced: an integer field takes a
+    # whole number and no bool or string, a string field only a string.
+    ("song.score.json", "condition", lambda d: d.update(ticks_per_quarter=True),
+     "malformed score document: ticks_per_quarter must be a whole number, got True"),
+    ("song.score.json", "condition", lambda d: d["notes"][0].update(pitch=67.9),
+     "malformed score document: pitch must be a whole number, got 67.9"),
+    ("song.score.json", "condition", lambda d: d["notes"][1].update(onset_tick="8160"),
+     "malformed score document: onset_tick must be a whole number, got '8160'"),
+    ("song.score.json", "condition", lambda d: d.update(title=5),
+     "malformed score document: title must be a string, got 5"),
+    ("conditions.json", "render", lambda d: d.update(structure=[99] * len(d["structure"])),
+     "malformed conditions document: structure ids must be whole numbers in [0, 8)"),
+    ("conditions.json", "render", lambda d: d["structure"].__setitem__(0, 1.7),
+     "malformed conditions document: structure ids must be whole numbers in [0, 8)"),
+    ("conditions.json", "render", lambda d: d["structure"].__setitem__(0, True),
+     "malformed conditions document: structure and pitch_contour must be lists of numbers"),
+    ("conditions.json", "render", lambda d: d["keys"][0].update(tonic=1.9),
+     "malformed conditions document: tonic must be a whole number, got 1.9"),
+    ("conditions.json", "render", lambda d: d["pitch_contour"].__setitem__(0, -5.5),
+     "malformed conditions document: pitch_contour values must be finite and in [0, 127]"),
+    ("conditions.json", "render", lambda d: d.update(frame_rate="50"),
+     "malformed conditions document: frame_rate must be a number, got '50'"),
+    ("plan.json", "render", lambda d: d["windows"][0].update(anchor_section="0"),
+     "malformed plan document: anchor_section must be a whole number, got '0'"),
+    ("plan.json", "render",
+     lambda d: next(w for w in d["windows"] if w["start_sec"] == 0).update(start_sec=False),
+     "malformed plan document: start_sec must be a number, got False"),
 ])
 def test_an_edited_artifact_that_breaks_a_rule_is_refused_on_resume(
     finished_run, tmp_path, artifact, stage, edit, message

@@ -299,7 +299,7 @@ def test_chromagram_rejects_sequence_longer_than_duration():
 
 def test_pitch_contour_uses_last_note_at_boundaries():
     score = simple_score([60, 64], bpm=120, note_ticks=480)
-    contour = pitch_contour_from_score(score, frame_rate=50)
+    contour = pitch_contour_from_score(score, score.duration_seconds(), frame_rate=50)
     assert contour[0] == 60
     assert contour[25] == 64  # 0.5 s: second note wins the shared boundary
 
@@ -310,7 +310,7 @@ def test_pitch_contour_zero_during_rests():
         tempo_map=((0, bpm_to_us(120)),),
         sections=(Section("verse", 0, 1920),),
     )
-    contour = pitch_contour_from_score(score, frame_rate=50)
+    contour = pitch_contour_from_score(score, score.duration_seconds(), frame_rate=50)
     assert contour[30] == 0  # 0.6 s falls in the rest
     assert contour[0] == 60
     assert contour[80] == 62
@@ -318,7 +318,7 @@ def test_pitch_contour_zero_during_rests():
 
 def test_structure_labels_use_global_label_ids():
     score = simple_score([60] * 8, bpm=120, labels=["verse", "chorus"])
-    labels = structure_labels(score, frame_rate=50)
+    labels = structure_labels(score, score.duration_seconds(), frame_rate=50)
     assert labels.shape == (200,)
     verse_id = SECTION_LABELS.index("verse")
     chorus_id = SECTION_LABELS.index("chorus")

@@ -293,6 +293,14 @@ def test_json_scores_with_notes_out_of_place_are_refused(edit, message):
         score_from_json(json.dumps(doc))
 
 
+def test_a_json_score_in_another_meter_is_refused_by_name():
+    doc = json.loads(score_to_json(simple_score([60])))
+    doc["time_signature"] = [3, 4]
+    with pytest.raises(ScoreFormatError, match=r"malformed score document: "
+                       r"time signature must be 4/4, got \[3, 4\]"):
+        score_from_json(json.dumps(doc))
+
+
 def test_smf_fuzz_random_bytes_never_crash():
     rng = random.Random(271828)
     outcomes = {"ok": 0, "rejected": 0}
