@@ -15,6 +15,7 @@ beat.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from statistics import median
@@ -74,7 +75,8 @@ def detect_voiced_segments(samples: np.ndarray, sample_rate: int) -> list[Voiced
     The signal is cut into non-overlapping :data:`WINDOW_SEC` windows; a
     window is voiced when its RMS is within :data:`THRESHOLD_DB` of the
     loudest window.  Adjacent voiced spans closer than
-    :data:`MERGE_GAP_SEC` are merged.  All-silent input yields an empty list.
+    :data:`MERGE_GAP_SEC` are merged.  All-silent input yields an empty list;
+    a NaN or infinite sample, or one whose square overflows, raises.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 2:  # (channels, n) -> mono mean
@@ -88,8 +90,11 @@ def detect_voiced_segments(samples: np.ndarray, sample_rate: int) -> list[Voiced
     padded = np.zeros(n_windows * hop)
     padded[: samples.size] = samples
     frames = padded.reshape(n_windows, hop)
-    rms = np.sqrt((frames**2).mean(axis=1))
+    with np.errstate(over="ignore"):  # an overflowing square is refused below
+        rms = np.sqrt((frames**2).mean(axis=1))
     peak = rms.max()
+    if not math.isfinite(peak):  # a NaN or inf in any window carries into the max
+        raise ValueError(f"samples have a window of non-finite RMS ({peak})")
     if peak <= 0.0:
         return []
     gate = peak * 10.0 ** (THRESHOLD_DB / 20.0)
@@ -231,6 +236,8 @@ def parse_beat_grid(text: str) -> BeatGrid:
             time, pos = float(time), int(float(pos))
         except (ValueError, OverflowError):  # int(float("1e400")) overflows
             raise ValueError(f"beat line {lineno}: bad time or position column") from None
+        if not math.isfinite(time):
+            raise ValueError(f"beat line {lineno}: time {time} is not finite")
         beats.append(time)
         if pos == 1:
             downbeats.append(time)

@@ -122,27 +122,27 @@ def chord_f1(reference: np.ndarray, estimate: np.ndarray) -> float:
 def edit_distance(reference: list, hypothesis: list) -> int:
     """Levenshtein distance (substitutions, deletions, insertions all cost 1).
 
-    Tokens must be hashable; they are interned to int64 ids, so two tokens
-    match when they are equal as dict keys.  Each DP row is whole-array: the
-    insertion chain ``cur[j] = min(a[j], cur[j - 1] + 1)`` is
-    ``minimum.accumulate(a - j) + j``, exact in int64.
+    Tokens must be hashable and match when equal as dict keys.  The distance
+    is symmetric, so the DP column of the shorter sequence (length m) is held
+    as bits of Python ints and the bit-parallel recurrence of Myers (1999), in
+    Hyyrö's (2003) Levenshtein form, steps over the n tokens of the longer one
+    with a few big-int operations each: O(n·⌈m/64⌉) word operations, and one
+    match mask per distinct token of the shorter one, at most (distinct) × m bits.
     """
-    m, n = len(reference), len(hypothesis)
-    ids: dict = {}
-    ref = np.array([ids.setdefault(tok, len(ids)) for tok in reference], dtype=np.int64)
-    hyp = np.array([ids.setdefault(tok, len(ids)) for tok in hypothesis], dtype=np.int64)
-    j = np.arange(n + 1, dtype=np.int64)
-    prev = j.copy()
-    cur = np.empty(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        cur[0] = i
-        np.add(prev[:-1], hyp != ref[i - 1], out=cur[1:])
-        np.minimum(cur[1:], prev[1:] + 1, out=cur[1:])
-        cur -= j
-        np.minimum.accumulate(cur, out=cur)
-        cur += j
-        prev, cur = cur, prev
-    return int(prev[n])
+    short, long = sorted((reference, hypothesis), key=len)
+    masks: dict = {}
+    for i, tok in enumerate(short):
+        masks[tok] = masks.get(tok, 0) | 1 << i
+    m = len(short)
+    full, top = (1 << m) - 1, 1 << m
+    pv, mv, score = full, 0, m  # vertical deltas +1 / -1 down the column; D[m][0]
+    for tok in long:  # an unhashable token raises TypeError in the lookup
+        eq = masks.get(tok, 0)
+        xv, xh = eq | mv, (((eq & pv) + pv) ^ pv) | eq
+        ph, mh = (mv | ~(xh | pv)) << 1 | 1, (pv & xh) << 1  # row 0 grows by 1
+        score += (ph & top != 0) - (mh & top != 0)
+        pv, mv = (mh | ~(xv | ph)) & full, ph & xv  # & full only bounds the int size
+    return score
 
 
 def per(reference: list, hypothesis: list) -> float:

@@ -1,6 +1,7 @@
 """Voiced-segment detection and beat interpolation through silent gaps."""
 from __future__ import annotations
 
+import math
 import random
 from statistics import median
 
@@ -165,6 +166,35 @@ def test_parse_beat_grid_rejects_bad_lines():
         parse_beat_grid("0.5\n")
     with pytest.raises(ValueError):
         parse_beat_grid("abc\t1\n")
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_parse_beat_grid_refuses_a_non_finite_time_by_line(time):
+    # A NaN breaks the sorted order that beat matching relies on: read as a
+    # time, it made this grid score rhythm F1 0.25 against the one without it.
+    text = f"0.0 1\n{time} 2\n1.0 3\n1.5 4\n"
+    with pytest.raises(ValueError, match=f"^beat line 2: time {time} is not finite$"):
+        parse_beat_grid(text)
+
+
+def _burst(sample_rate=22050):
+    """4 s of silence with 0.5 from 1 s to 3 s."""
+    samples = np.zeros(4 * sample_rate)
+    samples[sample_rate:3 * sample_rate] = 0.5
+    return samples
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_detect_voiced_segments_refuses_non_finite_energy(bad, channels):
+    # A NaN or inf RMS compares false against the gate, which would read as
+    # all silent; 1e200 is finite but squares to inf.
+    samples = _burst()
+    samples[2 * 22050] = bad
+    if channels == 2:
+        samples = np.stack([samples, _burst()])
+    with pytest.raises(ValueError, match="non-finite RMS"):
+        detect_voiced_segments(samples, 22050)
 
 
 # ---------------------------------------------------------------------------

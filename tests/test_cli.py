@@ -1957,6 +1957,7 @@ def _stage_files(score_file, tmp_path):
      '"rhythm": [], "chroma": [], "structure": [], "pitch_contour": [], "keys": [], '
      '"num_frames": 1e400}', "malformed conditions document"),
     ("eval --ref-beats", "0.0 1e400\n", "beat line 1: bad time or position column"),
+    ("eval --est-beats", "0.0 1\nnan 2\n1.0 3\n", "beat line 2: time nan is not finite"),
 ])
 def test_a_file_argument_that_does_not_parse_is_named(score_file, tmp_path, capsys,
                                                      flag, garbage, message):

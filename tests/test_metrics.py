@@ -206,6 +206,87 @@ def test_edit_distance_equals_the_loop_oracle_on_long_sequences():
     assert edit_distance(hypothesis, reference) == expected
 
 
+# The distance holds the shorter side's column as int bits.  CPython ints
+# grow a 30-bit digit at 30 and 60 bits, and 64 and 128 are word multiples,
+# so lengths on either side of each edge exercise the carries across them.
+_BIT_EDGE_LENGTHS = (0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129)
+
+
+@pytest.mark.parametrize("m", _BIT_EDGE_LENGTHS)
+def test_edit_distance_equals_the_loop_oracle_at_bit_vector_edges(m):
+    rng = random.Random(m)
+    for n in _BIT_EDGE_LENGTHS:
+        alphabet = rng.choice(["a", "ab", "abcd", "abcdefghijklmnopqrstuvwxyz"])
+        reference = rng.choices(alphabet, k=m)
+        hypothesis = rng.choices(alphabet, k=n)
+        expected = _edit_distance_loop_oracle(reference, hypothesis)
+        assert edit_distance(reference, hypothesis) == expected, (m, n, alphabet)
+        assert edit_distance(hypothesis, reference) == expected, (m, n, alphabet)
+    same = rng.choices("ab", k=m)
+    assert edit_distance(same, same) == 0
+    if m:  # a substitution at the last token, the column's top bit
+        assert edit_distance(same, same[:-1] + ["c"]) == 1
+
+
+def test_edit_distance_equals_the_recursive_oracle_at_the_first_bit_edges():
+    @lru_cache(maxsize=None)
+    def slow(a: tuple, b: tuple) -> int:
+        if not a:
+            return len(b)
+        if not b:
+            return len(a)
+        return min(
+            slow(a[1:], b[1:]) + (a[0] != b[0]),
+            slow(a[1:], b) + 1,
+            slow(a, b[1:]) + 1,
+        )
+
+    rng = random.Random(31)
+    for m in (0, 1, 29, 30, 31):
+        for n in (0, 1, 2, 5):
+            a = tuple(rng.choices("xyz", k=m))
+            b = tuple(rng.choices("xyz", k=n))
+            assert edit_distance(list(a), list(b)) == slow(a, b)
+            assert edit_distance(list(b), list(a)) == slow(a, b)
+
+
+@pytest.mark.parametrize("m, n", [(1, 300), (2, 129), (5, 700), (30, 1000), (65, 900),
+                                  (130, 1500)])
+def test_edit_distance_equals_the_loop_oracle_on_very_unequal_lengths(m, n):
+    rng = random.Random(m * n)
+    phones = ["AA", "AH", "K", "S", "T"]
+    short = rng.choices(phones, k=m)
+    long = rng.choices(phones, k=n)
+    expected = _edit_distance_loop_oracle(short, long)
+    assert expected >= n - m
+    assert edit_distance(short, long) == expected
+    assert edit_distance(long, short) == expected
+
+
+def test_edit_distance_equals_the_loop_oracle_on_a_permuted_distinct_pair():
+    # Every token is distinct, so each token of the shorter side has its own
+    # mask: the most mask bits the distance keeps for its length.
+    reference = [f"p{i}" for i in range(2000)]
+    hypothesis = reference[:]
+    random.Random(2000).shuffle(hypothesis)
+    expected = _edit_distance_loop_oracle(reference, hypothesis)
+    assert edit_distance(reference, hypothesis) == expected
+    assert edit_distance(hypothesis, reference) == expected
+
+
+@pytest.mark.parametrize("reference, hypothesis", [
+    ([["a"]], []),
+    ([], [["a"]]),
+    (["a", "b", {}], ["a"]),
+    (["a"], ["a", "b", {}]),
+    ([("a", ["b"])], ["a", "b", "c"]),
+    (["a", "b", "c"], [("a", ["b"])]),
+])
+def test_edit_distance_refuses_an_unhashable_token_on_either_side(reference, hypothesis):
+    with pytest.raises(TypeError, match="unhashable"):
+        edit_distance(reference, hypothesis)
+
+
 def test_per_is_distance_over_reference_length():
     assert per(list("abc"), list("abc")) == 0.0
     assert per(list("abc"), list("axc")) == pytest.approx(1 / 3)
