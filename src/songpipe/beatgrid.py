@@ -79,8 +79,9 @@ def detect_voiced_segments(samples: np.ndarray, sample_rate: int) -> list[Voiced
     a NaN or infinite sample, or one whose square overflows, raises.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 2:  # (channels, n) -> mono mean
-        samples = samples.mean(axis=0)
+    if samples.ndim == 2:  # (channels, n) -> mono mean; a non-finite one is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = samples.mean(axis=0)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("samples must be a non-empty 1-D or (channels, n) array")
     if sample_rate <= 0:

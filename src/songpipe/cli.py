@@ -298,7 +298,7 @@ def _stage_load(config: PipelineConfig, outdir: str) -> dict:
         hashes["lyrics_sha256"] = file_sha256(config.lyrics_path)
         if config.reference_bank:
             names, bank = prep.load_reference_bank(config.reference_bank)
-            if not len(sheet):
+            if not sheet.counts:
                 raise ValueError(f"lyrics file {config.lyrics_path} has no lyric lines")
             index, breakdown = prep.select_reference(sheet, bank, config.reject_fewer_lines)
             outputs["reference"] = {

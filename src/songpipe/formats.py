@@ -50,13 +50,14 @@ def json_text(doc) -> str:
 
 def read_file(path, parse, error: type[ValueError] = ValueError, mode: str = "r",
               name: str | None = None):
-    """``parse`` of the file's UTF-8 text (its bytes in mode ``"rb"``).
+    """``parse`` of the file's UTF-8 text, a leading byte-order mark skipped (its bytes in
+    mode ``"rb"``).
 
     An ``error`` from reading or parsing is raised again naming ``name``,
     by default ``path``.
     """
     try:
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8-sig") as fh:
             return parse(fh.read())
     except error as exc:  # a UnicodeDecodeError is a ValueError too
         raise error(f"cannot read {name or path}: {exc}") from exc
@@ -64,14 +65,15 @@ def read_file(path, parse, error: type[ValueError] = ValueError, mode: str = "r"
 
 def read_document(text: str | bytes, name: str, version: int, build,
                   error: type[ValueError] = ValueError):
-    """``build(doc)`` of the JSON object ``text`` (bytes are UTF-8) tagged ``name``, ``version``.
+    """``build(doc)`` of the JSON object ``text`` tagged ``name``, ``version``; bytes are
+    UTF-8, a leading byte-order mark skipped.
 
     Anything wrong is raised as ``error``, including a ``KeyError``,
     ``TypeError``, ``ValueError`` or ``OverflowError`` (``int`` of ``1e400``)
     from ``build``.
     """
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        doc = json.loads(text.decode("utf-8-sig") if isinstance(text, bytes) else text)
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise error(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != name:

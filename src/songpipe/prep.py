@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from statistics import median
 
 from .formats import content_lines, read_file
-from .score import SECTION_LABELS, LyricLine, LyricsSheet, VocalScore
+from .score import SECTION_LABELS, VocalScore
 
 #: Relative weights of the three penalty components.
 SENTENCE_WEIGHT = 0.4
@@ -75,17 +75,10 @@ class RegisterDecision:
 
 @dataclass(frozen=True)
 class SheetShape:
-    """What reference selection reads of a sheet: per-line token counts and tag indices."""
+    """A lyric sheet as selection reads it: each line's token count and section-tag index."""
 
     counts: tuple[int, ...]
     tags: tuple[int, ...]
-
-    @classmethod
-    def of(cls, sheet: LyricsSheet | SheetShape) -> SheetShape:
-        if isinstance(sheet, SheetShape):
-            return sheet
-        return cls(tuple(len(line.tokens) for line in sheet.lines),
-                   tuple(SECTION_LABELS.index(line.tag) for line in sheet.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +86,7 @@ class SheetShape:
 
 
 def penalty_score(
-    target: LyricsSheet | SheetShape,
-    candidate: LyricsSheet | SheetShape,
-    reject_fewer_lines: bool = False,
+    target: SheetShape, candidate: SheetShape, reject_fewer_lines: bool = False
 ) -> PenaltyBreakdown:
     """Score how badly a candidate sheet's shape matches the target's.
 
@@ -113,7 +104,6 @@ def penalty_score(
     ``reject_fewer_lines`` a candidate with fewer lines than the target gets
     an infinite total (components still reported).
     """
-    target, candidate = SheetShape.of(target), SheetShape.of(candidate)
     counts_t, counts_c = target.counts, candidate.counts
     if not counts_t or not counts_c:
         raise ValueError("both lyric sheets must carry at least one line")
@@ -151,9 +141,7 @@ def _pad_with_median(a: list[int], b: list[int]) -> tuple[list[float], list[floa
 
 
 def select_reference(
-    target: LyricsSheet | SheetShape,
-    bank: list[LyricsSheet] | list[SheetShape],
-    reject_fewer_lines: bool = False,
+    target: SheetShape, bank: list[SheetShape], reject_fewer_lines: bool = False
 ) -> tuple[int, PenaltyBreakdown]:
     """Pick the bank entry with the lowest penalty against the target.
 
@@ -162,7 +150,6 @@ def select_reference(
     """
     if not bank:
         raise ValueError("reference bank is empty")
-    target = SheetShape.of(target)
     best_index, best = min(
         enumerate(penalty_score(target, candidate, reject_fewer_lines) for candidate in bank),
         key=lambda item: item[1].total,
@@ -231,32 +218,36 @@ def tokenize_lyric_text(text: str) -> list[str]:
     return text.split()
 
 
-def parse_lyrics(text: str) -> LyricsSheet:
-    """Parse the plain-text lyric format.
+def parse_lyrics(text: str) -> SheetShape:
+    """Parse the plain-text lyric format into its :class:`SheetShape`.
 
-    Each line that is not blank or a ``#`` comment is one lyric line.  A
-    leading ``[tag]`` sets the section tag for that line and the following
-    ones; lines before any tag default to ``verse``.  A line consisting only
-    of ``[tag]`` changes the running tag without adding a line.
+    Each line that is not blank or a ``#`` comment is one lyric line, of
+    :func:`tokenize_lyric_text`'s tokens.  A leading ``[tag]`` sets the
+    section tag for that line and the following ones; lines before any tag
+    default to ``verse``.  A line consisting only of ``[tag]`` changes the
+    running tag without adding a line.
     """
-    lines: list[LyricLine] = []
-    tag = "verse"
+    counts: list[int] = []
+    tags: list[int] = []
+    tag = SECTION_LABELS.index("verse")
     for lineno, stripped in content_lines(text):
         if stripped.startswith("["):
             close = stripped.find("]")
             if close < 0:
                 raise ValueError(f"lyric line {lineno}: unterminated [tag]")
-            tag = stripped[1:close].strip().lower()
-            if tag not in SECTION_LABELS:
-                raise ValueError(f"lyric line {lineno}: unknown section label {tag!r}")
+            label = stripped[1:close].strip().lower()
+            if label not in SECTION_LABELS:
+                raise ValueError(f"lyric line {lineno}: unknown section label {label!r}")
+            tag = SECTION_LABELS.index(label)
             stripped = stripped[close + 1 :].strip()
             if not stripped:
                 continue
-        lines.append(LyricLine(tag, tuple(tokenize_lyric_text(stripped))))
-    return LyricsSheet(tuple(lines))
+        counts.append(len(tokenize_lyric_text(stripped)))
+        tags.append(tag)
+    return SheetShape(tuple(counts), tuple(tags))
 
 
-def load_lyrics(path) -> LyricsSheet:
+def load_lyrics(path) -> SheetShape:
     """Read a lyric sheet from ``path``; a decoding or format error names the file."""
     return read_file(path, parse_lyrics)
 
@@ -291,5 +282,5 @@ def _keyed_shape(data: bytes) -> tuple[bytes, SheetShape]:
     key = hashlib.sha256(data).digest()
     shape = _BANK_SHAPES.get(key)
     if shape is None:
-        shape = SheetShape.of(parse_lyrics(data.decode("utf-8")))
+        shape = parse_lyrics(data.decode("utf-8-sig"))
     return key, shape

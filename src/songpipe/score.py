@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, replace
 
 #: Closed set of section labels, in canonical order.  The index of a label in
-#: this tuple is its integer id wherever labels are encoded as integers
-#: (framewise structure signals, lyric line tags, penalty comparison).
+#: this tuple is its integer id wherever labels are encoded as integers: the
+#: framewise structure signal and a lyric sheet's tags (``prep.SheetShape``).
 SECTION_LABELS = ("intro", "verse", "chorus", "bridge", "solo", "break", "inst", "outro")
 
 #: Ticks per quarter note used when nothing else is specified.
@@ -57,36 +57,6 @@ class Section:
     start_tick: int
     end_tick: int
     prompt: str | None = None
-
-
-@dataclass(frozen=True)
-class LyricLine:
-    """One lyric line: a section tag and the tokens sung on that line."""
-
-    tag: str
-    tokens: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if self.tag not in SECTION_LABELS:
-            raise ValueError(f"unknown section label: {self.tag!r}")
-        if not self.tokens:
-            raise ValueError("lyric line must carry at least one token")
-        if any(not t for t in self.tokens):
-            raise ValueError("lyric tokens must be non-empty strings")
-
-
-@dataclass(frozen=True)
-class LyricsSheet:
-    """An ordered list of tagged lyric lines."""
-
-    lines: tuple[LyricLine, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lines", tuple(self.lines))
-
-    def __len__(self) -> int:
-        return len(self.lines)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import wave
 import numpy as np
 
 from songpipe.render import AudioBuffer
-from songpipe.score import LyricLine, LyricsSheet, Note, Section, VocalScore
+from songpipe.prep import SheetShape
+from songpipe.score import SECTION_LABELS, Note, Section, VocalScore
 
 
 def bpm_to_us(bpm: float) -> int:
@@ -111,15 +112,18 @@ def random_score(
     )
 
 
-def random_sheet(rng: random.Random, max_lines: int = 8) -> LyricsSheet:
+def random_sheet(rng: random.Random, max_lines: int = 8) -> SheetShape:
     tags = ("verse", "chorus", "bridge", "intro", "outro")
     n = rng.randint(1, max_lines)
-    lines = []
+    counts, tag_ids = [], []
     for _ in range(n):
         k = rng.randint(1, 9)
-        tokens = tuple(rng.choice("abcdefg") * rng.randint(1, 3) for _ in range(k))
-        lines.append(LyricLine(rng.choice(tags), tokens))
-    return LyricsSheet(tuple(lines))
+        for _ in range(k):  # draw each token as before, so a seed keeps its shapes
+            rng.choice("abcdefg")
+            rng.randint(1, 3)
+        counts.append(k)
+        tag_ids.append(SECTION_LABELS.index(rng.choice(tags)))
+    return SheetShape(tuple(counts), tuple(tag_ids))
 
 
 def random_buffer(rng: random.Random, max_samples: int = 4000) -> "np.ndarray":

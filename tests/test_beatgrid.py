@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from statistics import median
 
 import numpy as np
@@ -194,6 +195,18 @@ def test_detect_voiced_segments_refuses_non_finite_energy(bad, channels):
     if channels == 2:
         samples = np.stack([samples, _burst()])
     with pytest.raises(ValueError, match="non-finite RMS"):
+        detect_voiced_segments(samples, 22050)
+
+
+@pytest.mark.parametrize("left, right", [(1.7e308, 1.7e308), (math.inf, -math.inf)])
+def test_detect_voiced_segments_refuses_a_non_finite_mean_of_two_channels(left, right):
+    # The two samples' sum overflows, or is inf - inf.  numpy warns from its
+    # own module, which the suite's filter does not make an error, so this
+    # test does: the mean must not warn before the refusal.
+    samples = np.stack([_burst(), _burst()])
+    samples[:, 2 * 22050] = left, right
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite RMS"):
+        warnings.simplefilter("error")
         detect_voiced_segments(samples, 22050)
 
 

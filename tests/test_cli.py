@@ -176,6 +176,14 @@ def test_run_with_config_file(score_file, tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_a_config_file_that_starts_with_a_byte_order_mark_is_read(score_file, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"score_path": str(score_file)}).encode())
+    out = tmp_path / "from_config"
+    assert main(["run", "--config", str(config_path), "--output", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+
 def test_run_seed_flag_reaches_the_manifest_config(score_file, tmp_path):
     out = tmp_path / "seeded"
     assert main(["run", "--score", str(score_file), "--output", str(out), "--seed", "7"]) == 0
@@ -356,6 +364,14 @@ def test_eval_command_beats_and_text(tmp_path, capsys):
                  "--dedup", "--json", str(results)]) == 0
     doc = json.loads(results.read_text())
     assert doc["per"] == 0.0  # identical after dedup
+
+
+def test_a_per_text_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    plain, bom = tmp_path / "ref.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"la la la\n")
+    bom.write_bytes(b"\xef\xbb\xbfla la la\n")
+    assert main(["eval", "--ref-text", str(plain), "--hyp-text", str(bom)]) == 0
+    assert capsys.readouterr().out == "per  0.000000\n"
 
 
 def test_eval_command_requires_pairs(tmp_path, capsys):

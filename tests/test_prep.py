@@ -25,19 +25,15 @@ from songpipe.prep import (
     select_reference,
     tokenize_lyric_text,
 )
-from songpipe.score import LyricLine, LyricsSheet, Note, Section, VocalScore
+from songpipe.score import SECTION_LABELS, Note, Section, VocalScore
 
 from helpers import bpm_to_us, random_sheet, simple_score
 
 
-def _sheet(*specs: tuple[str, int]) -> LyricsSheet:
+def _sheet(*specs: tuple[str, int]) -> SheetShape:
     """Build a sheet from (tag, token_count) pairs."""
-    return LyricsSheet(
-        tuple(
-            LyricLine(tag, tuple(f"w{i}" for i in range(count)))
-            for tag, count in specs
-        )
-    )
+    return SheetShape(tuple(count for _, count in specs),
+                      tuple(SECTION_LABELS.index(tag) for tag, _ in specs))
 
 
 def test_sentence_penalty_is_relative_line_difference():
@@ -101,7 +97,7 @@ def test_reject_fewer_lines_sets_total_infinite():
 
 def test_penalty_requires_non_empty_sheets():
     with pytest.raises(ValueError):
-        penalty_score(_sheet(("verse", 2)), LyricsSheet(()))
+        penalty_score(_sheet(("verse", 2)), SheetShape((), ()))
 
 
 def test_select_reference_matches_linear_scan():
@@ -117,21 +113,18 @@ def test_select_reference_matches_linear_scan():
 
 
 @pytest.mark.parametrize("reject_fewer_lines", [False, True])
-def test_selection_over_shapes_equals_selection_over_sheets(reject_fewer_lines):
+def test_selection_is_the_first_least_penalty_or_refused(reject_fewer_lines):
     rng = random.Random(2318)
     for _ in range(40):
         target = random_sheet(rng)
         bank = [random_sheet(rng) for _ in range(rng.randint(1, 15))]
         scored = [penalty_score(target, c, reject_fewer_lines) for c in bank]
         index = min(range(len(bank)), key=lambda k: scored[k].total)
-        shapes = [SheetShape.of(c) for c in bank]
-        for chosen_target, chosen_bank in ((target, bank), (SheetShape.of(target), shapes)):
-            if math.isinf(scored[index].total):
-                with pytest.raises(ValueError, match="every bank entry was rejected"):
-                    select_reference(chosen_target, chosen_bank, reject_fewer_lines)
-            else:
-                assert select_reference(chosen_target, chosen_bank, reject_fewer_lines) == \
-                    (index, scored[index])
+        if math.isinf(scored[index].total):
+            with pytest.raises(ValueError, match="every bank entry was rejected"):
+                select_reference(target, bank, reject_fewer_lines)
+        else:
+            assert select_reference(target, bank, reject_fewer_lines) == (index, scored[index])
 
 
 def test_select_reference_rejects_empty_bank():
@@ -246,9 +239,7 @@ def test_parse_lyrics_tags_and_defaults():
         "shine on\n"
         "[bridge] took a turn\n"
     )
-    assert [line.tag for line in sheet.lines] == ["verse", "chorus", "bridge"]
-    assert sheet.lines[0].tokens == ("first", "line", "here")
-    assert sheet.lines[2].tokens == ("took", "a", "turn")
+    assert sheet == SheetShape((3, 2, 3), (1, 2, 3))  # verse, chorus, bridge
 
 
 def test_parse_lyrics_rejects_unknown_tags():
@@ -266,10 +257,7 @@ def test_lyrics_round_trip():
 
 def test_cjk_lyrics_round_trip():
     # A line of single CJK characters is written without spaces.
-    sheet = LyricsSheet(
-        (LyricLine("verse", ("你", "好")), LyricLine("chorus", ("世", "界", "啊")))
-    )
-    assert parse_lyrics("[verse]\n你好\n[chorus]\n世界啊\n") == sheet
+    assert parse_lyrics("[verse]\n你好\n[chorus]\n世界啊\n") == SheetShape((2, 3), (1, 2))
 
 
 def test_load_reference_bank_sorted(tmp_path):
@@ -289,12 +277,13 @@ def test_load_reference_bank_requires_files(tmp_path):
 def test_bank_shapes_are_the_shapes_of_the_loaded_sheets(tmp_path):
     rng = random.Random(23)
     for j in range(12):
-        text = "".join(f"[{line.tag}] {' '.join(line.tokens)}\n" for line in random_sheet(rng).lines)
+        sheet = random_sheet(rng)
+        text = "".join(f"[{SECTION_LABELS[tag]}] {' '.join(['la'] * count)}\n"
+                       for count, tag in zip(sheet.counts, sheet.tags))
         (tmp_path / f"s{j:02d}.txt").write_text(text, encoding="utf-8")
     (tmp_path / "ignore.md").write_text("not lyrics\n", encoding="utf-8")
     names = sorted(p.name for p in tmp_path.glob("*.txt"))
-    assert load_reference_bank(tmp_path) == (
-        names, [SheetShape.of(load_lyrics(tmp_path / n)) for n in names])
+    assert load_reference_bank(tmp_path) == (names, [load_lyrics(tmp_path / n) for n in names])
 
 
 def test_bank_shapes_parse_only_files_whose_bytes_are_new(tmp_path, monkeypatch):
@@ -313,6 +302,23 @@ def test_bank_shapes_parse_only_files_whose_bytes_are_new(tmp_path, monkeypatch)
     assert len(prep._BANK_SHAPES) == 2  # the old b.txt's bytes are forgotten
     assert names == ["a.txt", "b.txt", "c.txt"]
     assert shapes == [SheetShape((2,), (1,)), SheetShape((1,), (2,)), SheetShape((2,), (1,))]
+
+
+#: A UTF-8 byte-order mark, which some editors put at the start of a text file.
+_BOM = b"\xef\xbb\xbf"
+
+
+def test_a_lyric_sheet_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path):
+    (tmp_path / "plain.txt").write_bytes(b"[chorus]\nla la\n")
+    (tmp_path / "bom.txt").write_bytes(_BOM + b"[chorus]\nla la\n")
+    assert load_lyrics(tmp_path / "bom.txt") == load_lyrics(tmp_path / "plain.txt") == \
+        SheetShape((2,), (2,))
+
+
+def test_a_bank_file_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path):
+    (tmp_path / "a.txt").write_bytes(_BOM + b"[chorus]\nla la\n")
+    (tmp_path / "b.txt").write_bytes(b"[chorus]\nla la\n")
+    assert load_reference_bank(tmp_path)[1] == [SheetShape((2,), (2,))] * 2
 
 
 def test_bank_shapes_refuse_a_sheet_without_lines_and_name_it(tmp_path):

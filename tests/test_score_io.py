@@ -248,6 +248,13 @@ def test_random_scores_round_trip_through_json():
         assert score_from_json(score_to_json(score)) == score
 
 
+def test_a_json_score_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path):
+    score = random_score(random.Random(7))
+    path = tmp_path / "bom.score.json"
+    path.write_bytes(b"\xef\xbb\xbf" + score_to_json(score).encode("utf-8"))
+    assert score_io.load_score(path) == score
+
+
 def test_json_round_trip_keeps_title_and_prompt():
     score = VocalScore(
         notes=(Note(0, 480, 60, "la"),),

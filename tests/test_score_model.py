@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from songpipe.score import (
-    LyricLine,
     Note,
     Section,
     VocalScore,
@@ -121,13 +120,6 @@ def test_tick_to_seconds_is_monotone(tempos, ticks):
     for (t1, s1), (t2, s2) in zip(zip(ordered, seconds), zip(ordered[1:], seconds[1:])):
         if t2 > t1:
             assert s2 > s1
-
-
-def test_lyric_line_rejects_unknown_tag_and_empty_tokens():
-    with pytest.raises(ValueError):
-        LyricLine("drop", ("a",))
-    with pytest.raises(ValueError):
-        LyricLine("verse", ())
 
 
 def test_prepend_instrumental_shifts_everything():
