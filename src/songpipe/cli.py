@@ -31,7 +31,7 @@ import numpy as np
 
 from . import beatgrid, conditioning, harmony, metrics, planner, prep, render, score_io
 from .conditioning import ChordSequence, KeyLabel
-from .formats import content_lines, file_sha256, json_text, read_file, write_file
+from .formats import content_lines, file_sha256, json_text, read_file, text_lines, write_file
 from .harmony import harmonize_song, section_keys
 from .metrics import self_report
 from .prep import DEFAULT_PROFILES, SingerProfile
@@ -561,11 +561,6 @@ def _parse_chroma(text: str) -> np.ndarray:
     return conditioning.rows_of(doc["chroma"], 12, "chroma")
 
 
-def _lines(text: str) -> list[str]:
-    """The stripped lines of ``text`` that are not blank; PER text has no ``#`` comments."""
-    return [line for line in map(str.strip, text.splitlines()) if line]
-
-
 def _parse_keys(text: str) -> list[KeyLabel]:
     return [KeyLabel.parse(line) for _, line in content_lines(text)]
 
@@ -584,15 +579,16 @@ def _beat_rows(args, ref: beatgrid.BeatGrid, est: beatgrid.BeatGrid) -> list[tup
 
 
 #: ``eval``'s file pairs: the reference and estimate options, the parser of
-#: either file, and the result rows of the two parsed files.  The rows look
-#: ``metrics`` up at call time, so that a wrapped metric is the one used.
+#: either file (PER text has no ``#`` comments), and the result rows of the
+#: two parsed files.  The rows look ``metrics`` up at call time, so that a
+#: wrapped metric is the one used.
 _EVAL_PAIRS = (
     ("ref_beats", "est_beats", beatgrid.parse_beat_grid, _beat_rows),
     ("ref_chroma", "est_chroma", _parse_chroma,
      lambda args, ref, est: [("chord_f1", metrics.chord_f1(ref, est))]),
     ("ref_keys", "est_keys", _parse_keys,
      lambda args, ref, est: [("key_accuracy", metrics.key_accuracy(ref, est))]),
-    ("ref_text", "hyp_text", _lines,
+    ("ref_text", "hyp_text", lambda text: [line for _, line in text_lines(text)],
      lambda args, ref, est: [("per", metrics.per(_text_tokens(ref, args.dedup),
                                                  _text_tokens(est, args.dedup)))]),
 )

@@ -165,7 +165,7 @@ class ConditionBundle:
     chroma:        (T, 12) binary array of active triad pitch classes.
     structure:     (T,) int array of section-label ids (index into SECTION_LABELS).
     pitch_contour: (T,) float array; sounding MIDI pitch, 0 where silent.
-    keys:          one ``(section_index, KeyLabel)`` pair per section.
+    keys:          one ``(section_index, KeyLabel)`` pair per section 0 to len(keys) - 1.
     """
 
     frame_rate: float
@@ -190,6 +190,9 @@ class ConditionBundle:
             )
         if not 0 < self.frame_rate < math.inf:
             raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
+        sections = sorted(i for i, _ in self.keys)
+        if sections != list(range(len(sections))):
+            raise ValueError(f"keys must give one key per section from 0, got sections {sections}")
 
     @property
     def num_frames(self) -> int:
@@ -390,12 +393,8 @@ def build_condition_bundle(
     the score are rejected.  ``keys`` must carry exactly one entry per
     section.
     """
-    problems_keys = {i for i, _ in keys}
-    if problems_keys != set(range(len(score.sections))):
-        raise ValueError(
-            f"keys must cover every section exactly once; got sections {sorted(problems_keys)} "
-            f"for {len(score.sections)} sections"
-        )
+    if len(keys) != len(score.sections):
+        raise ValueError(f"{len(keys)} keys given for {len(score.sections)} sections")
     duration = score.duration_seconds()
     if duration <= 0:
         raise ValueError("score has zero duration")
@@ -418,7 +417,7 @@ def build_condition_bundle(
         chroma=chroma,
         structure=structure_labels(score, duration, frame_rate),
         pitch_contour=pitch_contour_from_score(score, duration, frame_rate),
-        keys=tuple(sorted(keys)),
+        keys=tuple(sorted(keys, key=lambda key: key[0])),
     )
 
 
@@ -482,7 +481,7 @@ def bundle_from_json(text: str | bytes) -> ConditionBundle:
         if not all(type(v) is list and set(map(type, v)) <= {int, float} for v in lists):
             raise ValueError("structure and pitch_contour must be lists of numbers")
         structure, contour = (np.asarray(v, dtype=float) for v in lists)
-        if not ((structure >= 0) & (structure < len(SECTION_LABELS)) & (structure % 1 == 0)).all():
+        if not np.isin(structure, range(len(SECTION_LABELS))).all():  # no % 1: it warns at inf
             raise ValueError(f"structure ids must be whole numbers in [0, {len(SECTION_LABELS)})")
         if not ((contour >= 0) & (contour <= 127)).all():
             raise ValueError("pitch_contour values must be finite and in [0, 127]")

@@ -1,7 +1,8 @@
-"""Rules shared by every file format: atomic writes, hashes, JSON documents, data lines."""
+"""Rules shared by every file format: atomic writes, hashes, JSON documents, text lines."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -78,8 +79,8 @@ def read_document(text: str | bytes, name: str, version: int, build,
         raise error(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != name:
         raise error(f"missing or wrong format tag, expected {name!r}")
-    if doc.get("version") != version:
-        raise error(f"unsupported {name} version {doc.get('version')!r}")
+    if type(found := doc.get("version")) not in (int, float) or found != version:  # True == 1
+        raise error(f"unsupported {name} version {found!r}")
     try:
         return build(doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -97,12 +98,16 @@ def typed(value, kind: type, name: str):
     raise ValueError(f"{name} must be {words}, got {value!r}")
 
 
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` of each non-blank line; lines end only at ``\\n``,
+    ``\\r\\n`` and ``\\r``, as in a text-mode read, so a form feed is whitespace on its line."""
+    lines = enumerate(map(str.strip, io.StringIO(text, newline=None)), start=1)
+    return ((lineno, line) for lineno, line in lines if line)
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """``(line number, stripped line)`` of each line that is not blank or a ``#`` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    """The :func:`text_lines` of ``text`` that are not ``#`` comments."""
+    return ((lineno, line) for lineno, line in text_lines(text) if not line.startswith("#"))
 
 
 def data_lines(text: str, what: str, columns: int) -> Iterator[tuple[int, list[str]]]:

@@ -167,6 +167,9 @@ def test_parse_beat_grid_rejects_bad_lines():
         parse_beat_grid("0.5\n")
     with pytest.raises(ValueError):
         parse_beat_grid("abc\t1\n")
+    # A form feed is whitespace on its line, not a line end: the third line is line 3.
+    with pytest.raises(ValueError, match="^beat line 3: expected 2 columns, got 3$"):
+        parse_beat_grid("0.0 1\n\f\n0.5 2 3\n")
 
 
 @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])

@@ -13,6 +13,7 @@ import re
 import shutil
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from unittest import mock
@@ -364,6 +365,16 @@ def test_eval_command_beats_and_text(tmp_path, capsys):
                  "--dedup", "--json", str(results)]) == 0
     doc = json.loads(results.read_text())
     assert doc["per"] == 0.0  # identical after dedup
+
+
+def test_a_per_line_holding_a_form_feed_is_one_line(tmp_path, capsys):
+    # Lines end only at \n, \r\n and \r: the form feed is whitespace, so
+    # both texts are one line of two tokens, not two lines that dedup merges.
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_text("oh\foh\n")
+    hyp.write_text("oh oh\n")
+    assert main(["eval", "--ref-text", str(ref), "--hyp-text", str(hyp), "--dedup"]) == 0
+    assert capsys.readouterr().out == "per  0.000000\n"
 
 
 def test_a_per_text_that_starts_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
@@ -1298,16 +1309,23 @@ def test_tampered_outputs_and_corrupt_records_are_redone(score_file, tmp_path, m
     assert _read_bytes_map(out) == fresh
 
 
-def test_a_render_record_of_another_version_is_named_and_rebuilt(score_file, tmp_path, caplog):
+@pytest.mark.parametrize("artifact, name, version, stage", [
+    ("render.json", "render", "0", "render"),
+    # true is not version 1: a version is a number, as an integer field is.
+    ("chroma_memo.json", "chroma-memo", "true", "report"),
+])
+def test_a_render_record_of_another_version_is_named_and_rebuilt(score_file, tmp_path, caplog,
+                                                                 artifact, name, version, stage):
     out = tmp_path / "out"
     config = PipelineConfig(str(score_file), str(out), max_window_sec=4.0)
     run_pipeline(config)
     fresh = _read_bytes_map(out)
-    (out / "render.json").write_text('{"format": "render", "version": 0, "windows": []}')
+    (out / artifact).write_text(
+        f'{{"format": "{name}", "version": {version}, "windows": [], "chunks": []}}')
     with caplog.at_level("INFO", logger="songpipe.cli"):
-        run_pipeline(config, "render")
-    assert ("cannot read render.json: unsupported render version 0; rebuilding it"
-            in caplog.text)
+        run_pipeline(config, stage)
+    assert (f"cannot read {artifact}: unsupported {name} version {json.loads(version)!r}; "
+            "rebuilding it" in caplog.text)
     assert _read_bytes_map(out) == fresh
 
 
@@ -2220,6 +2238,25 @@ def test_an_input_that_vanishes_after_its_stage_read_it_fails_that_stage(
     ("plan.json", "render",
      lambda d: next(w for w in d["windows"] if w["start_sec"] == 0).update(start_sec=False),
      "malformed plan document: start_sec must be a number, got False"),
+    # A version is a number, as an integer field is: true is not version 1.
+    ("song.score.json", "condition", lambda d: d.update(version=True),
+     "cannot read song.score.json: unsupported score version True"),
+    ("plan.json", "render", lambda d: d.update(version=True),
+     "cannot read plan.json: unsupported plan version True"),
+    ("conditions.json", "render", lambda d: d.update(version=True),
+     "cannot read conditions.json: unsupported conditions version True"),
+    ("conditions.json", "render", lambda d: d["structure"].__setitem__(0, math.inf),
+     "malformed conditions document: structure ids must be whole numbers in [0, 8)"),
+    # The key sections are 0 to len(keys) - 1, each once.
+    ("conditions.json", "render", lambda d: d["keys"][0].update(section=-7),
+     "malformed conditions document: keys must give one key per section from 0, "
+     "got sections [-7, 1, 2]"),
+    pytest.param("conditions.json", "render", lambda d: d["keys"][0].update(section=1e308),
+                 "malformed conditions document: keys must give one key per section from 0, "
+                 f"got sections [1, 2, {int(1e308)}]", id="key-section-1e308"),
+    ("conditions.json", "render", lambda d: d["keys"][2].update(section=0),
+     "malformed conditions document: keys must give one key per section from 0, "
+     "got sections [0, 0, 1]"),
 ])
 def test_an_edited_artifact_that_breaks_a_rule_is_refused_on_resume(
     finished_run, tmp_path, artifact, stage, edit, message
@@ -2233,7 +2270,9 @@ def test_an_edited_artifact_that_breaks_a_rule_is_refused_on_resume(
         path.write_text(json.dumps(doc))
     else:
         path.write_text(edit(path.read_text()))
-    with pytest.raises(StageError) as err:
+    # Refused with no warning first: a structure id of inf used to warn.
+    with warnings.catch_warnings(), pytest.raises(StageError) as err:
+        warnings.simplefilter("error")
         run_pipeline(replace(finished_run, output_dir=str(out)), stage)
     assert err.value.stage == stage
     assert message in str(err.value)

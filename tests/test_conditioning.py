@@ -464,6 +464,11 @@ def test_bundle_requires_keys_for_all_sections():
     chords = ChordSequence((ChordSpan(0.0, 4.0, 0, "maj"),))
     with pytest.raises(ValueError):
         build_condition_bundle(score, chords, [(0, KeyLabel(0, "major"))])
+    # The right count, but section 0 twice: the bundle's key rule names the sections.
+    with pytest.raises(ValueError, match=r"^keys must give one key per section from 0, "
+                                         r"got sections \[0, 0\]$"):
+        build_condition_bundle(score, chords,
+                               [(0, KeyLabel(0, "major")), (0, KeyLabel(9, "minor"))])
 
 
 def test_bundle_json_round_trip():

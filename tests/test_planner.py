@@ -153,6 +153,9 @@ def test_plan_json_round_trip():
     score = simple_score([60] * 16, labels=["intro", "verse", "chorus", "outro"])
     windows = plan_inference(score)
     assert plan_from_json(plan_to_json(windows)) == windows
+    # A whole-number float version reads, as a whole-number float integer field does.
+    text = plan_to_json(windows).replace('"version": 1', '"version": 1.0')
+    assert '"version": 1.0' in text and plan_from_json(text) == windows
 
 
 def test_plan_json_rejects_bad_orders():

@@ -260,6 +260,22 @@ def test_cjk_lyrics_round_trip():
     assert parse_lyrics("[verse]\n你好\n[chorus]\n世界啊\n") == SheetShape((2, 3), (1, 2))
 
 
+@pytest.mark.parametrize("separator", ["\x85", "\u2028"])
+def test_a_lyric_line_holding_a_unicode_line_separator_is_one_line(tmp_path, separator):
+    # Lines end only at \n, \r\n and \r, as in a text-mode read.
+    text = f"[verse]\nla la{separator}la la\n"
+    (tmp_path / "a.txt").write_text(text, encoding="utf-8")
+    assert parse_lyrics(text) == load_lyrics(tmp_path / "a.txt") == SheetShape((4,), (1,))
+    assert load_reference_bank(tmp_path)[1] == [SheetShape((4,), (1,))]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_a_bank_file_gives_its_lines_at_any_text_mode_line_end(tmp_path, end):
+    # Bank files are decoded from bytes, so no newline translation reads them.
+    (tmp_path / "a.txt").write_bytes(f"[verse]{end}la la{end}oh{end}".encode())
+    assert load_reference_bank(tmp_path)[1] == [SheetShape((2, 1), (1, 1))]
+
+
 def test_load_reference_bank_sorted(tmp_path):
     (tmp_path / "b.txt").write_text("[verse]\nsecond sheet\n", encoding="utf-8")
     (tmp_path / "a.txt").write_text("[verse]\nfirst sheet\n", encoding="utf-8")
